@@ -120,3 +120,44 @@ func TestSimLeaseReplayByteIdentical(t *testing.T) {
 		}
 	}
 }
+
+// TestSimDemotedHolderReleasesAuthority pins the live-vs-sim drift the
+// shared replica driver removed: the simulator's copy of the driver used
+// to extend a lease for as long as it was held, so a holder the oracle
+// had moved past kept commit authority hostage until it crashed and its
+// grant ran out (~11 500 ticks without a commit on this grid point). The
+// shipped driver extends only while it is the agreed leader, so the
+// stall is bounded by one lease and writes commit before the crash.
+func TestSimDemotedHolderReleasesAuthority(t *testing.T) {
+	var point omegasm.CampaignPoint
+	for _, pt := range omegasm.DefaultCampaignGrid() {
+		if pt.Name == "leased-crash-p0" {
+			point = pt
+		}
+	}
+	crashAt, ok := point.Config.Crashes[0]
+	if !ok || point.Config.Lease == 0 {
+		t.Fatal("grid point leased-crash-p0 no longer crashes p0 under a lease")
+	}
+	for seed := int64(300_000); seed <= 300_007; seed++ {
+		cfg := point.Config
+		cfg.Seed = seed
+		cfg.Record = true
+		res, err := omegasm.SimKV(cfg)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		early := 0
+		for _, op := range res.History.Ops {
+			if op.Return >= 0 && op.Return < crashAt {
+				early++
+			}
+		}
+		if early == 0 {
+			t.Errorf("seed %d: no write committed before the crash at %d", seed, crashAt)
+		}
+		if limit := cfg.Lease + 256; res.CommitStallMax > limit {
+			t.Errorf("seed %d: commit stall %d ticks exceeds one lease (%d)", seed, res.CommitStallMax, limit)
+		}
+	}
+}

@@ -517,11 +517,14 @@ func (m *simReplicaMachine) Step(now vclock.Time) engine.Hint {
 	r := m.r
 	kv := r.kvs[m.idx]
 	holder := false
-	if r.lease != nil {
+	// Lease housekeeping only while agreed leader, as the live kvMachine
+	// does: a demoted-but-live holder stops extending and its grant lapses,
+	// instead of holding commit authority hostage until it crashes.
+	if l, ok := r.agreedLeader(now); r.lease != nil && ok && l == m.idx {
 		if epoch, ok := r.lease.Held(m.idx, now); ok {
 			holder = r.lease.Extend(m.idx, now, r.leaseDur)
 			m.acqEpoch = epoch
-		} else if l, ok := r.agreedLeader(now); ok && l == m.idx {
+		} else {
 			// Expired or never held: (re)acquire under a fresh epoch. The
 			// fence snapshot is taken before this step's proposing, so the
 			// barrier provably covers every prior authority's commits.
