@@ -343,34 +343,23 @@ func (kv *KV) CommittedLen() int {
 	return kv.replica.CommittedLen()
 }
 
-// CommittedSince returns a copy of the committed commands from global
-// index from on (clamped to the retained range: commands summarized into
-// a checkpoint are no longer individually returnable, and callers must
-// treat them as unconfirmed — resubmission is idempotent). Prefer
-// TailSince, which also reports the next watermark.
-func (kv *KV) CommittedSince(from int) []uint32 {
-	cmds, _ := kv.TailSince(from)
-	return cmds
-}
-
-// TailSince returns a copy of the retained committed commands from global
-// index from on, plus the global index just past what was returned — the
-// caller's next watermark. Writers that watch many commands at once scan
-// each appended region exactly once by advancing their watermark to next.
-// Commands already summarized into a checkpoint are skipped (treat as
-// unconfirmed; Set is idempotent under resubmission).
-func (kv *KV) TailSince(from int) (cmds []uint32, next int) {
+// VisitTail calls visit, in log order, for every retained committed
+// command from global index from on, and returns the global index just
+// past the last one — the caller's next watermark. A writer that watches
+// many commands at once scans each appended region exactly once by
+// resuming from the returned watermark, and the scan copies nothing.
+// Commands already summarized into a checkpoint are skipped (treat them
+// as unconfirmed; Set is idempotent under resubmission). visit runs under
+// the step lock: it must be brief and must not call back into the KV.
+func (kv *KV) VisitTail(from int, visit func(cmd uint32)) (next int) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	base := kv.replica.committedBase
-	if from < base {
-		from = base
+	next = base + len(kv.replica.committed)
+	for _, c := range kv.replica.committed[min(max(from, base), next)-base:] {
+		visit(c)
 	}
-	if from > base+len(kv.replica.committed) {
-		from = base + len(kv.replica.committed)
-	}
-	cmds = append([]uint32(nil), kv.replica.committed[from-base:]...)
-	return cmds, from + len(cmds)
+	return next
 }
 
 // Capacity returns the slot capacity of the log window: the total log

@@ -219,6 +219,11 @@ func (e *Live) Stop() {
 	}
 }
 
+// Done returns a channel that is closed once Stop has been called: the
+// engine will step nothing further, so anything waiting on a machine's
+// progress should give up.
+func (e *Live) Done() <-chan struct{} { return e.halt }
+
 // Crash permanently deschedules machine id. When Crash returns, no step or
 // timer body of the machine is in flight and none will run again — the
 // paper's crash-stop failure. Idempotent; out-of-range ids are a no-op

@@ -42,9 +42,13 @@ var simdetPackages = []string{
 
 // simdetFiles lists file-path suffixes that are sim-reachable (or must
 // emit byte-stable output) regardless of package: the public simulator
-// surface and the bench-table renderer the docs-sync CI gate replays.
+// surface, the replica driver and write tracker it shares with the live
+// store (whose ticker/ctx waiting stays in kv.go), and the bench-table
+// renderer the docs-sync CI gate replays.
 var simdetFiles = []string{
 	"sim.go",
+	"driver.go",
+	"tracker.go",
 	"omegabench/readme.go",
 	"campaign.go",
 	"faults.go",

@@ -25,6 +25,13 @@ var ErrNoLeader = errors.New("omegasm: no agreed leader")
 // log checkpoints and recycles slots, so writes never return ErrLogFull.
 var ErrLogFull = errors.New("omegasm: replicated log is full")
 
+// ErrClosed is returned by Put, PutAll and the linearizable Read modes
+// when the store has been closed, and by Propose when the cluster has
+// been stopped — before the call or while it was blocked: the engine that
+// would finish the call is gone. A write in flight when Close lands may
+// or may not have committed.
+var ErrClosed = errors.New("omegasm: closed")
+
 // ErrReadUnsupported is returned by Read in the linearizable modes
 // (ReadLease, ReadQuorum) on a store whose log reserves no descriptor
 // row: both modes fence through no-op barrier slots, which only batched
@@ -236,17 +243,14 @@ type Entry struct {
 type KV struct {
 	c        *Cluster
 	interval time.Duration
-	stores   []*consensus.KV
+	// kvEnv carries the replicas' stores and the lease (nil: leases off;
+	// leaseDur/acquireEps are engine nanoseconds, see KVLease) — the
+	// environment the shared driver, watcher and write tracker run in.
+	kvEnv
 
 	eng     *engine.Live
 	ids     []int // engine machine id of each replica's driver
 	commits *broadcast
-
-	// lease is the leader-lease register behind ReadLease (nil: leases
-	// off). leaseDur/leaseEps are engine nanoseconds; see KVLease.
-	lease    *lease.Register
-	leaseDur int64
-	leaseEps int64
 }
 
 // broadcast is a reusable close-channel broadcast: waiters grab the
@@ -279,19 +283,11 @@ func (b *broadcast) signal() {
 	b.mu.Unlock()
 }
 
-// kvMachine drives one replica under the engine's wake-hint contract.
+// kvMachine adapts the shared replica driver to the live engine's
+// wake-hint contract.
 type kvMachine struct {
-	kv    *KV
-	idx   int
-	store *consensus.KV
-	burst int
-
-	// Lease state of this replica's reigns: acqGen is the store's fence
-	// generation snapshot taken at the last acquisition, and barrierDone
-	// records that the catch-up barrier for it has completed (the lease
-	// was marked readable). Only this machine's goroutine touches them.
-	acqGen      uint64
-	barrierDone bool
+	kv *KV
+	replicaDriver
 }
 
 // Step implements engine.Machine. The hint encodes the replica's state:
@@ -304,93 +300,48 @@ func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	if kv.c.Crashed(m.idx) {
 		return engine.Park()
 	}
-	leader, agreed := kv.c.AgreedLeader()
-	agreed = agreed && leader >= 0 && !kv.c.Crashed(leader)
-	// A replica that sees the cluster agreed on someone else sheds its own
-	// queue before stepping. The polling watcher below does the same once
-	// per cadence, but wake-driven replicas can take many bursts between
-	// watcher rounds, so the stale-queue window ("a demoted leader
-	// re-proposes old writes after newer ones when it regains leadership")
-	// must be closed at the replica itself: by the first step it takes
-	// under another replica's reign, the stale queue is gone. (Put
-	// re-submits the writes that still matter.)
-	if agreed && leader != m.idx {
-		m.store.DropPending()
-	}
-	// Lease housekeeping, before the burst so a fresh acquisition is
-	// already the arming authority for it: the agreed leader extends its
-	// grant while it holds, or (re)claims one the moment the previous
-	// grant has expired. A demoted or crashed holder simply stops
-	// extending and its grant lapses.
-	holder := false
-	var epoch uint64
-	if kv.lease != nil && agreed && leader == m.idx {
-		if e, held := kv.lease.Held(m.idx, now); held {
-			holder, epoch = true, e
-			kv.lease.Extend(m.idx, now, kv.leaseDur)
-		} else if e, ok := kv.lease.Acquire(m.idx, now, kv.leaseDur, kv.leaseEps); ok {
-			holder, epoch = true, e
-			m.acqGen = m.store.FenceGen()
-			m.barrierDone = false
-		}
-	}
-	newly, pending := m.store.StepBurst(now, m.burst)
-	if holder && !m.barrierDone {
-		// The catch-up barrier: once a proposal armed after the
-		// acquisition wins its ballot, this replica provably holds (and
-		// has applied) every command any earlier authority committed, and
-		// the lease becomes readable. Any write traffic fences for free;
-		// an idle store drives one no-op barrier slot through the log.
-		if m.store.FencedSince(m.acqGen) {
-			kv.lease.MarkReadable(epoch, m.idx)
-			m.barrierDone = true
-		} else if pending == 0 && m.store.PendingLen() == 0 {
-			if m.store.SubmitBarrier() != nil {
-				m.barrierDone = true // barrier-less log: lease stays unreadable
-			}
-			return engine.Now()
-		}
-	}
-	if newly > 0 {
-		// Wake the other replicas to learn the new decisions — but only
-		// from the commit's origin (the agreed leader, or anyone during
-		// anarchy). A follower that merely learned entries would otherwise
-		// re-notify all peers per wave, turning one commit into ~n²
-		// notifications of already-informed machines.
-		if !agreed || leader == m.idx {
-			for i, id := range kv.ids {
-				if i != m.idx {
-					kv.eng.Notify(id)
-				}
-			}
-		}
-		// And any Put waiting for its command to land.
-		kv.commits.signal()
+	rep := m.step(now)
+	switch {
+	case rep.barrier || rep.progress > 0:
 		return engine.Now()
-	}
-	if pending > 0 {
+	case rep.pending > 0:
 		// A leader with queued work drains at CPU speed — unless the log
 		// can make no progress: permanently full (checkpointing off), or
 		// the recycling window is exhausted until a checkpoint gathers its
 		// ack quorum, in which case stepping would only spin. The fallback
 		// cadence re-checks the acks (the stepped replica reads them and
 		// slides the window itself).
-		if agreed && leader == m.idx && !m.store.LogFull() && !m.store.WindowFull() {
+		if store := kv.stores[m.idx]; rep.leading && !store.LogFull() && !store.WindowFull() {
 			return engine.Now()
 		}
 		return engine.At(now + int64(kv.interval))
-	}
-	// Idle. A leaseholder must not park: its grant needs extending well
-	// before expiry or lease reads go dark between writes. An agreed
-	// leader still waiting out a predecessor's grant polls for the expiry
-	// at the fallback cadence. Everyone else parks until notified.
-	if kv.lease != nil && agreed && leader == m.idx {
-		if holder {
-			return engine.At(now + kv.leaseDur/4)
-		}
+	case rep.holder:
+		// An idle leaseholder must not park: its grant needs extending
+		// well before expiry or lease reads go dark between writes.
+		return engine.At(now + kv.leaseDur/4)
+	case kv.lease != nil && rep.leading:
+		// An agreed leader still waiting out a predecessor's grant polls
+		// for the expiry at the fallback cadence.
 		return engine.At(now + int64(kv.interval))
 	}
-	return engine.Park()
+	return engine.Park() // idle: until notified
+}
+
+// checkLogShape rejects the log configurations a store of either engine
+// (layer names it in the error) cannot run: descriptor pids are four
+// bits, so batching and checkpointing cap the process count, and the
+// checkpoint command itself must fit the window.
+func checkLogShape(layer string, n, slots, batch, ckpt int) error {
+	if n > consensus.MaxBatchProcs && batch > 1 {
+		return fmt.Errorf("omegasm: %s batching supports at most %d processes, got %d", layer, consensus.MaxBatchProcs, n)
+	}
+	if n > consensus.MaxBatchProcs && ckpt > 0 {
+		return fmt.Errorf("omegasm: %s checkpointing supports at most %d processes, got %d", layer, consensus.MaxBatchProcs, n)
+	}
+	if ckpt > 0 && ckpt >= slots {
+		return fmt.Errorf("omegasm: %s checkpoint interval %d must be below the %d-slot window", layer, ckpt, slots)
+	}
+	return nil
 }
 
 // NewKV builds and starts the cluster's replicated key-value store: one
@@ -415,25 +366,14 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			return nil, err
 		}
 	}
-	if set.batch > 1 && c.N() > consensus.MaxBatchProcs {
-		return nil, fmt.Errorf("omegasm: KV batching supports at most %d processes, got %d",
-			consensus.MaxBatchProcs, c.N())
-	}
 	if set.ckpt == ckptAuto {
 		// Default on: seal every quarter window. Configurations that cannot
 		// checkpoint (a 1-slot log, more processes than descriptors can
 		// name) silently keep the fixed-capacity log instead of erroring.
 		set.ckpt = consensus.DefaultCheckpointEvery(set.slots, c.N())
 	}
-	if set.ckpt > 0 {
-		if c.N() > consensus.MaxBatchProcs {
-			return nil, fmt.Errorf("omegasm: KV checkpointing supports at most %d processes, got %d",
-				consensus.MaxBatchProcs, c.N())
-		}
-		if set.ckpt >= set.slots {
-			return nil, fmt.Errorf("omegasm: checkpoint interval %d must be below the %d-slot window",
-				set.ckpt, set.slots)
-		}
+	if err := checkLogShape("KV", c.N(), set.slots, set.batch, set.ckpt); err != nil {
+		return nil, err
 	}
 	c.svcMu.Lock()
 	if c.kvTaken {
@@ -461,69 +401,50 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	} else if leaseDur > 0 && !log.ReservesTopRow() {
 		return nil, fmt.Errorf("omegasm: KVLease needs batching or checkpointing enabled")
 	}
-	stores := make([]*consensus.KV, n)
 	kv := &KV{
 		c:        c,
 		interval: set.interval,
 		eng:      engine.NewLive(engine.LiveConfig{}),
 		commits:  newBroadcast(),
 	}
+	kv.kvEnv = kvEnv{
+		stores: make([]*consensus.KV, n),
+		leader: func() (int, bool) {
+			l, ok := c.AgreedLeader()
+			return l, ok && l >= 0 && !c.Crashed(l)
+		},
+		alive: func(p int) bool { return !c.Crashed(p) },
+		wake:  func(i int) { kv.eng.Notify(kv.ids[i]) },
+		// Wake the other replicas to learn the new decisions — but only from
+		// the commit's origin. A follower that merely learned entries would
+		// otherwise re-notify all peers per wave, turning one commit into
+		// ~n² notifications of already-informed machines. Then wake any
+		// call waiting for its command (or its fence) to land.
+		progressed: func(from int, origin bool) {
+			for i := 0; origin && i < n; i++ {
+				if i != from {
+					kv.wake(i)
+				}
+			}
+			kv.commits.signal()
+		},
+		burst: set.burst,
+	}
 	if leaseDur > 0 {
 		kv.lease = &lease.Register{}
 		kv.leaseDur = int64(leaseDur)
-		kv.leaseEps = int64(leaseDur / 8)
+		kv.acquireEps = int64(leaseDur / 8)
 	}
-	for i := 0; i < n; i++ {
-		replica, err := consensus.NewReplica(log, i, c.oracle(i))
-		if err != nil {
+	for i := range kv.stores {
+		if kv.stores[i], err = newStore(log, i, c.oracle(i), kv.lease); err != nil {
 			return nil, fmt.Errorf("omegasm: kv replica %d: %w", i, err)
 		}
-		store, err := consensus.NewKV(replica)
-		if err != nil {
-			return nil, fmt.Errorf("omegasm: kv replica %d: %w", i, err)
-		}
-		if kv.lease != nil {
-			// The authority gate: no replica arms a proposal without
-			// holding the lease, which is what makes a valid lease
-			// exclusive commit authority (see internal/lease).
-			reg, id := kv.lease, i
-			store.SetAuthority(func(t vclock.Time) bool {
-				_, held := reg.Held(id, t)
-				return held
-			})
-		}
-		stores[i] = store
+		kv.ids = append(kv.ids, kv.eng.Add(&kvMachine{kv, replicaDriver{env: &kv.kvEnv, idx: i}}))
 	}
-	kv.stores = stores
-	for i := 0; i < n; i++ {
-		kv.ids = append(kv.ids, kv.eng.Add(&kvMachine{
-			kv: kv, idx: i, store: stores[i], burst: set.burst,
-		}))
-	}
-	// The leadership watcher polls at the fallback cadence: when the
-	// agreed leader changes, the queues stranded on the other replicas are
-	// dropped and every machine is woken — the new leader may hold a queue
-	// a previous reign left behind, and parked followers may sit on
-	// unlearned slots the dead leader decided (nothing else would re-step
-	// them until the next write). Without the drop, a demoted-but-live
-	// leader would re-propose its stale queue whenever it regains
-	// leadership, committing old writes after newer ones; with it, a stale
-	// command can only still commit via ballot adoption in the first
-	// undecided slot — i.e. never after a newer command. (Writers that
-	// still care re-submit: Put retries.)
-	lastLeader := -1
+	// The leadership watcher polls at the fallback cadence.
+	watcher := leaderWatcher{env: &kv.kvEnv, last: -1}
 	kv.eng.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
-		if l, ok := c.AgreedLeader(); ok && l >= 0 && !c.Crashed(l) && l != lastLeader {
-			for i, st := range stores {
-				if i != l {
-					st.DropPending()
-				}
-			}
-			lastLeader = l
-			for _, id := range kv.ids {
-				kv.eng.Notify(id)
-			}
-		}
+		watcher.observe()
 		return engine.At(now + int64(set.interval))
 	}))
 	if err := kv.eng.Start(); err != nil {
@@ -533,29 +454,18 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 }
 
 // Close stops the replication engine. Reads keep answering from the
-// frozen applied state; writes stop committing. Idempotent.
+// frozen applied state; writes stop committing, and blocking calls (Put,
+// PutAll, linearizable Read) — in flight or issued later — return
+// ErrClosed. Idempotent.
 func (kv *KV) Close() { kv.eng.Stop() }
 
 // readStore picks the replica to answer reads: the agreed leader's (it
-// commits first, so it is the freshest), else the live replica with the
-// longest committed prefix — during anarchy (typically right after a
-// leader crash) the survivors lag the dead leader by whatever they have
-// not yet learned, and the freshest one minimizes the staleness window
-// until the next election catches everyone up.
+// commits first, so it is the freshest), else the freshest live replica.
 func (kv *KV) readStore() *consensus.KV {
-	if l, ok := kv.c.AgreedLeader(); ok && l >= 0 && !kv.c.Crashed(l) {
+	if l, ok := kv.leader(); ok {
 		return kv.stores[l]
 	}
-	best := kv.stores[0]
-	bestLen := -1
-	for i, s := range kv.stores {
-		if !kv.c.Crashed(i) {
-			if n := s.CommittedLen(); n > bestLen {
-				best, bestLen = s, n
-			}
-		}
-	}
-	return best
+	return kv.stores[max(kv.freshest(), 0)]
 }
 
 // Set queues one write on the current leader's replica and returns
@@ -572,8 +482,8 @@ func (kv *KV) readStore() *consensus.KV {
 // else should use Put or PutAll, which block until commit and retry
 // across leadership changes.
 func (kv *KV) Set(key, val uint16) error {
-	l, ok := kv.c.AgreedLeader()
-	if !ok || l < 0 || kv.c.Crashed(l) {
+	l, ok := kv.leader()
+	if !ok {
 		return ErrNoLeader
 	}
 	if kv.stores[l].LogFull() {
@@ -582,7 +492,7 @@ func (kv *KV) Set(key, val uint16) error {
 	if err := kv.stores[l].Set(key, val); err != nil {
 		return err
 	}
-	kv.eng.Notify(kv.ids[l]) // wake the parked leader: the write drains now
+	kv.wake(l) // the parked leader: the write drains now
 	return nil
 }
 
@@ -624,95 +534,55 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 		return nil
 	}
 	claimed := kv.stores[0].ReservesTopRow()
-	// remaining holds the deduplicated commands still waiting for commit,
-	// in submission order (resubmissions preserve it).
-	remaining := make([]uint32, 0, len(entries))
-	seen := make(map[uint32]bool, len(entries))
+	t := newWriteTracker(&kv.kvEnv, len(entries))
 	for _, e := range entries {
 		cmd := consensus.EncodeSet(e.Key, e.Val)
 		if consensus.IsReserved(cmd, claimed) {
 			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", e.Key, e.Val)
 		}
-		if !seen[cmd] {
-			seen[cmd] = true
-			remaining = append(remaining, cmd)
+		if !t.waiting(cmd) {
+			t.add(cmd)
 		}
 	}
-	// Commit watermarks: only entries a replica appends from here on can
-	// acknowledge this call. Each appended region is scanned exactly once
-	// (the watermark advances past it), so a long-lived call stays
-	// O(new commits), not O(log). If a checkpoint summarizes entries away
-	// before they are scanned, they simply never confirm and the remainder
-	// is resubmitted — duplicates apply idempotently.
-	marks := make([]int, len(kv.stores))
-	for i, s := range kv.stores {
-		marks[i] = s.CommittedLen()
-	}
-	confirm := func(i int) {
-		suffix, next := kv.stores[i].TailSince(marks[i])
-		marks[i] = next
-		for _, c := range suffix {
-			if seen[c] {
-				delete(seen, c)
-				for j, r := range remaining {
-					if r == c {
-						remaining = append(remaining[:j], remaining[j+1:]...)
-						break
-					}
-				}
-			}
-		}
-	}
-	submittedTo := -1
-	var submitGen uint64
-	ticker := time.NewTicker(kv.interval)
-	defer ticker.Stop()
-	for {
-		// Grab the broadcast channel before scanning: a commit that lands
-		// after the scan closes this channel, so the wait below cannot
-		// miss it.
-		committed := kv.commits.wait()
-		for i := range kv.stores {
-			if !kv.c.Crashed(i) {
-				confirm(i)
-			}
-		}
-		if len(remaining) == 0 {
-			return nil
+	return pollUntil(ctx, kv.eng, kv.commits, kv.interval, func() (bool, error) {
+		now := kv.eng.Now()
+		if t.confirm(now); t.outstanding == 0 {
+			return true, nil
 		}
 		if kv.readStore().LogFull() {
-			return ErrLogFull
+			return false, ErrLogFull
 		}
-		if l, ok := kv.c.AgreedLeader(); ok && l >= 0 && !kv.c.Crashed(l) {
-			// Resubmit on an observed leader change, and also when the
-			// leader's queue was swept since we submitted (its drop
-			// generation moved): a leadership flap this loop never observed
-			// takes the queued remainder with it. Re-scan the leader's
-			// commits right before resubmitting — an entry may have
-			// committed between the scan above and here, and a needless
-			// duplicate burns log capacity forever.
-			gen := kv.stores[l].DropGeneration()
-			if l != submittedTo || gen != submitGen {
-				confirm(l)
-				if len(remaining) == 0 {
-					return nil
-				}
-				pairs := make([][2]uint16, len(remaining))
-				for j, c := range remaining {
-					k, v := consensus.DecodeSet(c)
-					pairs[j] = [2]uint16{k, v}
-				}
-				if err := kv.stores[l].SetAll(pairs...); err != nil {
-					return err
-				}
-				submittedTo, submitGen = l, gen
-			}
-			kv.eng.Notify(kv.ids[l])
+		l, _, err := t.submit(now)
+		if l >= 0 {
+			kv.wake(l)
+		}
+		return t.outstanding == 0, err
+	})
+}
+
+// pollUntil runs attempt until it reports done or fails, sleeping between
+// attempts on progress's broadcast rather than a poll loop; the fallback
+// ticker only paces the retry path (leadership moved, log pressure, a
+// signal racing the attempt). It returns ctx's error on cancellation and
+// ErrClosed once eng has been stopped — nothing is left to finish the
+// call.
+func pollUntil(ctx context.Context, eng *engine.Live, progress *broadcast, interval time.Duration, attempt func() (done bool, err error)) error {
+	ticker := time.NewTicker(interval)
+	defer ticker.Stop()
+	for {
+		// Grab the broadcast channel before the attempt: progress that
+		// lands after it closes this channel, so the wait below cannot
+		// miss it.
+		signalled := progress.wait()
+		if done, err := attempt(); done || err != nil {
+			return err
 		}
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-committed:
+		case <-eng.Done():
+			return ErrClosed
+		case <-signalled:
 		case <-ticker.C:
 		}
 	}
@@ -768,40 +638,34 @@ func (kv *KV) Read(ctx context.Context, key uint16, mode ReadMode) (uint16, bool
 // — then answer from its state. Write traffic fences for free; on an
 // idle store the call drives a no-op barrier slot through the log. A
 // leadership change mid-call restarts the fence against the new leader.
-func (kv *KV) readQuorum(ctx context.Context, key uint16) (uint16, bool, error) {
+func (kv *KV) readQuorum(ctx context.Context, key uint16) (val uint16, found bool, err error) {
 	if !kv.stores[0].ReservesTopRow() {
 		return 0, false, ErrReadUnsupported
 	}
-	ticker := time.NewTicker(kv.interval)
-	defer ticker.Stop()
 	fencedFrom := -1 // leader the fence generation below was taken from
 	var gen uint64
-	for {
-		// Grab the broadcast channel before checking: progress that lands
-		// after the check closes this channel, so the wait cannot miss it.
-		progress := kv.commits.wait()
-		if l, ok := kv.c.AgreedLeader(); ok && l >= 0 && !kv.c.Crashed(l) {
-			if l != fencedFrom {
-				fencedFrom, gen = l, kv.stores[l].FenceGen()
-			}
-			if kv.stores[l].FencedSince(gen) {
-				v, ok := kv.stores[l].Get(key)
-				return v, ok, nil
-			}
-			if kv.stores[l].PendingLen() == 0 {
-				if err := kv.stores[l].SubmitBarrier(); err != nil {
-					return 0, false, err
-				}
-			}
-			kv.eng.Notify(kv.ids[l])
+	err = pollUntil(ctx, kv.eng, kv.commits, kv.interval, func() (bool, error) {
+		l, ok := kv.leader()
+		if !ok {
+			return false, nil
 		}
-		select {
-		case <-ctx.Done():
-			return 0, false, ctx.Err()
-		case <-progress:
-		case <-ticker.C:
+		store := kv.stores[l]
+		if l != fencedFrom {
+			fencedFrom, gen = l, store.FenceGen()
 		}
-	}
+		if store.FencedSince(gen) {
+			val, found = store.Get(key)
+			return true, nil
+		}
+		if store.PendingLen() == 0 {
+			if err := store.SubmitBarrier(); err != nil {
+				return false, err
+			}
+		}
+		kv.wake(l)
+		return false, nil
+	})
+	return val, found, err
 }
 
 // LeaseDuration returns the leader-lease duration behind ReadLease's

@@ -37,6 +37,30 @@ func (a Algorithm) valid() bool {
 	return a >= WriteEfficient && a <= TimerFree
 }
 
+// build instantiates the algorithm's n election processes over mem, for
+// either engine to drive; nil for an unknown algorithm.
+func (a Algorithm) build(mem shmem.Mem, n int) (procs []core.Proc) {
+	switch a {
+	case WriteEfficient:
+		for _, p := range core.BuildAlgo1(mem, n) {
+			procs = append(procs, p)
+		}
+	case Bounded:
+		for _, p := range core.BuildAlgo2(mem, n) {
+			procs = append(procs, p)
+		}
+	case NWnR:
+		for _, p := range core.BuildNWNR(mem, n) {
+			procs = append(procs, p)
+		}
+	case TimerFree:
+		for _, p := range core.BuildTimerFree(mem, n) {
+			procs = append(procs, p)
+		}
+	}
+	return procs
+}
+
 // String returns the algorithm's name as used in WithAlgorithm docs and
 // experiment output.
 func (a Algorithm) String() string {
@@ -52,53 +76,6 @@ func (a Algorithm) String() string {
 	default:
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
-}
-
-// Config is the closed configuration struct of the pre-options API.
-//
-// Deprecated: build clusters with New and functional options instead.
-// The field mapping is WithN(cfg.N), WithAlgorithm(cfg.Algorithm),
-// WithStepInterval(cfg.StepInterval), WithTimerUnit(cfg.TimerUnit) and
-// WithInstrumentation() for Instrument; Config cannot express substrates
-// or the fleet options.
-type Config struct {
-	// N is the number of processes (>= 2).
-	N int
-	// Algorithm selects the election algorithm; default WriteEfficient.
-	Algorithm Algorithm
-	// StepInterval is the pause between main-loop iterations of each
-	// process; default 200us. Smaller values elect faster and write more.
-	StepInterval time.Duration
-	// TimerUnit converts the algorithms' abstract timeout values into
-	// real durations; default 2ms.
-	TimerUnit time.Duration
-	// Instrument enables the shared-memory access census (Stats).
-	Instrument bool
-}
-
-// options converts the legacy struct into the equivalent option list.
-func (cfg Config) options() []Option {
-	opts := []Option{WithN(cfg.N)}
-	if cfg.Algorithm != 0 {
-		opts = append(opts, WithAlgorithm(cfg.Algorithm))
-	}
-	if cfg.StepInterval > 0 {
-		opts = append(opts, WithStepInterval(cfg.StepInterval))
-	}
-	if cfg.TimerUnit > 0 {
-		opts = append(opts, WithTimerUnit(cfg.TimerUnit))
-	}
-	if cfg.Instrument {
-		opts = append(opts, WithInstrumentation())
-	}
-	return opts
-}
-
-// NewFromConfig builds a Cluster from the legacy Config struct.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*Cluster, error) {
-	return New(cfg.options()...)
 }
 
 // Cluster is a running set of Omega processes over one shared memory.
@@ -145,26 +122,13 @@ func newCluster(s *settings) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := make([]rt.Proc, s.n)
-	switch s.algorithm {
-	case WriteEfficient:
-		for i, p := range core.BuildAlgo1(opened.mem, s.n) {
-			procs[i] = p
-		}
-	case Bounded:
-		for i, p := range core.BuildAlgo2(opened.mem, s.n) {
-			procs[i] = p
-		}
-	case NWnR:
-		for i, p := range core.BuildNWNR(opened.mem, s.n) {
-			procs[i] = p
-		}
-	case TimerFree:
-		for i, p := range core.BuildTimerFree(opened.mem, s.n) {
-			procs[i] = p
-		}
-	default:
+	built := s.algorithm.build(opened.mem, s.n)
+	if built == nil {
 		return nil, fmt.Errorf("omegasm: unknown algorithm %v", s.algorithm)
+	}
+	procs := make([]rt.Proc, s.n)
+	for i, p := range built {
+		procs[i] = p
 	}
 	run, err := rt.New(rt.Config{
 		StepInterval: s.stepInterval,

@@ -63,41 +63,6 @@ func TestNewOptionValidation(t *testing.T) {
 	}
 }
 
-// TestDeprecatedConfigShims keeps the legacy struct constructors working
-// and mapped onto the option path (including its validation).
-func TestDeprecatedConfigShims(t *testing.T) {
-	if _, err := omegasm.NewFromConfig(omegasm.Config{N: 1}); err == nil {
-		t.Error("NewFromConfig accepted N=1")
-	}
-	if _, err := omegasm.NewFromConfig(omegasm.Config{N: 3, Algorithm: omegasm.Algorithm(99)}); err == nil {
-		t.Error("NewFromConfig accepted an unknown algorithm")
-	}
-	c, err := omegasm.NewFromConfig(omegasm.Config{
-		N:            3,
-		Algorithm:    omegasm.Bounded,
-		StepInterval: 100 * time.Microsecond,
-		TimerUnit:    time.Millisecond,
-		Instrument:   true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.Algorithm() != omegasm.Bounded || c.N() != 3 {
-		t.Errorf("shim lost fields: algorithm %v n %d", c.Algorithm(), c.N())
-	}
-	if _, err := omegasm.NewFleetFromConfig(omegasm.FleetConfig{Clusters: 0, Cluster: omegasm.Config{N: 3}}); err == nil {
-		t.Error("NewFleetFromConfig accepted 0 clusters")
-	}
-	f, err := omegasm.NewFleetFromConfig(omegasm.FleetConfig{Clusters: 2, Cluster: omegasm.Config{N: 2}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f.Clusters() != 2 || f.Cluster(0).N() != 2 {
-		t.Errorf("fleet shim lost fields: clusters %d n %d", f.Clusters(), f.Cluster(0).N())
-	}
-	f.Stop()
-}
-
 // TestSANSubstrateElection runs every exposed algorithm variant over the
 // SAN substrate (ideal zero-latency disks keep it fast) and crashes a
 // minority disk mid-run: the quorum must mask it.

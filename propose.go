@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"sync/atomic"
-	"time"
 
 	"omegasm/internal/consensus"
 	"omegasm/internal/engine"
@@ -108,8 +107,8 @@ func (c *Cluster) arenaFor(v uint32) (*proposeArena, error) {
 // differ from their argument; single-shot consensus decides once per
 // cluster. v must not be 0xFFFFFFFF (the reserved no-value sentinel).
 //
-// Propose blocks until the decision is known or ctx is done. The cluster
-// should be started: liveness needs the election to converge, though a
+// Propose blocks until the decision is known, ctx is done, or the cluster
+// is stopped (ErrClosed). The cluster should be started: liveness needs the election to converge, though a
 // decision can be reached during anarchy too (any majority-visible ballot
 // completes).
 func (c *Cluster) Propose(ctx context.Context, v uint32) (uint32, error) {
@@ -125,22 +124,15 @@ func (c *Cluster) Propose(ctx context.Context, v uint32) (uint32, error) {
 	a.waiters.Add(1)
 	defer a.waiters.Add(-1)
 	a.eng.Notify(a.id)
-	// The fallback ticker guards the decided-during-wait race windows; the
-	// broadcast is the fast path.
-	ticker := time.NewTicker(c.stepInterval())
-	defer ticker.Stop()
-	for {
-		ch := a.done.wait()
-		if val, ok := a.decided(); ok {
-			return val, nil
-		}
-		select {
-		case <-ctx.Done():
-			return 0, fmt.Errorf("omegasm: propose: %w", ctx.Err())
-		case <-ch:
-		case <-ticker.C:
-		}
+	var val uint32
+	err = pollUntil(ctx, a.eng, a.done, c.stepInterval(), func() (ok bool, _ error) {
+		val, ok = a.decided()
+		return ok, nil
+	})
+	if err != nil {
+		return 0, fmt.Errorf("omegasm: propose: %w", err)
 	}
+	return val, nil
 }
 
 // stopServices tears down the service-layer engines the cluster started

@@ -134,12 +134,14 @@ func (s *ShardedKV) CheckpointEvery() int { return s.kvs[0].CheckpointEvery() }
 // Checkpoints returns the total number of checkpoints passed across the
 // shards' reading replicas — how many times shard log prefixes have been
 // sealed and their slots recycled.
-func (s *ShardedKV) Checkpoints() int {
-	total := 0
+func (s *ShardedKV) Checkpoints() int { return s.total((*KV).Checkpoints) }
+
+// total sums one of the shard stores' counters across the shards.
+func (s *ShardedKV) total(count func(*KV) int) (sum int) {
 	for _, kv := range s.kvs {
-		total += kv.Checkpoints()
+		sum += count(kv)
 	}
-	return total
+	return sum
 }
 
 // Fleet returns the underlying fleet, for fault injection (Crash,
@@ -248,37 +250,19 @@ func (s *ShardedKV) MultiGet(keys ...uint16) (vals []uint16, ok []bool) {
 
 // Len returns the total number of keys in the applied states of all
 // shards (hash partitioning makes the key sets disjoint).
-func (s *ShardedKV) Len() int {
-	total := 0
-	for _, kv := range s.kvs {
-		total += kv.Len()
-	}
-	return total
-}
+func (s *ShardedKV) Len() int { return s.total((*KV).Len) }
 
 // Applied returns the total number of log entries applied across all
 // shards' reading replicas — the store-wide committed-write odometer the
 // benchmarks sample.
-func (s *ShardedKV) Applied() int {
-	total := 0
-	for _, kv := range s.kvs {
-		total += kv.Applied()
-	}
-	return total
-}
+func (s *ShardedKV) Applied() int { return s.total((*KV).Applied) }
 
 // Capacity returns the total consensus-slot window capacity across
 // shards. With checkpointing on (the default) this bounds only the
 // in-flight portion of each shard's stream — total write capacity is
 // unbounded; with WithCheckpointEvery(0) it is the store's total
 // capacity (times BatchSize with batching).
-func (s *ShardedKV) Capacity() int {
-	total := 0
-	for _, kv := range s.kvs {
-		total += kv.Capacity()
-	}
-	return total
-}
+func (s *ShardedKV) Capacity() int { return s.total((*KV).Capacity) }
 
 // Snapshot returns a copy of the merged applied state of all shards.
 // Shard snapshots are taken one after another: the result is a union of

@@ -238,30 +238,18 @@ type SimLeaseGrant struct {
 // configuration the run executes — the same value, so what was validated
 // is exactly what runs.
 func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 500_000
-	}
-	if cfg.Horizon < 0 {
-		return simShardConfig{}, fmt.Errorf("omegasm: sim horizon must be positive, got %d", cfg.Horizon)
-	}
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = WriteEfficient
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 256
-	}
 	shard := simShardConfig{
-		n:         cfg.N,
-		algorithm: cfg.Algorithm,
-		slots:     cfg.Slots,
-		batch:     1,
-		ckptEvery: resolveSimCkpt(cfg.CheckpointEvery, cfg.Slots, cfg.N),
-		crashes:   cfg.Crashes,
-		writes:    cfg.Writes,
-		lease:     cfg.Lease,
-		record:    cfg.Record,
-		faults:    cfg.Faults,
-		mutation:  cfg.Mutation,
+		n:        cfg.N,
+		batch:    1,
+		crashes:  cfg.Crashes,
+		writes:   cfg.Writes,
+		lease:    cfg.Lease,
+		record:   cfg.Record,
+		faults:   cfg.Faults,
+		mutation: cfg.Mutation,
+	}
+	if err := shard.fillDefaults(&cfg.Horizon, &cfg.Algorithm, &cfg.Slots, cfg.CheckpointEvery); err != nil {
+		return shard, err
 	}
 	for i, r := range cfg.Requests {
 		shard.requests = append(shard.requests, simIndexedRequest{req: r, index: i})
@@ -269,17 +257,29 @@ func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
 	return shard, shard.validate()
 }
 
-// resolveSimCkpt maps the public checkpoint knob (0: default cadence,
-// negative: off) onto the resolved per-shard value, sharing NewKV's auto
-// rule so the simulator always models the live store's defaults.
-func resolveSimCkpt(every, slots, n int) int {
-	if every < 0 {
-		return 0
+// fillDefaults resolves the knobs SimKVConfig and SimShardedKVConfig
+// share — writing the defaults back into the caller's config, so what the
+// result echoes is what ran — into c. The checkpoint knob (0: default
+// cadence, negative: off) resolves by NewKV's auto rule, so the simulator
+// always models the live store's defaults.
+func (c *simShardConfig) fillDefaults(horizon *int64, algorithm *Algorithm, slots *int, ckptEvery int) error {
+	if *horizon == 0 {
+		*horizon = 500_000
 	}
-	if every == 0 {
-		return consensus.DefaultCheckpointEvery(slots, n)
+	if *horizon < 0 {
+		return fmt.Errorf("omegasm: sim horizon must be positive, got %d", *horizon)
 	}
-	return every
+	if *algorithm == 0 {
+		*algorithm = WriteEfficient
+	}
+	if *slots == 0 {
+		*slots = 256
+	}
+	c.algorithm, c.slots, c.ckptEvery = *algorithm, *slots, max(ckptEvery, 0)
+	if ckptEvery == 0 {
+		c.ckptEvery = consensus.DefaultCheckpointEvery(*slots, c.n)
+	}
+	return nil
 }
 
 // simShardConfig is the resolved per-shard configuration the builders
@@ -331,16 +331,8 @@ func (c *simShardConfig) validate() error {
 	if c.batch < 1 {
 		return fmt.Errorf("omegasm: sim batch size must be at least 1, got %d", c.batch)
 	}
-	if c.batch > 1 && c.n > consensus.MaxBatchProcs {
-		return fmt.Errorf("omegasm: sim batching supports at most %d processes, got %d", consensus.MaxBatchProcs, c.n)
-	}
-	if c.ckptEvery > 0 {
-		if c.n > consensus.MaxBatchProcs {
-			return fmt.Errorf("omegasm: sim checkpointing supports at most %d processes, got %d", consensus.MaxBatchProcs, c.n)
-		}
-		if c.ckptEvery >= c.slots {
-			return fmt.Errorf("omegasm: sim checkpoint interval %d must be below the %d-slot window", c.ckptEvery, c.slots)
-		}
+	if err := checkLogShape("sim", c.n, c.slots, c.batch, c.ckptEvery); err != nil {
+		return err
 	}
 	// Validate in sorted pid order: with several bad entries the error
 	// reported must be the same on every run (map order must never pick
@@ -397,24 +389,19 @@ func (c *simShardConfig) validate() error {
 
 // simRun holds one shard's machinery while the engine executes it.
 type simRun struct {
-	sim     *engine.Sim
-	crashes map[int]int64
-	procs   []core.Proc
-	kvs     []*consensus.KV
+	procs []core.Proc
+	// kvEnv is the environment the shared replica driver, leadership
+	// watcher and write trackers run in: the replicas' stores, the
+	// deterministic leader view, and the lease of a leased run.
+	kvEnv
 	ids     []int // replica machine ids, for wake notifications
 	writer  *simWriter
 	open    *simOpenLoad
-	watcher *simWatcher
-
-	// Lease machinery of a leased run (cfg.lease > 0), nil otherwise.
-	lease    *lease.Register
-	leaseDur int64
-	monitor  *simLeaseMonitor
+	watcher leaderWatcher
+	monitor *simLeaseMonitor // the lease-read client of a leased run
 
 	// rec is the scenario recorder of a recorded run, nil otherwise.
 	rec *simHistoryRecorder
-	// mutation is the run's seeded correctness bug (MutNone: none).
-	mutation SimMutation
 }
 
 // simHistoryRecorder merges every replica's apply observations into one
@@ -452,22 +439,13 @@ func (rec *simHistoryRecorder) note(pos int, cmd uint32, now vclock.Time) {
 	rec.lastCommitAt = now
 }
 
-// live reports whether process p is scheduled to be alive at time now.
-// The crash schedule, not engine state, decides: a process whose crash
-// time has passed is dead even if no event has collected it yet —
-// matching how the sampler always treated crashes.
-func (r *simRun) live(p int, now vclock.Time) bool {
-	ct, ok := r.crashes[p]
-	return !ok || now < ct
-}
-
 // agreedLeader returns the common leader estimate of all live processes,
 // or (-1, false) while they disagree (the live AgreedLeader, evaluated
 // deterministically inside the simulation).
-func (r *simRun) agreedLeader(now vclock.Time) (int, bool) {
+func (r *simRun) agreedLeader() (int, bool) {
 	leader := -1
 	for p := range r.procs {
-		if !r.live(p, now) {
+		if !r.alive(p) {
 			continue
 		}
 		l := r.procs[p].Leader()
@@ -477,7 +455,7 @@ func (r *simRun) agreedLeader(now vclock.Time) (int, bool) {
 			return -1, false
 		}
 	}
-	if leader == -1 || !r.live(leader, now) {
+	if leader == -1 || !r.alive(leader) {
 		return -1, false
 	}
 	return leader, true
@@ -494,108 +472,15 @@ func (m simProcMachine) Step(now vclock.Time) engine.Hint {
 
 func (m simProcMachine) OnTimer(now vclock.Time) uint64 { return m.p.OnTimer(now) }
 
-// simReplicaMachine drives one replica's store under the adversary's
+// simReplicaMachine runs the shared replica driver under the adversary's
 // pacing. Unlike the live engine there is no burst draining: the pacing
-// is the asynchrony model, so each wake is one micro-step. On a leased
-// run it also performs the holder's housekeeping, mirroring the live
-// kvMachine: extend while holding, acquire when agreed leader, and fence
-// a fresh grant with a catch-up barrier before marking it readable.
-type simReplicaMachine struct {
-	r   *simRun
-	idx int
-
-	// Lease catch-up bookkeeping (leased runs only): the fence generation
-	// snapshot taken at acquisition, the grant epoch it fences, and
-	// whether the barrier completed (the grant is marked readable).
-	acqGen      uint64
-	acqEpoch    uint64
-	barrierDone bool
-}
+// is the asynchrony model, so each wake is one micro-step.
+type simReplicaMachine struct{ replicaDriver }
 
 //omegalint:allow wakehint sim-only machine: each wake is one paced micro-step of the asynchrony model, so WakeNow cannot spin
 func (m *simReplicaMachine) Step(now vclock.Time) engine.Hint {
-	r := m.r
-	kv := r.kvs[m.idx]
-	holder := false
-	// Lease housekeeping only while agreed leader, as the live kvMachine
-	// does: a demoted-but-live holder stops extending and its grant lapses,
-	// instead of holding commit authority hostage until it crashes.
-	if l, ok := r.agreedLeader(now); r.lease != nil && ok && l == m.idx {
-		if epoch, ok := r.lease.Held(m.idx, now); ok {
-			holder = r.lease.Extend(m.idx, now, r.leaseDur)
-			m.acqEpoch = epoch
-		} else {
-			// Expired or never held: (re)acquire under a fresh epoch. The
-			// fence snapshot is taken before this step's proposing, so the
-			// barrier provably covers every prior authority's commits.
-			// MutPrematureLeaseExtend runs the acquire guard with a negative
-			// skew bound, admitting a new grant while the previous one is
-			// still valid — the seeded bug the lease checker must catch.
-			eps := int64(0)
-			if r.mutation == MutPrematureLeaseExtend {
-				eps = -2 * r.leaseDur
-			}
-			if epoch, ok := r.lease.Acquire(m.idx, now, r.leaseDur, eps); ok {
-				holder = true
-				m.acqEpoch = epoch
-				m.acqGen = kv.FenceGen()
-				m.barrierDone = false
-			}
-		}
-	}
-	// Shed the queue under another replica's reign before stepping, as the
-	// live kvMachine does (the watcher alone leaves a window in which a
-	// re-elected stale queue could commit old writes after newer ones).
-	if l, ok := r.agreedLeader(now); ok && l != m.idx {
-		kv.DropPending()
-	}
-	kv.Step(now)
-	if holder && !m.barrierDone {
-		if kv.FencedSince(m.acqGen) {
-			r.lease.MarkReadable(m.acqEpoch, m.idx)
-			m.barrierDone = true
-		} else if kv.PendingLen() == 0 {
-			// Idle store: nothing in flight will fence for us, so commit a
-			// no-op barrier. Submission failures cannot happen here (leased
-			// runs validated the descriptor row), but stay defensive.
-			if kv.SubmitBarrier() != nil {
-				m.barrierDone = true
-			}
-		}
-	}
+	m.step(now)
 	return engine.Now()
-}
-
-// simWatcher is the leadership watcher: on a change of agreed leader it
-// drops the queues stranded on the other replicas (see NewKV for why)
-// and wakes every replica.
-type simWatcher struct {
-	r          *simRun
-	lastLeader int
-	// changes counts agreed-leader changes after the first settlement
-	// (the campaign's leader-churn metric).
-	changes int
-}
-
-func (w *simWatcher) Step(now vclock.Time) engine.Hint {
-	if l, ok := w.r.agreedLeader(now); ok && l != w.lastLeader {
-		for i, st := range w.r.kvs {
-			if i != l {
-				st.DropPending()
-			}
-		}
-		if w.lastLeader != -1 {
-			w.changes++
-		}
-		w.lastLeader = l
-		// Wake every replica, as the live watcher does: the new leader may
-		// hold a queue, and parked followers may sit on unlearned slots a
-		// dead leader decided.
-		for _, id := range w.r.ids {
-			w.r.sim.Notify(id)
-		}
-	}
-	return engine.At(now + 16)
 }
 
 // simLeaseMonitor is the adversarial lease-read client of a leased run:
@@ -633,15 +518,15 @@ func (m *simLeaseMonitor) Step(now vclock.Time) engine.Hint {
 		return engine.At(now + 4)
 	}
 	m.reads++
-	kv := m.r.kvs[holder]
+	kv := m.r.stores[holder]
 	applied := kv.Applied()
 	if applied < m.lastApplied {
 		m.violations = append(m.violations, fmt.Sprintf(
 			"t=%d epoch=%d holder=%d: lease read went back in time (applied %d after %d)",
 			now, epoch, holder, applied, m.lastApplied))
 	}
-	for p, other := range m.r.kvs {
-		if p != holder && m.r.live(p, now) && other.CommittedLen() > applied {
+	for p, other := range m.r.stores {
+		if p != holder && m.r.alive(p) && other.CommittedLen() > applied {
 			m.violations = append(m.violations, fmt.Sprintf(
 				"t=%d epoch=%d holder=%d: stale lease read (replica %d committed %d > holder applied %d)",
 				now, epoch, holder, p, other.CommittedLen(), applied))
@@ -651,213 +536,110 @@ func (m *simLeaseMonitor) Step(now vclock.Time) engine.Hint {
 	return engine.At(now + 4)
 }
 
-// simActiveWrite is one workload write in flight.
-type simActiveWrite struct {
-	write       SimWrite
-	cmd         uint32
-	marks       []int // committed watermark per replica at activation
-	submittedTo int
-	submitGen   uint64
-	done        bool
-	doneAt      vclock.Time // confirmation time (valid when done)
+// submit hands t's unconfirmed writes to the agreed leader and wakes it
+// when anything was queued (validated configs hold no reserved pair, so
+// the submission cannot fail).
+func (r *simRun) submit(t *writeTracker, now vclock.Time) {
+	if l, queued, _ := t.submit(now); queued {
+		r.wake(l)
+	}
 }
 
 // simWriter is the deterministic Put loop: it activates writes at their
-// times, submits to the agreed leader, confirms commits against
-// activation watermarks, and resubmits when leadership moves.
+// times and lets the shared write tracker submit, confirm and resubmit
+// them.
 type simWriter struct {
-	r         *simRun
-	writes    []SimWrite // sorted by At
-	next      int
-	active    []*simActiveWrite
-	delivered int
+	r *simRun
+	// writes is sorted by At; writes[i] is the tracker's write i once
+	// activated.
+	writes []SimWrite
+	t      writeTracker
 }
 
 func (w *simWriter) Step(now vclock.Time) engine.Hint {
 	// Confirm commits first, so a write activated this tick cannot match
 	// a historical entry.
-	for _, aw := range w.active {
-		if aw.done {
-			continue
-		}
-		for i, kv := range w.r.kvs {
-			if w.r.live(i, now) && kv.CommittedContainsAfter(aw.marks[i], aw.cmd) {
-				aw.done = true
-				aw.doneAt = now
-				w.delivered++
-				break
-			}
-		}
+	w.t.confirm(now)
+	next := len(w.t.writes)
+	for ; next < len(w.writes) && w.writes[next].At <= now; next++ {
+		w.t.add(consensus.EncodeSet(w.writes[next].Key, w.writes[next].Val))
 	}
-	for w.next < len(w.writes) && w.writes[w.next].At <= now {
-		wr := w.writes[w.next]
-		aw := &simActiveWrite{write: wr, cmd: consensus.EncodeSet(wr.Key, wr.Val), submittedTo: -1}
-		for _, kv := range w.r.kvs {
-			aw.marks = append(aw.marks, kv.CommittedLen())
-		}
-		w.active = append(w.active, aw)
-		w.next++
-	}
-	outstanding := false
-	if l, ok := w.r.agreedLeader(now); ok {
-		gen := w.r.kvs[l].DropGeneration()
-		for _, aw := range w.active {
-			if aw.done {
-				continue
-			}
-			outstanding = true
-			// Resubmit on a leader change, and when a flap this machine
-			// never observed swept the command from the leader's queue (its
-			// drop generation moved since the submit).
-			if aw.submittedTo != l || aw.submitGen != gen {
-				if err := w.r.kvs[l].Set(aw.write.Key, aw.write.Val); err == nil {
-					aw.submittedTo, aw.submitGen = l, gen
-					w.r.sim.Notify(w.r.ids[l])
-					// MutDropQuorumAck: acknowledge at submission instead of
-					// commit confirmation. A leader crash between here and the
-					// commit loses an acknowledged write.
-					if w.r.mutation == MutDropQuorumAck {
-						aw.done = true
-						aw.doneAt = now
-						w.delivered++
-					}
-				}
-			}
-		}
-	} else {
-		for _, aw := range w.active {
-			if !aw.done {
-				outstanding = true
-			}
-		}
-	}
-	if !outstanding && w.next == len(w.writes) {
+	outstanding := w.t.outstanding > 0
+	w.r.submit(&w.t, now)
+	if !outstanding && next == len(w.writes) {
 		return engine.Park() // all delivered; nothing will reactivate us
 	}
 	wake := now + 8
-	if !outstanding && w.next < len(w.writes) && w.writes[w.next].At > wake {
-		wake = w.writes[w.next].At
+	if !outstanding && w.writes[next].At > wake {
+		wake = w.writes[next].At
 	}
 	return engine.At(wake)
 }
 
-// simOpenRequest is one open-loop request in flight or completed. A
-// write carries the same submission bookkeeping as simActiveWrite
-// (activation watermarks, submit target and drop generation); a read
-// completes at activation.
+// simOpenRequest is one open-loop request, before, in or after flight.
 type simOpenRequest struct {
-	req         SimRequest
-	index       int
-	cmd         uint32
-	marks       []int
-	submittedTo int
-	submitGen   uint64
-	done        bool
-	doneAt      vclock.Time
-	// gotVal/gotOK is a read's observed answer (valid when done), kept
-	// for the recorded history.
-	gotVal uint16
-	gotOK  bool
+	req   SimRequest
+	index int
+	// write is an arrived write's entry in the load's tracker; -1 for
+	// reads and for writes still to arrive.
+	write int
+	// answered, answeredAt and gotVal/gotOK are a read's completion and
+	// observed answer, kept for the recorded history.
+	answered   bool
+	answeredAt vclock.Time
+	gotVal     uint16
+	gotOK      bool
 }
 
 // simOpenLoad is the open-loop arrival machine of the load harness:
 // requests activate at their scheduled virtual times — never gated on
 // earlier completions, exactly the open-loop client model — and each
 // one's completion time is recorded. Reads are answered at activation
-// from the freshest live replica's applied state; writes follow the
-// simWriter protocol (submit to the agreed leader, confirm against
-// activation watermarks, resubmit when leadership moves or the queue is
-// swept). While work is outstanding the machine runs adversary-paced
-// (WakeNow), so activation and confirmation granularity is the same
-// pacing noise every other machine of the model experiences.
+// from the freshest live replica's applied state; writes go through the
+// shared write tracker. While work is outstanding the machine runs
+// adversary-paced (WakeNow), so activation and confirmation granularity
+// is the same pacing noise every other machine of the model experiences.
 type simOpenLoad struct {
-	r      *simRun
-	reqs   []*simOpenRequest // sorted by (At, submission index)
-	next   int
-	active []*simOpenRequest // writes awaiting commit confirmation
+	r    *simRun
+	reqs []*simOpenRequest // sorted by (At, submission index)
+	next int
+	t    writeTracker
+}
+
+// done returns when ar completed, ok only if it has.
+func (w *simOpenLoad) done(ar *simOpenRequest) (at vclock.Time, ok bool) {
+	if ar.write >= 0 {
+		return w.t.writes[ar.write].doneAt, w.t.writes[ar.write].done
+	}
+	return ar.answeredAt, ar.answered
 }
 
 //omegalint:allow wakehint sim-only machine: WakeNow only while requests are outstanding, and the seeded adversary paces every poll
 func (w *simOpenLoad) Step(now vclock.Time) engine.Hint {
 	// Confirm outstanding writes first, so a request activated this tick
 	// cannot match a historical commit.
-	live := w.active[:0]
-	for _, ar := range w.active {
-		if !ar.done {
-			for i, kv := range w.r.kvs {
-				if w.r.live(i, now) && kv.CommittedContainsAfter(ar.marks[i], ar.cmd) {
-					ar.done = true
-					ar.doneAt = now
-					break
-				}
-			}
-		}
-		if !ar.done {
-			live = append(live, ar)
-		}
-	}
-	w.active = live
-	for w.next < len(w.reqs) && w.reqs[w.next].req.At <= now {
+	w.t.confirm(now)
+	for ; w.next < len(w.reqs) && w.reqs[w.next].req.At <= now; w.next++ {
 		ar := w.reqs[w.next]
-		w.next++
-		if ar.req.Read {
-			// A read is local: answered by the freshest live replica's
-			// applied state the moment the client's request is scheduled.
-			// Its open-loop latency is the arrival queueing alone.
-			freshest := -1
-			for i := range w.r.kvs {
-				if w.r.live(i, now) && (freshest < 0 || w.r.kvs[i].CommittedLen() > w.r.kvs[freshest].CommittedLen()) {
-					freshest = i
-				}
-			}
-			if freshest >= 0 {
-				ar.gotVal, ar.gotOK = w.r.kvs[freshest].Get(ar.req.Key)
-			}
-			ar.done = true
-			ar.doneAt = now
+		if !ar.req.Read {
+			ar.write = w.t.add(consensus.EncodeSet(ar.req.Key, ar.req.Val))
 			continue
 		}
-		ar.cmd = consensus.EncodeSet(ar.req.Key, ar.req.Val)
-		ar.submittedTo = -1
-		for _, kv := range w.r.kvs {
-			ar.marks = append(ar.marks, kv.CommittedLen())
+		// A read is local: answered by the freshest live replica's applied
+		// state the moment the client's request is scheduled. Its open-loop
+		// latency is the arrival queueing alone.
+		if f := w.r.freshest(); f >= 0 {
+			ar.gotVal, ar.gotOK = w.r.stores[f].Get(ar.req.Key)
 		}
-		w.active = append(w.active, ar)
+		ar.answered, ar.answeredAt = true, now
 	}
-	if l, ok := w.r.agreedLeader(now); ok && len(w.active) > 0 {
-		gen := w.r.kvs[l].DropGeneration()
-		notify := false
-		for _, ar := range w.active {
-			// Submit once per reign: resubmit on a leader change, and when
-			// a flap swept the leader's queue since the submit.
-			if ar.done {
-				continue
-			}
-			if ar.submittedTo != l || ar.submitGen != gen {
-				if err := w.r.kvs[l].Set(ar.req.Key, ar.req.Val); err == nil {
-					ar.submittedTo, ar.submitGen = l, gen
-					notify = true
-					// MutDropQuorumAck: see simWriter — ack at submission.
-					if w.r.mutation == MutDropQuorumAck {
-						ar.done = true
-						ar.doneAt = now
-					}
-				}
-			}
-		}
-		if notify {
-			w.r.sim.Notify(w.r.ids[l])
-		}
-	}
-	if len(w.active) > 0 {
+	outstanding := w.t.outstanding > 0
+	w.r.submit(&w.t, now)
+	if outstanding {
 		return engine.Now()
 	}
 	if w.next < len(w.reqs) {
-		at := w.reqs[w.next].req.At
-		if at <= now {
-			at = now + 1
-		}
-		return engine.At(at)
+		return engine.At(max(w.reqs[w.next].req.At, now+1))
 	}
 	return engine.Park() // every request completed; nothing will reactivate us
 }
@@ -875,11 +657,11 @@ type simLoadWriter struct {
 }
 
 func (w *simLoadWriter) Step(now vclock.Time) engine.Hint {
-	l, ok := w.r.agreedLeader(now)
+	l, ok := w.r.leader()
 	if !ok {
 		return engine.At(now + 16)
 	}
-	kv := w.r.kvs[l]
+	kv := w.r.stores[l]
 	if kv.LogFull() {
 		return engine.Park()
 	}
@@ -893,7 +675,7 @@ func (w *simLoadWriter) Step(now vclock.Time) engine.Hint {
 		refilled = true
 	}
 	if refilled {
-		w.r.sim.Notify(w.r.ids[l])
+		w.r.wake(l)
 	}
 	return engine.At(now + 4)
 }
@@ -933,7 +715,23 @@ func simBrownout(f *SimFaults, p engine.Pacing) engine.Pacing {
 func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	n := cfg.n
 	mem := shmem.NewSimMem(n)
-	run := &simRun{sim: sim, crashes: cfg.crashes, mutation: cfg.mutation}
+	run := &simRun{}
+	// The simulator's side of the seam (see kvEnv): the deterministic
+	// leader view, one micro-step per wake, eps 0, and no progress hook —
+	// plus the seeded mutations, injected here and nowhere else.
+	run.kvEnv = kvEnv{
+		leader: run.agreedLeader,
+		// The crash schedule, not engine state, decides liveness: a process
+		// whose crash time has passed is dead even if no event has collected
+		// it yet — matching how the sampler always treated crashes.
+		alive: func(p int) bool {
+			ct, ok := cfg.crashes[p]
+			return !ok || sim.Now() < ct
+		},
+		wake:        func(i int) { sim.Notify(run.ids[i]) },
+		burst:       1,
+		ackAtSubmit: cfg.mutation == MutDropQuorumAck,
+	}
 
 	// The election build sees the (possibly) faulted view of the shared
 	// memory; the consensus log below always gets the raw atomic memory,
@@ -950,25 +748,7 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		}, sim.Now, sim.Rng())
 	}
 
-	run.procs = make([]core.Proc, n)
-	switch cfg.algorithm {
-	case WriteEfficient:
-		for i, p := range core.BuildAlgo1(electionMem, n) {
-			run.procs[i] = p
-		}
-	case Bounded:
-		for i, p := range core.BuildAlgo2(electionMem, n) {
-			run.procs[i] = p
-		}
-	case NWnR:
-		for i, p := range core.BuildNWNR(electionMem, n) {
-			run.procs[i] = p
-		}
-	case TimerFree:
-		for i, p := range core.BuildTimerFree(electionMem, n) {
-			run.procs[i] = p
-		}
-	}
+	run.procs = cfg.algorithm.build(electionMem, n)
 
 	// AWB1 needs one correct process with eventually bounded step gaps:
 	// designate the lowest pid the crash schedule spares.
@@ -1017,26 +797,17 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		run.lease = &lease.Register{}
 		run.lease.EnableHistory()
 		run.leaseDur = cfg.lease
+		if cfg.mutation == MutPrematureLeaseExtend {
+			// The acquire guard runs with a negative skew bound, admitting a
+			// new grant while the previous one is still valid.
+			run.acquireEps = -2 * cfg.lease
+		}
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		replica, err := consensus.NewReplica(log, i, func() int { return run.procs[i].Leader() })
+	run.stores = make([]*consensus.KV, n)
+	for i := range run.stores {
+		kv, err := newStore(log, i, run.procs[i].Leader, run.lease)
 		if err != nil {
 			return nil, fmt.Errorf("omegasm: sim replica %d: %w", i, err)
-		}
-		kv, err := consensus.NewKV(replica)
-		if err != nil {
-			return nil, fmt.Errorf("omegasm: sim replica %d: %w", i, err)
-		}
-		if run.lease != nil {
-			// The authority gate: a replica only arms proposals while its
-			// lease is valid, which is what confines commits to grant
-			// windows (same wiring as NewKV's live stores).
-			reg := run.lease
-			kv.SetAuthority(func(t vclock.Time) bool {
-				_, held := reg.Held(i, t)
-				return held
-			})
 		}
 		if cfg.record {
 			if run.rec == nil {
@@ -1047,16 +818,19 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 				rec.note(pos, cmd, sim.Now())
 			})
 		}
-		run.kvs = append(run.kvs, kv)
+		run.stores[i] = kv
 		opts := []engine.SimOpt{engine.WithPacing(simBrownout(cfg.faults, sched.Uniform{Min: 1, Max: 8}))}
 		if ct, ok := cfg.crashes[i]; ok {
 			opts = append(opts, engine.WithCrashAt(ct))
 		}
-		run.ids = append(run.ids, sim.Add(&simReplicaMachine{r: run, idx: i}, opts...))
+		run.ids = append(run.ids, sim.Add(&simReplicaMachine{replicaDriver{env: &run.kvEnv, idx: i}}, opts...))
 	}
 
-	run.watcher = &simWatcher{r: run, lastLeader: -1}
-	sim.Add(run.watcher, engine.WithFirstWakeAt(16))
+	run.watcher = leaderWatcher{env: &run.kvEnv, last: -1}
+	sim.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
+		run.watcher.observe()
+		return engine.At(now + 16)
+	}), engine.WithFirstWakeAt(16))
 	if run.lease != nil {
 		run.monitor = &simLeaseMonitor{r: run}
 		sim.Add(run.monitor, engine.WithFirstWakeAt(16))
@@ -1065,25 +839,17 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	if len(cfg.writes) > 0 {
 		writes := append([]SimWrite(nil), cfg.writes...)
 		sort.SliceStable(writes, func(i, j int) bool { return writes[i].At < writes[j].At })
-		run.writer = &simWriter{r: run, writes: writes}
-		first := vclock.Time(1)
-		if writes[0].At > first {
-			first = writes[0].At
-		}
-		sim.Add(run.writer, engine.WithFirstWakeAt(first))
+		run.writer = &simWriter{r: run, writes: writes, t: newWriteTracker(&run.kvEnv, len(writes))}
+		sim.Add(run.writer, engine.WithFirstWakeAt(max(writes[0].At, 1)))
 	}
 	if len(cfg.requests) > 0 {
 		reqs := make([]*simOpenRequest, 0, len(cfg.requests))
 		for _, ir := range cfg.requests {
-			reqs = append(reqs, &simOpenRequest{req: ir.req, index: ir.index})
+			reqs = append(reqs, &simOpenRequest{req: ir.req, index: ir.index, write: -1})
 		}
 		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].req.At < reqs[j].req.At })
-		run.open = &simOpenLoad{r: run, reqs: reqs}
-		first := vclock.Time(1)
-		if reqs[0].req.At > first {
-			first = reqs[0].req.At
-		}
-		sim.Add(run.open, engine.WithFirstWakeAt(first))
+		run.open = &simOpenLoad{r: run, reqs: reqs, t: newWriteTracker(&run.kvEnv, len(reqs))}
+		sim.Add(run.open, engine.WithFirstWakeAt(max(reqs[0].req.At, 1)))
 	}
 	if cfg.window > 0 {
 		sim.Add(&simLoadWriter{r: run, window: cfg.window}, engine.WithFirstWakeAt(16))
@@ -1101,21 +867,15 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 		End:     end,
 	}
 	if r.writer != nil {
-		res.Delivered = r.writer.delivered
+		res.Delivered = len(r.writer.t.writes) - r.writer.t.outstanding
 	}
-	if r.watcher != nil {
-		res.LeaderChanges = r.watcher.changes
-	}
+	res.LeaderChanges = r.watcher.changes
 	if r.lease != nil {
 		res.LeaseReads = r.monitor.reads
 		res.LeaseFallbacks = r.monitor.fallbacks
 		res.LeaseViolations = append(res.LeaseViolations, r.monitor.violations...)
 		for _, g := range r.lease.History() {
-			res.LeaseGrants = append(res.LeaseGrants, SimLeaseGrant{
-				Epoch: g.Epoch, Holder: g.Holder,
-				AcquiredAt: int64(g.AcquiredAt), Expiry: int64(g.Expiry),
-				PrevExpiry: int64(g.PrevExpiry),
-			})
+			res.LeaseGrants = append(res.LeaseGrants, SimLeaseGrant(g))
 		}
 		// The history audit (epochs advance by one, windows never overlap,
 		// observed expiries never regress) is the checker's lease pass,
@@ -1132,27 +892,22 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 				Read:  ar.req.Read,
 				Class: ar.req.Class,
 			}
-			if ar.done {
-				rr.Done = ar.doneAt
+			if at, ok := r.open.done(ar); ok {
+				rr.Done = at
 			}
 			res.Requests = append(res.Requests, rr)
 		}
 		sort.Slice(res.Requests, func(i, j int) bool { return res.Requests[i].Index < res.Requests[j].Index })
 	}
-	freshest := -1
 	for p := 0; p < n; p++ {
-		if !r.live(p, end) {
-			res.Crashed[p] = true
-			res.Leaders[p] = -1
-			continue
-		}
-		res.Leaders[p] = r.procs[p].Leader()
-		if freshest < 0 || r.kvs[p].CommittedLen() > r.kvs[freshest].CommittedLen() {
-			freshest = p
+		res.Crashed[p], res.Leaders[p] = true, -1
+		if r.alive(p) {
+			res.Crashed[p], res.Leaders[p] = false, r.procs[p].Leader()
 		}
 	}
+	freshest := r.freshest()
 	if freshest >= 0 {
-		kv := r.kvs[freshest]
+		kv := r.stores[freshest]
 		res.CommittedTotal = kv.CommittedLen()
 		res.SlotsUsed = kv.SlotsDecided()
 		res.Checkpoints = kv.Checkpoints()
@@ -1185,31 +940,23 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History {
 	h := &check.History{}
 	if r.writer != nil {
-		for _, aw := range r.writer.active {
-			op := check.Op{Kind: check.Put, Key: aw.write.Key, Val: aw.write.Val, Invoke: aw.write.At, Return: -1}
-			if aw.done {
-				op.Return = int64(aw.doneAt)
+		for i, tw := range r.writer.t.writes {
+			wr := r.writer.writes[i]
+			op := check.Op{Kind: check.Put, Key: wr.Key, Val: wr.Val, Invoke: wr.At, Return: -1}
+			if tw.done {
+				op.Return = int64(tw.doneAt)
 			}
 			h.Ops = append(h.Ops, op)
 		}
 	}
 	if r.open != nil {
 		for _, ar := range r.open.reqs {
-			op := check.Op{Client: ar.req.Client, Key: ar.req.Key, Invoke: ar.req.At, Return: -1}
+			op := check.Op{Kind: check.Put, Client: ar.req.Client, Key: ar.req.Key, Val: ar.req.Val, Invoke: ar.req.At, Return: -1}
 			if ar.req.Read {
-				op.Kind = check.Get
-				op.Mode = check.Freshest
-				if ar.done {
-					op.Return = int64(ar.doneAt)
-					op.Val = ar.gotVal
-					op.Found = ar.gotOK
-				}
-			} else {
-				op.Kind = check.Put
-				op.Val = ar.req.Val
-				if ar.done {
-					op.Return = int64(ar.doneAt)
-				}
+				op.Kind, op.Mode, op.Val, op.Found = check.Get, check.Freshest, ar.gotVal, ar.gotOK
+			}
+			if at, ok := r.open.done(ar); ok {
+				op.Return = int64(at)
 			}
 			h.Ops = append(h.Ops, op)
 		}
@@ -1224,7 +971,7 @@ func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History 
 		h.Commits = append(h.Commits, check.Commit{Pos: p, Key: k, Val: v})
 	}
 	if freshest >= 0 {
-		h.FinalApplied = r.kvs[freshest].Applied()
+		h.FinalApplied = r.stores[freshest].Applied()
 		h.Final = res.State
 	}
 	h.Grants = simCheckGrants(res.LeaseGrants)
@@ -1239,10 +986,7 @@ func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History 
 func simCheckGrants(gs []SimLeaseGrant) []check.Grant {
 	out := make([]check.Grant, 0, len(gs))
 	for _, g := range gs {
-		out = append(out, check.Grant{
-			Epoch: g.Epoch, Holder: g.Holder,
-			AcquiredAt: g.AcquiredAt, Expiry: g.Expiry, PrevExpiry: g.PrevExpiry,
-		})
+		out = append(out, check.Grant(g))
 	}
 	return out
 }
@@ -1363,34 +1107,23 @@ func (cfg *SimShardedKVConfig) normalize() ([]simShardConfig, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("omegasm: sim needs at least 1 shard, got %d", cfg.Shards)
 	}
-	if cfg.Horizon == 0 {
-		cfg.Horizon = 500_000
-	}
-	if cfg.Horizon < 0 {
-		return nil, fmt.Errorf("omegasm: sim horizon must be positive, got %d", cfg.Horizon)
-	}
-	if cfg.Algorithm == 0 {
-		cfg.Algorithm = WriteEfficient
-	}
-	if cfg.Slots == 0 {
-		cfg.Slots = 256
-	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = DefaultBatchSize
 	}
+	base := simShardConfig{
+		n:      cfg.N,
+		batch:  cfg.BatchSize,
+		window: cfg.SaturateWindow,
+		record: cfg.Record,
+		faults: cfg.Faults,
+	}
+	if err := base.fillDefaults(&cfg.Horizon, &cfg.Algorithm, &cfg.Slots, cfg.CheckpointEvery); err != nil {
+		return nil, err
+	}
 	shards := make([]simShardConfig, cfg.Shards)
 	for s := range shards {
-		shards[s] = simShardConfig{
-			n:         cfg.N,
-			algorithm: cfg.Algorithm,
-			slots:     cfg.Slots,
-			batch:     cfg.BatchSize,
-			ckptEvery: resolveSimCkpt(cfg.CheckpointEvery, cfg.Slots, cfg.N),
-			crashes:   map[int]int64{},
-			window:    cfg.SaturateWindow,
-			record:    cfg.Record,
-			faults:    cfg.Faults,
-		}
+		shards[s] = base
+		shards[s].crashes = map[int]int64{}
 	}
 	for _, cr := range cfg.Crashes {
 		if cr.Shard < 0 || cr.Shard >= cfg.Shards {
