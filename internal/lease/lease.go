@@ -167,18 +167,28 @@ func (r *Register) Acquire(me int, now vclock.Time, dur, eps int64) (epoch uint6
 // with a concurrent Acquire: if the claim landed between our validity
 // check and our extension, we report lost and the caller stops serving.
 func (r *Register) Extend(me int, now vclock.Time, dur int64) bool {
-	a := r.a.Load()
+	a, valid := r.holds(me, now)
+	return valid && r.push(a, now+vclock.Time(dur))
+}
+
+// holds is the validity check Held and Extend share: it reports whether
+// word A names me and the expiry has not passed at now, and returns the A
+// word it judged.
+func (r *Register) holds(me int, now vclock.Time) (a uint64, ok bool) {
+	a = r.a.Load()
 	if _, h := unpackA(a); h != me {
-		return false
+		return a, false
 	}
-	b := r.b.Load()
-	if now >= vclock.Time(b) {
-		return false // lapsed: only Acquire may revalidate
-	}
-	exp := uint64(now + vclock.Time(dur))
+	return a, now < vclock.Time(r.b.Load()) // lapsed: only Acquire may revalidate
+}
+
+// push is Extend's effect, separated from its check so the window between
+// the two is explicit (and testable): raise B to at least exp, then report
+// whether A is still the word the check judged.
+func (r *Register) push(a uint64, exp vclock.Time) bool {
 	for {
 		cur := r.b.Load()
-		if cur >= exp || r.b.CompareAndSwap(cur, exp) {
+		if cur >= uint64(exp) || r.b.CompareAndSwap(cur, uint64(exp)) {
 			break
 		}
 	}
@@ -189,14 +199,11 @@ func (r *Register) Extend(me int, now vclock.Time, dur int64) bool {
 // epoch. This is the proposer authority check: a replica may only arm
 // proposals while Held, which is what confines commits to lease windows.
 func (r *Register) Held(me int, now vclock.Time) (epoch uint64, ok bool) {
-	a := r.a.Load()
-	e, h := unpackA(a)
-	if h != me {
+	a, ok := r.holds(me, now)
+	if !ok {
 		return 0, false
 	}
-	if now >= vclock.Time(r.b.Load()) {
-		return 0, false
-	}
+	e, _ := unpackA(a)
 	return e, true
 }
 

@@ -2,6 +2,7 @@ package omegasm_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -444,5 +445,110 @@ func TestKVCloseIdempotent(t *testing.T) {
 	kv.Close()
 	if _, ok := kv.Get(1); ok {
 		t.Error("empty closed store answered a key")
+	}
+}
+
+// TestKVClosedStoreReturnsErrClosed pins the lifecycle edge that used to
+// hang: a blocking call on a closed store — issued after Close, or in
+// flight when Close lands — spun on its fallback ticker forever, because
+// nothing was left to commit it. Every blocking entry point must now
+// return ErrClosed promptly. The in-flight cases crash every process
+// first, so the call is certain to be blocked (no leader to route to)
+// when Close arrives.
+func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
+	ctx := context.Background() // no deadline: only Close can end the call
+	for _, tc := range []struct {
+		name     string
+		inFlight bool
+		call     func(kv *omegasm.KV) error
+	}{
+		{"put-after-close", false, func(kv *omegasm.KV) error { return kv.Put(ctx, 1, 1) }},
+		{"read-quorum-after-close", false, func(kv *omegasm.KV) error {
+			_, _, err := kv.Read(ctx, 1, omegasm.ReadQuorum)
+			return err
+		}},
+		{"close-during-PutAll", true, func(kv *omegasm.KV) error {
+			return kv.PutAll(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 2, Val: 2})
+		}},
+		{"close-during-ReadQuorum", true, func(kv *omegasm.KV) error {
+			_, _, err := kv.Read(ctx, 1, omegasm.ReadQuorum)
+			return err
+		}},
+		{"close-during-ReadLease-fallback", true, func(kv *omegasm.KV) error {
+			_, _, err := kv.Read(ctx, 1, omegasm.ReadLease)
+			return err
+		}},
+	} {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			c := startCluster(t, fastOpts(3)...)
+			if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
+				t.Fatal("no agreement")
+			}
+			kv, err := omegasm.NewKV(c, omegasm.KVLease(2*time.Millisecond))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer kv.Close()
+			result := make(chan error, 1)
+			if tc.inFlight {
+				for p := 0; p < c.N(); p++ {
+					if err := c.Crash(p); err != nil {
+						t.Fatal(err)
+					}
+				}
+				go func() { result <- tc.call(kv) }()
+				select {
+				case err := <-result:
+					t.Fatalf("call returned %v with no process left to serve it", err)
+				case <-time.After(30 * time.Millisecond): // blocked, as it must be
+				}
+				kv.Close()
+			} else {
+				kv.Close()
+				go func() { result <- tc.call(kv) }()
+			}
+			select {
+			case err := <-result:
+				if !errors.Is(err, omegasm.ErrClosed) {
+					t.Fatalf("got %v, want ErrClosed", err)
+				}
+			case <-time.After(2 * time.Second):
+				t.Fatal("call still blocked 2s after Close")
+			}
+			kv.Close() // a further Close stays a no-op
+		})
+	}
+}
+
+// TestProposeReturnsWhenClusterStops: the same edge one layer down — a
+// Propose blocked on an election that will never converge (every process
+// crashed) ends with ErrClosed when the cluster is stopped.
+func TestProposeReturnsWhenClusterStops(t *testing.T) {
+	c := startCluster(t, fastOpts(3)...)
+	for p := 0; p < c.N(); p++ {
+		if err := c.Crash(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	result := make(chan error, 1)
+	go func() {
+		_, err := c.Propose(context.Background(), 9)
+		result <- err
+	}()
+	select {
+	case err := <-result:
+		t.Fatalf("Propose returned %v with every process crashed", err)
+	case <-time.After(30 * time.Millisecond):
+	}
+	c.Stop()
+	select {
+	case err := <-result:
+		if !errors.Is(err, omegasm.ErrClosed) {
+			t.Fatalf("got %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Propose still blocked 2s after Stop")
 	}
 }
