@@ -47,6 +47,8 @@ var simdetPackages = []string{
 // renderer the docs-sync CI gate replays.
 var simdetFiles = []string{
 	"sim.go",
+	"sim_config.go",
+	"sim_result.go",
 	"driver.go",
 	"tracker.go",
 	"omegabench/readme.go",

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"omegasm/check"
 	"omegasm/internal/consensus"
 	"omegasm/internal/core"
 	"omegasm/internal/engine"
@@ -13,379 +12,6 @@ import (
 	"omegasm/internal/shmem"
 	"omegasm/internal/vclock"
 )
-
-// SimWrite is one workload write of a simulated run: at virtual time At
-// the workload submits Set(Key, Val) to whichever process the oracle
-// then names leader, and keeps resubmitting across leadership changes
-// until the command commits — the deterministic analogue of KV.Put.
-type SimWrite struct {
-	// At is the submission time in virtual ticks.
-	At int64
-	// Key and Val form the command; the pair (0xFFFF, 0xFFFF) is reserved.
-	Key, Val uint16
-}
-
-// SimCommit is one committed command of a simulated run, in log order.
-type SimCommit struct {
-	// Key and Val are the committed command's decoded pair.
-	Key, Val uint16
-}
-
-// SimRequest is one open-loop workload request of a simulated run: it
-// arrives at virtual time At on the clock, never gated on earlier
-// requests' completions — the open-loop client model of the load
-// harness, as opposed to the closed-loop SimWrite/SaturateWindow
-// workloads. A write is submitted to whichever process the oracle then
-// names leader and resubmitted across leadership changes until it
-// commits; a read is answered by the freshest live replica's applied
-// state at activation. Per-request completion times come back in
-// SimRequestResult, so virtual-time latency percentiles can be compared
-// against live-measured ones.
-type SimRequest struct {
-	// At is the arrival time in virtual ticks.
-	At int64
-	// Key and Val form the command for a write; reads use Key only.
-	Key, Val uint16
-	// Read selects a local read instead of a replicated write.
-	Read bool
-	// Class is an opaque workload-class tag echoed into the result (the
-	// load harness keys SLO classes on it).
-	Class int
-	// Client identifies the issuing client for the recorded history's
-	// per-client guarantees (monotone reads); requests of one client must
-	// not overlap in time for program order to be meaningful.
-	Client int
-}
-
-// SimRequestResult is the reproducible outcome of one SimRequest.
-type SimRequestResult struct {
-	// Index is the request's position in the submitted Requests slice.
-	Index int
-	// At echoes the request's arrival time in virtual ticks.
-	At int64
-	// Done is the virtual time the request completed — a write's commit
-	// confirmation, a read's local answer — or -1 if it was still
-	// outstanding at the horizon. Done - At is the request's open-loop
-	// latency in ticks, arrival queueing included.
-	Done int64
-	// Read echoes the request's Read flag.
-	Read bool
-	// Class echoes the request's workload-class tag.
-	Class int
-}
-
-// SimKVConfig parameterizes one deterministic run of the full stack —
-// Omega election, Disk-Paxos replicated log, key-value store — under the
-// virtual-time engine. Identical configurations (including Seed) produce
-// byte-identical results: the seeded adversary chooses the interleaving,
-// crashes fire at exact virtual times, and every machine steps on one
-// goroutine. This is the run class the paper quantifies over, opened up
-// for the whole consensus stack instead of just the election layer.
-type SimKVConfig struct {
-	// N is the number of processes (>= 2).
-	N int
-	// Seed drives the run's scheduling adversary.
-	Seed int64
-	// Horizon ends the run, in virtual ticks; default 500_000.
-	Horizon int64
-	// Algorithm selects the election algorithm; default WriteEfficient.
-	Algorithm Algorithm
-	// Slots is the replicated log's slot window; default 256. With
-	// checkpointing (the default) it bounds only the in-flight portion of
-	// the stream; with checkpointing disabled it is the total capacity.
-	Slots int
-	// CheckpointEvery is the sealing cadence in slots, mirroring
-	// KVCheckpointEvery: 0 picks the default (a quarter of Slots), a
-	// negative value disables checkpointing and restores the
-	// fixed-capacity log.
-	CheckpointEvery int
-	// Crashes maps pid -> virtual crash time: the process (its election
-	// tasks and its replica) is permanently descheduled at that time, the
-	// paper's crash-stop failure. At least one process must survive to
-	// satisfy AWB1; crashing every process is rejected.
-	Crashes map[int]int64
-	// Writes is the workload. Entries may be in any order; they are
-	// submitted at their At times.
-	Writes []SimWrite
-	// Requests is the open-loop workload: requests arrive at their At
-	// times regardless of earlier completions, and each one's completion
-	// time is reported in the result's Requests (parallel bookkeeping to
-	// Writes, which tracks only a delivered count).
-	Requests []SimRequest
-	// Lease, when positive, turns on leader leases of that many virtual
-	// ticks: replicas may only arm proposals while holding the lease
-	// (KVLease's authority gate under the deterministic engine, with
-	// eps 0 — a machine's clock read and its effects are one atomic
-	// activation), and a monitor machine performs a lease read every few
-	// ticks, recording the grant history and checking the linearizability
-	// invariants into the result's LeaseGrants / LeaseViolations. Requires
-	// checkpointing (the descriptor row carries the catch-up barriers);
-	// zero leaves leases off, the prior behavior.
-	Lease int64
-	// Record turns on the scenario recorder: the run assembles a full
-	// check.History — per-operation invocation/response events, the
-	// committed stream as individually applied by every replica, the
-	// final applied state, the lease-grant history — into the result's
-	// History, ready for check.Verify. Off by default (recording costs a
-	// map insert per applied command).
-	Record bool
-	// Faults configures the gray-failure fault models (stale election
-	// registers, partial census visibility, timer skew, brownouts); nil
-	// injects nothing.
-	Faults *SimFaults
-	// Mutation seeds a deliberate correctness bug (checker non-vacuity
-	// proof); MutNone runs the real stack.
-	Mutation SimMutation
-}
-
-// SimKVResult is the outcome of a simulated run. For a fixed SimKVConfig
-// every field is reproducible run over run.
-type SimKVResult struct {
-	// Committed is the retained committed history in log order, taken
-	// from the freshest live replica (all live replicas' streams agree on
-	// their common prefix; this is consensus's safety). On a checkpointing
-	// run it is the tail since that replica's last fully-applied
-	// checkpoint — the sealed prefix is summarized by CommittedTotal and
-	// reflected in State. Retries across failovers may commit a command
-	// more than once; the store applies duplicates idempotently.
-	Committed []SimCommit
-	// CommittedTotal is the full committed-stream length of the freshest
-	// live replica, including commands summarized away by checkpoints
-	// (equal to len(Committed) when checkpointing never sealed).
-	CommittedTotal int
-	// Checkpoints is how many checkpoints the freshest live replica
-	// passed; SnapshotInstalls counts the ones it passed by installing a
-	// published snapshot rather than replaying.
-	Checkpoints int
-	// SnapshotInstalls counts snapshot installs at the freshest live
-	// replica (see Checkpoints).
-	SnapshotInstalls int
-	// State is the freshest live replica's applied key-value state (the
-	// last write per key of the committed stream, checkpointed prefix
-	// included).
-	State map[uint16]uint16
-	// Delivered counts workload writes whose commit was confirmed before
-	// the horizon.
-	Delivered int
-	// Crashed[p] reports whether process p crashed during the run.
-	Crashed []bool
-	// Leaders[p] is process p's final leader estimate, -1 if p crashed.
-	Leaders []int
-	// SlotsUsed is how many consensus slots the longest live replica
-	// decided; with batching it lags len(Committed) by the average batch
-	// size.
-	SlotsUsed int
-	// Requests holds one result per configured open-loop SimRequest,
-	// ordered by Index (the submitted slice's order). Empty when the
-	// config had no Requests.
-	Requests []SimRequestResult
-	// LeaseGrants is the full lease-acquisition history of a leased run
-	// (SimKVConfig.Lease > 0), in acquisition order.
-	LeaseGrants []SimLeaseGrant
-	// LeaseReads counts monitor reads served lease-locally; LeaseFallbacks
-	// counts monitor activations that found no readable grant (anarchy,
-	// expiry, or a barrier still in flight) and would have fallen back to
-	// a quorum read.
-	LeaseReads, LeaseFallbacks int
-	// LeaseViolations lists every lease-linearizability violation the
-	// monitor or the history audit detected, humanly readable and
-	// deterministic for a fixed config. A correct implementation always
-	// leaves it empty; the seeded crash campaigns assert exactly that.
-	LeaseViolations []string
-	// History is the recorded check.History of a Record run, nil
-	// otherwise. Pass it to check.Verify (or call Verify) for the full
-	// linearizability/durability verdict.
-	History *check.History
-	// LeaderChanges counts agreed-leader changes the watcher observed
-	// after the first election settled — the leader-churn anomaly metric
-	// the campaign scorer ranks runs by.
-	LeaderChanges int
-	// CommitStallMax is the longest gap in virtual ticks between
-	// consecutive newly learned commit positions on a Record run (plus
-	// the tail gap to the horizon if writes were still undelivered);
-	// 0 when not recording or nothing committed.
-	CommitStallMax int64
-	// End is the virtual time at which the run ended.
-	End int64
-}
-
-// Verify runs the correctness checker over the run's recorded history.
-// The run must have been executed with SimKVConfig.Record set; verdicts
-// on unrecorded runs carry a single violation saying so.
-func (r *SimKVResult) Verify(opt check.Options) check.Verdict {
-	if r.History == nil {
-		return check.Verdict{Violations: []string{"run was not recorded: set SimKVConfig.Record"}}
-	}
-	return check.Verify(r.History, opt)
-}
-
-// SimLeaseGrant is one recorded lease acquisition of a leased simulated
-// run (the register history of internal/lease, decoded for results).
-type SimLeaseGrant struct {
-	// Epoch is the grant's epoch; strictly increasing across the history.
-	Epoch uint64
-	// Holder is the acquiring process.
-	Holder int
-	// AcquiredAt and Expiry bound the granted window in virtual ticks
-	// (Expiry as granted; extensions push the live register further).
-	AcquiredAt, Expiry int64
-	// PrevExpiry is the previous grant's final expiry as observed by this
-	// acquisition; AcquiredAt > PrevExpiry is the no-overlap invariant.
-	PrevExpiry int64
-}
-
-// normalize fills the config's defaults and returns the validated shard
-// configuration the run executes — the same value, so what was validated
-// is exactly what runs.
-func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
-	shard := simShardConfig{
-		n:        cfg.N,
-		batch:    1,
-		crashes:  cfg.Crashes,
-		writes:   cfg.Writes,
-		lease:    cfg.Lease,
-		record:   cfg.Record,
-		faults:   cfg.Faults,
-		mutation: cfg.Mutation,
-	}
-	if err := shard.fillDefaults(&cfg.Horizon, &cfg.Algorithm, &cfg.Slots, cfg.CheckpointEvery); err != nil {
-		return shard, err
-	}
-	for i, r := range cfg.Requests {
-		shard.requests = append(shard.requests, simIndexedRequest{req: r, index: i})
-	}
-	return shard, shard.validate()
-}
-
-// fillDefaults resolves the knobs SimKVConfig and SimShardedKVConfig
-// share — writing the defaults back into the caller's config, so what the
-// result echoes is what ran — into c. The checkpoint knob (0: default
-// cadence, negative: off) resolves by NewKV's auto rule, so the simulator
-// always models the live store's defaults.
-func (c *simShardConfig) fillDefaults(horizon *int64, algorithm *Algorithm, slots *int, ckptEvery int) error {
-	if *horizon == 0 {
-		*horizon = 500_000
-	}
-	if *horizon < 0 {
-		return fmt.Errorf("omegasm: sim horizon must be positive, got %d", *horizon)
-	}
-	if *algorithm == 0 {
-		*algorithm = WriteEfficient
-	}
-	if *slots == 0 {
-		*slots = 256
-	}
-	c.algorithm, c.slots, c.ckptEvery = *algorithm, *slots, max(ckptEvery, 0)
-	if ckptEvery == 0 {
-		c.ckptEvery = consensus.DefaultCheckpointEvery(*slots, c.n)
-	}
-	return nil
-}
-
-// simShardConfig is the resolved per-shard configuration the builders
-// consume: SimKV runs one shard, SimShardedKV one per partition.
-type simShardConfig struct {
-	n         int
-	algorithm Algorithm
-	slots     int
-	batch     int
-	ckptEvery int // resolved: 0 means off
-	crashes   map[int]int64
-	writes    []SimWrite
-	// requests is the shard's slice of the open-loop workload, each entry
-	// carrying its index in the caller's Requests slice.
-	requests []simIndexedRequest
-	// window, when positive, adds a closed-loop load generator that keeps
-	// that many commands queued on the shard's leader (the saturation
-	// workload of the scaling benchmark).
-	window int
-	// lease, when positive, is the leader-lease duration in ticks
-	// (authority-gated proposing plus the lease-read monitor).
-	lease int64
-	// record turns on the scenario recorder (SimKVConfig.Record).
-	record bool
-	// faults configures the gray-failure models; nil injects nothing.
-	faults *SimFaults
-	// mutation seeds a deliberate correctness bug (MutNone: none).
-	mutation SimMutation
-}
-
-// simIndexedRequest pairs an open-loop request with its position in the
-// caller's Requests slice, so sharded runs can reassemble results in
-// submission order.
-type simIndexedRequest struct {
-	req   SimRequest
-	index int
-}
-
-func (c *simShardConfig) validate() error {
-	if c.n < 2 {
-		return fmt.Errorf("omegasm: sim needs at least 2 processes, got %d", c.n)
-	}
-	if !c.algorithm.valid() {
-		return fmt.Errorf("omegasm: unknown algorithm %v", c.algorithm)
-	}
-	if c.slots < 1 {
-		return fmt.Errorf("omegasm: sim needs at least 1 log slot, got %d", c.slots)
-	}
-	if c.batch < 1 {
-		return fmt.Errorf("omegasm: sim batch size must be at least 1, got %d", c.batch)
-	}
-	if err := checkLogShape("sim", c.n, c.slots, c.batch, c.ckptEvery); err != nil {
-		return err
-	}
-	// Validate in sorted pid order: with several bad entries the error
-	// reported must be the same on every run (map order must never pick
-	// it), or seeded-replay comparisons of failing configs would flake.
-	pids := make([]int, 0, len(c.crashes))
-	for p := range c.crashes {
-		pids = append(pids, p)
-	}
-	sort.Ints(pids)
-	for _, p := range pids {
-		if t := c.crashes[p]; p < 0 || p >= c.n {
-			return fmt.Errorf("omegasm: crash schedule names process %d of %d", p, c.n)
-		} else if t < 0 {
-			return fmt.Errorf("omegasm: crash time %d for process %d is negative", t, p)
-		}
-	}
-	if len(c.crashes) >= c.n {
-		return fmt.Errorf("omegasm: crash schedule kills all %d processes; at least one must survive", c.n)
-	}
-	for _, wr := range c.writes {
-		if consensus.IsReserved(consensus.EncodeSet(wr.Key, wr.Val), c.batch > 1 || c.ckptEvery > 0) {
-			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", wr.Key, wr.Val)
-		}
-		if wr.At < 0 {
-			return fmt.Errorf("omegasm: write time %d is negative", wr.At)
-		}
-	}
-	for _, ir := range c.requests {
-		r := ir.req
-		if !r.Read && consensus.IsReserved(consensus.EncodeSet(r.Key, r.Val), c.batch > 1 || c.ckptEvery > 0) {
-			return fmt.Errorf("omegasm: request key/value pair (0x%04x, 0x%04x) is reserved", r.Key, r.Val)
-		}
-		if r.At < 0 {
-			return fmt.Errorf("omegasm: request time %d is negative", r.At)
-		}
-	}
-	if c.window < 0 {
-		return fmt.Errorf("omegasm: saturation window %d is negative", c.window)
-	}
-	if c.lease < 0 {
-		return fmt.Errorf("omegasm: lease duration %d is negative", c.lease)
-	}
-	if c.lease > 0 && c.ckptEvery == 0 && c.batch <= 1 {
-		return fmt.Errorf("omegasm: leases need a log that reserves the descriptor row (enable checkpointing or batching)")
-	}
-	if err := c.faults.validate(); err != nil {
-		return err
-	}
-	if !c.mutation.valid() {
-		return fmt.Errorf("omegasm: unknown mutation %d", c.mutation)
-	}
-	return nil
-}
 
 // simRun holds one shard's machinery while the engine executes it.
 type simRun struct {
@@ -402,41 +28,6 @@ type simRun struct {
 
 	// rec is the scenario recorder of a recorded run, nil otherwise.
 	rec *simHistoryRecorder
-}
-
-// simHistoryRecorder merges every replica's apply observations into one
-// view of the committed stream: position -> command, with divergence
-// detection (two replicas individually applying different commands at
-// one position would be a consensus safety break) and commit-stall
-// tracking for the campaign's anomaly score.
-type simHistoryRecorder struct {
-	// order maps a committed-stream position to the command every
-	// observing replica applied there.
-	order map[int]uint32
-	// divergences records cross-replica disagreements (capped; a correct
-	// stack never produces any).
-	divergences []string
-	// lastCommitAt and maxStall track the largest gap between
-	// consecutive newly learned positions.
-	lastCommitAt vclock.Time
-	maxStall     int64
-}
-
-// note records replica-observed command cmd at stream position pos.
-func (rec *simHistoryRecorder) note(pos int, cmd uint32, now vclock.Time) {
-	if prev, ok := rec.order[pos]; ok {
-		if prev != cmd && len(rec.divergences) < 8 {
-			rec.divergences = append(rec.divergences, fmt.Sprintf(
-				"t=%d: replicas applied different commands at position %d (%#x vs %#x) — committed streams diverged",
-				now, pos, prev, cmd))
-		}
-		return
-	}
-	rec.order[pos] = cmd
-	if stall := int64(now - rec.lastCommitAt); stall > rec.maxStall {
-		rec.maxStall = stall
-	}
-	rec.lastCommitAt = now
 }
 
 // agreedLeader returns the common leader estimate of all live processes,
@@ -857,140 +448,6 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	return run, nil
 }
 
-// collect assembles the shard's reproducible outcome at end time.
-func (r *simRun) collect(end vclock.Time) *SimKVResult {
-	n := len(r.procs)
-	res := &SimKVResult{
-		State:   make(map[uint16]uint16),
-		Crashed: make([]bool, n),
-		Leaders: make([]int, n),
-		End:     end,
-	}
-	if r.writer != nil {
-		res.Delivered = len(r.writer.t.writes) - r.writer.t.outstanding
-	}
-	res.LeaderChanges = r.watcher.changes
-	if r.lease != nil {
-		res.LeaseReads = r.monitor.reads
-		res.LeaseFallbacks = r.monitor.fallbacks
-		res.LeaseViolations = append(res.LeaseViolations, r.monitor.violations...)
-		for _, g := range r.lease.History() {
-			res.LeaseGrants = append(res.LeaseGrants, SimLeaseGrant(g))
-		}
-		// The history audit (epochs advance by one, windows never overlap,
-		// observed expiries never regress) is the checker's lease pass,
-		// run with eps 0: the deterministic engine has no clock skew.
-		res.LeaseViolations = append(res.LeaseViolations,
-			check.Leases(simCheckGrants(res.LeaseGrants), 0)...)
-	}
-	if r.open != nil {
-		for _, ar := range r.open.reqs {
-			rr := SimRequestResult{
-				Index: ar.index,
-				At:    ar.req.At,
-				Done:  -1,
-				Read:  ar.req.Read,
-				Class: ar.req.Class,
-			}
-			if at, ok := r.open.done(ar); ok {
-				rr.Done = at
-			}
-			res.Requests = append(res.Requests, rr)
-		}
-		sort.Slice(res.Requests, func(i, j int) bool { return res.Requests[i].Index < res.Requests[j].Index })
-	}
-	for p := 0; p < n; p++ {
-		res.Crashed[p], res.Leaders[p] = true, -1
-		if r.alive(p) {
-			res.Crashed[p], res.Leaders[p] = false, r.procs[p].Leader()
-		}
-	}
-	freshest := r.freshest()
-	if freshest >= 0 {
-		kv := r.stores[freshest]
-		res.CommittedTotal = kv.CommittedLen()
-		res.SlotsUsed = kv.SlotsDecided()
-		res.Checkpoints = kv.Checkpoints()
-		res.SnapshotInstalls = kv.SnapshotInstalls()
-		for _, cmd := range kv.Committed() {
-			k, v := consensus.DecodeSet(cmd)
-			res.Committed = append(res.Committed, SimCommit{Key: k, Val: v})
-		}
-		res.State = kv.Snapshot()
-	}
-	if r.rec != nil {
-		res.CommitStallMax = r.rec.maxStall
-		// The tail counts as a stall only when work was actually starved:
-		// a run whose writes all delivered is simply done.
-		if r.writer != nil && res.Delivered < len(r.writer.writes) {
-			if tail := int64(end - r.rec.lastCommitAt); tail > res.CommitStallMax {
-				res.CommitStallMax = tail
-			}
-		}
-		res.History = r.assembleHistory(res, freshest)
-	}
-	return res
-}
-
-// assembleHistory renders a recorded run as the checker's History: the
-// client operation events, the merged committed stream, the freshest
-// replica's final applied state, the lease grants, and the in-run
-// monitor's breaches (External — the grant audit is not duplicated
-// there, Verify re-derives it from Grants).
-func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History {
-	h := &check.History{}
-	if r.writer != nil {
-		for i, tw := range r.writer.t.writes {
-			wr := r.writer.writes[i]
-			op := check.Op{Kind: check.Put, Key: wr.Key, Val: wr.Val, Invoke: wr.At, Return: -1}
-			if tw.done {
-				op.Return = int64(tw.doneAt)
-			}
-			h.Ops = append(h.Ops, op)
-		}
-	}
-	if r.open != nil {
-		for _, ar := range r.open.reqs {
-			op := check.Op{Kind: check.Put, Client: ar.req.Client, Key: ar.req.Key, Val: ar.req.Val, Invoke: ar.req.At, Return: -1}
-			if ar.req.Read {
-				op.Kind, op.Mode, op.Val, op.Found = check.Get, check.Freshest, ar.gotVal, ar.gotOK
-			}
-			if at, ok := r.open.done(ar); ok {
-				op.Return = int64(at)
-			}
-			h.Ops = append(h.Ops, op)
-		}
-	}
-	poss := make([]int, 0, len(r.rec.order))
-	for p := range r.rec.order {
-		poss = append(poss, p)
-	}
-	sort.Ints(poss)
-	for _, p := range poss {
-		k, v := consensus.DecodeSet(r.rec.order[p])
-		h.Commits = append(h.Commits, check.Commit{Pos: p, Key: k, Val: v})
-	}
-	if freshest >= 0 {
-		h.FinalApplied = r.stores[freshest].Applied()
-		h.Final = res.State
-	}
-	h.Grants = simCheckGrants(res.LeaseGrants)
-	if r.monitor != nil {
-		h.External = append(h.External, r.monitor.violations...)
-	}
-	h.External = append(h.External, r.rec.divergences...)
-	return h
-}
-
-// simCheckGrants converts result grants to the checker's grant type.
-func simCheckGrants(gs []SimLeaseGrant) []check.Grant {
-	out := make([]check.Grant, 0, len(gs))
-	for _, g := range gs {
-		out = append(out, check.Grant(g))
-	}
-	return out
-}
-
 // SimKV executes one deterministic run of the full consensus/KV stack
 // under the virtual-time engine and returns its reproducible outcome:
 // same config (and seed), same committed history, byte for byte. Use it
@@ -1011,140 +468,6 @@ func SimKV(cfg SimKVConfig) (*SimKVResult, error) {
 		return nil, err
 	}
 	return run.collect(sim.Run()), nil
-}
-
-// SimShardCrash schedules one crash of a sharded simulated run: process
-// Proc of shard Shard is permanently descheduled at virtual time At.
-type SimShardCrash struct {
-	// Shard and Proc locate the process.
-	Shard, Proc int
-	// At is the crash time in virtual ticks.
-	At int64
-}
-
-// SimShardedKVConfig parameterizes one deterministic run of a whole
-// sharded store — S independent shards, each a full
-// election/consensus/KV stack, in one virtual-time engine. It is the
-// deterministic analogue of ShardedKV: writes route by the same hash,
-// shards fail independently, and identical configurations produce
-// byte-identical per-shard commit histories. Because virtual time models
-// every machine as its own processor, a sharded sim also measures the
-// architecture's parallel capacity exactly — the scaling benchmark runs
-// this with SaturateWindow set.
-type SimShardedKVConfig struct {
-	// Shards is the number of hash partitions (>= 1).
-	Shards int
-	// N is the number of processes per shard (>= 2).
-	N int
-	// Seed drives the run's scheduling adversary.
-	Seed int64
-	// Horizon ends the run, in virtual ticks; default 500_000.
-	Horizon int64
-	// Algorithm selects the election algorithm; default WriteEfficient.
-	Algorithm Algorithm
-	// Slots is each shard's replicated-log capacity; default 256.
-	Slots int
-	// BatchSize is each shard's proposal batch size; default
-	// DefaultBatchSize, 1 turns batching off. Batched runs reserve the
-	// key 0xFFFF row, as ShardedKV does.
-	BatchSize int
-	// CheckpointEvery is each shard's sealing cadence in slots, mirroring
-	// WithCheckpointEvery: 0 picks the default (a quarter of Slots), a
-	// negative value disables checkpointing (fixed-capacity shard logs).
-	CheckpointEvery int
-	// Crashes is the cross-shard crash schedule. At least one process per
-	// shard must survive.
-	Crashes []SimShardCrash
-	// Writes is the tracked workload: each write routes to its key's
-	// shard (the ShardFor hash) and is retried across that shard's
-	// leadership changes until committed.
-	Writes []SimWrite
-	// Requests is the open-loop workload: each request routes to its
-	// key's shard and arrives there at its At time regardless of earlier
-	// completions; per-request completion times come back in the result's
-	// Requests, in submission order.
-	Requests []SimRequest
-	// SaturateWindow, when positive, adds one closed-loop load generator
-	// per shard that keeps that many commands queued on the shard's
-	// leader — the saturation workload whose committed count measures
-	// shard capacity. Zero: no generated load.
-	SaturateWindow int
-	// Record turns on the scenario recorder per shard (each shard's
-	// result carries its own History); see SimKVConfig.Record.
-	Record bool
-	// Faults configures every shard's gray-failure fault models; nil
-	// injects nothing. See SimKVConfig.Faults.
-	Faults *SimFaults
-}
-
-// SimShardedKVResult is the reproducible outcome of a sharded simulated
-// run.
-type SimShardedKVResult struct {
-	// Shards holds each shard's full outcome (committed history, state,
-	// per-process fates), indexed by shard.
-	Shards []SimKVResult
-	// State is the union of the shards' states (hash partitioning makes
-	// the key sets disjoint).
-	State map[uint16]uint16
-	// TotalCommitted is the total number of committed commands across
-	// shards.
-	TotalCommitted int
-	// TotalSlots is the total number of consensus slots those commands
-	// used; TotalCommitted/TotalSlots is the measured average batch size.
-	TotalSlots int
-	// Delivered counts tracked workload writes whose commit was confirmed
-	// before the horizon, across all shards.
-	Delivered int
-	// Requests holds one result per configured open-loop SimRequest,
-	// merged across shards and ordered by Index (the submitted slice's
-	// order). Empty when the config had no Requests.
-	Requests []SimRequestResult
-	// End is the virtual time at which the run ended.
-	End int64
-}
-
-func (cfg *SimShardedKVConfig) normalize() ([]simShardConfig, error) {
-	if cfg.Shards < 1 {
-		return nil, fmt.Errorf("omegasm: sim needs at least 1 shard, got %d", cfg.Shards)
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = DefaultBatchSize
-	}
-	base := simShardConfig{
-		n:      cfg.N,
-		batch:  cfg.BatchSize,
-		window: cfg.SaturateWindow,
-		record: cfg.Record,
-		faults: cfg.Faults,
-	}
-	if err := base.fillDefaults(&cfg.Horizon, &cfg.Algorithm, &cfg.Slots, cfg.CheckpointEvery); err != nil {
-		return nil, err
-	}
-	shards := make([]simShardConfig, cfg.Shards)
-	for s := range shards {
-		shards[s] = base
-		shards[s].crashes = map[int]int64{}
-	}
-	for _, cr := range cfg.Crashes {
-		if cr.Shard < 0 || cr.Shard >= cfg.Shards {
-			return nil, fmt.Errorf("omegasm: crash schedule names shard %d of %d", cr.Shard, cfg.Shards)
-		}
-		shards[cr.Shard].crashes[cr.Proc] = cr.At
-	}
-	for _, wr := range cfg.Writes {
-		sh := &shards[shardIndex(wr.Key, cfg.Shards)]
-		sh.writes = append(sh.writes, wr)
-	}
-	for i, r := range cfg.Requests {
-		sh := &shards[shardIndex(r.Key, cfg.Shards)]
-		sh.requests = append(sh.requests, simIndexedRequest{req: r, index: i})
-	}
-	for s := range shards {
-		if err := shards[s].validate(); err != nil {
-			return nil, fmt.Errorf("omegasm: shard %d: %w", s, err)
-		}
-	}
-	return shards, nil
 }
 
 // SimShardedKV executes one deterministic run of a whole sharded store
