@@ -345,21 +345,25 @@ func (kv *KV) CommittedLen() int {
 
 // VisitTail calls visit, in log order, for every retained committed
 // command from global index from on, and returns the global index just
-// past the last one — the caller's next watermark. A writer that watches
-// many commands at once scans each appended region exactly once by
-// resuming from the returned watermark, and the scan copies nothing.
-// Commands already summarized into a checkpoint are skipped (treat them
-// as unconfirmed; Set is idempotent under resubmission). visit runs under
-// the step lock: it must be brief and must not call back into the KV.
-func (kv *KV) VisitTail(from int, visit func(cmd uint32)) (next int) {
+// past the last one — the caller's next watermark — plus how many
+// commands between from and the retained tail were skipped because a
+// checkpoint summarized them away first. A writer that watches many
+// commands at once scans each appended region exactly once by resuming
+// from the returned watermark, and the scan copies nothing; a skipped
+// command cannot confirm anything, so the writer must treat whatever it
+// had queued here as possibly committed unseen (and resubmit: Set is
+// idempotent). visit runs under the step lock: it must be brief and must
+// not call back into the KV.
+func (kv *KV) VisitTail(from int, visit func(cmd uint32)) (next, skipped int) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	base := kv.replica.committedBase
 	next = base + len(kv.replica.committed)
-	for _, c := range kv.replica.committed[min(max(from, base), next)-base:] {
+	skipped = max(base-from, 0)
+	for _, c := range kv.replica.committed[min(from+skipped, next)-base:] {
 		visit(c)
 	}
-	return next
+	return next, skipped
 }
 
 // Capacity returns the slot capacity of the log window: the total log

@@ -174,9 +174,8 @@ type simOpenRequest struct {
 	// write is an arrived write's entry in the load's tracker; -1 for
 	// reads and for writes still to arrive.
 	write int
-	// answered, answeredAt and gotVal/gotOK are a read's completion and
-	// observed answer, kept for the recorded history.
-	answered   bool
+	// answeredAt (-1 until then) and gotVal/gotOK are a read's completion
+	// and observed answer, kept for the recorded history.
 	answeredAt vclock.Time
 	gotVal     uint16
 	gotOK      bool
@@ -197,12 +196,12 @@ type simOpenLoad struct {
 	t    writeTracker
 }
 
-// done returns when ar completed, ok only if it has.
-func (w *simOpenLoad) done(ar *simOpenRequest) (at vclock.Time, ok bool) {
+// doneAt returns when ar completed, -1 while it is outstanding.
+func (w *simOpenLoad) doneAt(ar *simOpenRequest) vclock.Time {
 	if ar.write >= 0 {
-		return w.t.writes[ar.write].doneAt, w.t.writes[ar.write].done
+		return w.t.writes[ar.write].doneAt
 	}
-	return ar.answeredAt, ar.answered
+	return ar.answeredAt
 }
 
 //omegalint:allow wakehint sim-only machine: WakeNow only while requests are outstanding, and the seeded adversary paces every poll
@@ -222,7 +221,7 @@ func (w *simOpenLoad) Step(now vclock.Time) engine.Hint {
 		if f := w.r.freshest(); f >= 0 {
 			ar.gotVal, ar.gotOK = w.r.stores[f].Get(ar.req.Key)
 		}
-		ar.answered, ar.answeredAt = true, now
+		ar.answeredAt = now
 	}
 	outstanding := w.t.outstanding > 0
 	w.r.submit(&w.t, now)
@@ -436,7 +435,7 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	if len(cfg.requests) > 0 {
 		reqs := make([]*simOpenRequest, 0, len(cfg.requests))
 		for _, ir := range cfg.requests {
-			reqs = append(reqs, &simOpenRequest{req: ir.req, index: ir.index, write: -1})
+			reqs = append(reqs, &simOpenRequest{req: ir.req, index: ir.index, write: -1, answeredAt: -1})
 		}
 		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].req.At < reqs[j].req.At })
 		run.open = &simOpenLoad{r: run, reqs: reqs, t: newWriteTracker(&run.kvEnv, len(reqs))}

@@ -194,12 +194,9 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 			rr := SimRequestResult{
 				Index: ar.index,
 				At:    ar.req.At,
-				Done:  -1,
+				Done:  r.open.doneAt(ar),
 				Read:  ar.req.Read,
 				Class: ar.req.Class,
-			}
-			if at, ok := r.open.done(ar); ok {
-				rr.Done = at
 			}
 			res.Requests = append(res.Requests, rr)
 		}
@@ -248,21 +245,14 @@ func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History 
 	if r.writer != nil {
 		for i, tw := range r.writer.t.writes {
 			wr := r.writer.writes[i]
-			op := check.Op{Kind: check.Put, Key: wr.Key, Val: wr.Val, Invoke: wr.At, Return: -1}
-			if tw.done {
-				op.Return = int64(tw.doneAt)
-			}
-			h.Ops = append(h.Ops, op)
+			h.Ops = append(h.Ops, check.Op{Kind: check.Put, Key: wr.Key, Val: wr.Val, Invoke: wr.At, Return: tw.doneAt})
 		}
 	}
 	if r.open != nil {
 		for _, ar := range r.open.reqs {
-			op := check.Op{Kind: check.Put, Client: ar.req.Client, Key: ar.req.Key, Val: ar.req.Val, Invoke: ar.req.At, Return: -1}
+			op := check.Op{Kind: check.Put, Client: ar.req.Client, Key: ar.req.Key, Val: ar.req.Val, Invoke: ar.req.At, Return: r.open.doneAt(ar)}
 			if ar.req.Read {
 				op.Kind, op.Mode, op.Val, op.Found = check.Get, check.Freshest, ar.gotVal, ar.gotOK
-			}
-			if at, ok := r.open.done(ar); ok {
-				op.Return = int64(at)
 			}
 			h.Ops = append(h.Ops, op)
 		}

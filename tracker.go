@@ -14,12 +14,14 @@ type trackedWrite struct {
 	// replica's drop generation at the time.
 	submittedTo int
 	submitGen   uint64
-	// done and doneAt record the confirmation.
-	done   bool
+	// doneAt is when the write was confirmed, -1 until then.
 	doneAt vclock.Time
 	// next chains the waiters of one command (-1 ends the chain).
 	next int
 }
+
+// done reports whether the write has been confirmed.
+func (w *trackedWrite) done() bool { return w.doneAt >= 0 }
 
 // writeTracker is the client write protocol, shared by KV.PutAll and the
 // simulator's workload machines: submit every tracked command once per
@@ -80,7 +82,7 @@ func (t *writeTracker) add(cmd uint32) int {
 	if !ok {
 		next = -1
 	}
-	t.writes = append(t.writes, trackedWrite{cmd: cmd, submittedTo: -1, next: next})
+	t.writes = append(t.writes, trackedWrite{cmd: cmd, submittedTo: -1, doneAt: -1, next: next})
 	t.waiters[cmd] = len(t.writes) - 1
 	t.outstanding++
 	return len(t.writes) - 1
@@ -97,8 +99,18 @@ func (t *writeTracker) confirm(now vclock.Time) {
 }
 
 // scan advances replica i's watermark over its newly appended entries.
+// If a checkpoint summarized some of them away before this scan, a write
+// queued on i may be among the ones never seen: forget that it was
+// submitted, so the next submit hands it over again instead of waiting
+// forever for a confirmation that cannot come.
 func (t *writeTracker) scan(i int) {
-	t.marks[i] = t.env.stores[i].VisitTail(t.marks[i], t.observe)
+	var skipped int
+	t.marks[i], skipped = t.env.stores[i].VisitTail(t.marks[i], t.observe)
+	for j := t.first; skipped > 0 && j < len(t.writes); j++ {
+		if w := &t.writes[j]; w.submittedTo == i {
+			w.submittedTo = -1
+		}
+	}
 }
 
 // observe confirms every write waiting for cmd.
@@ -115,8 +127,8 @@ func (t *writeTracker) observe(cmd uint32) {
 
 // finish marks write j confirmed by the poll in progress.
 func (t *writeTracker) finish(j int) {
-	if w := &t.writes[j]; !w.done {
-		w.done, w.doneAt = true, t.now
+	if w := &t.writes[j]; !w.done() {
+		w.doneAt = t.now
 		t.outstanding--
 	}
 }
@@ -135,7 +147,7 @@ func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err err
 		return -1, false, nil
 	}
 	t.now = now
-	for t.first < len(t.writes) && t.writes[t.first].done {
+	for t.first < len(t.writes) && t.writes[t.first].done() {
 		t.first++
 	}
 	store := t.env.stores[l]
@@ -143,7 +155,7 @@ func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err err
 	t.pairs = t.pairs[:0]
 	for j, scanned := t.first, false; j < len(t.writes); j++ {
 		w := &t.writes[j]
-		if w.done || (w.submittedTo == l && w.submitGen == gen) {
+		if w.done() || (w.submittedTo == l && w.submitGen == gen) {
 			continue
 		}
 		if !scanned {
@@ -151,7 +163,7 @@ func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err err
 			// entry may have committed since the last confirm, and a
 			// needless duplicate burns log capacity forever.
 			scanned = true
-			if t.scan(l); w.done {
+			if t.scan(l); w.done() {
 				continue
 			}
 		}
