@@ -524,7 +524,8 @@ func (kv *KV) Put(ctx context.Context, key, val uint16) error {
 // leadership moves — or a leadership flap sweeps the leader's queue —
 // before everything lands. Re-submission can commit an entry into more
 // than one slot; the store applies sets idempotently, so duplicates only
-// spend log capacity. PutAll returns ctx's error on cancellation, the
+// spend log capacity. PutAll returns ctx's error on cancellation,
+// ErrClosed once the store is closed (before or during the call), the
 // reserved-pair error synchronously (committing nothing), and — only when
 // checkpointing is disabled — ErrLogFull if the fixed log fills before
 // the whole group commits. With checkpointing (the default) the stream is
@@ -540,7 +541,7 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 		if consensus.IsReserved(cmd, claimed) {
 			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", e.Key, e.Val)
 		}
-		if !t.waiting(cmd) {
+		if t.head(cmd) < 0 {
 			t.add(cmd)
 		}
 	}
@@ -602,8 +603,8 @@ func (kv *KV) Get(key uint16) (uint16, bool) {
 // blocks or errors (ctx is unused). ReadLease answers in two atomic
 // loads while a readable lease is valid and falls back to a quorum
 // round otherwise; ReadQuorum always fences through the log. The
-// blocking modes return ctx's error on cancellation and
-// ErrReadUnsupported on stores without a descriptor row.
+// blocking modes return ctx's error on cancellation, ErrClosed on a
+// closed store and ErrReadUnsupported on stores without a descriptor row.
 func (kv *KV) Read(ctx context.Context, key uint16, mode ReadMode) (uint16, bool, error) {
 	switch mode {
 	case ReadFreshest:

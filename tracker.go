@@ -45,22 +45,26 @@ type writeTracker struct {
 	// outstanding counts the writes not yet confirmed.
 	outstanding int
 	// waiters maps a command to the head of its chain of unconfirmed
-	// writes; marks[i] is how far replica i's stream has been scanned.
+	// writes. A tracker made for a single write — every Put — matches it
+	// directly instead and carries no index (nil).
 	waiters map[uint32]int
-	marks   []int
+	// marks[i] is how far replica i's stream has been scanned.
+	marks []int
 	// now is the time of the poll in progress (confirmations' doneAt).
-	now   vclock.Time
-	pairs [][2]uint16 // submit's scratch
+	now vclock.Time
 }
 
 // newWriteTracker starts watching at the replicas' current commit
 // positions: only entries appended from here on can confirm a write.
+// capacity is how many writes it will be asked to track at most.
 func newWriteTracker(env *kvEnv, capacity int) writeTracker {
 	t := writeTracker{
-		env:     env,
-		writes:  make([]trackedWrite, 0, capacity),
-		waiters: make(map[uint32]int, capacity),
-		marks:   make([]int, len(env.stores)),
+		env:    env,
+		writes: make([]trackedWrite, 0, capacity),
+		marks:  make([]int, len(env.stores)),
+	}
+	if capacity > 1 {
+		t.waiters = make(map[uint32]int, capacity)
 	}
 	for i, s := range env.stores {
 		t.marks[i] = s.CommittedLen()
@@ -68,24 +72,29 @@ func newWriteTracker(env *kvEnv, capacity int) writeTracker {
 	return t
 }
 
-// waiting reports whether an unconfirmed write of cmd is being tracked.
-func (t *writeTracker) waiting(cmd uint32) bool {
-	_, ok := t.waiters[cmd]
-	return ok
+// head returns the first of the unconfirmed writes waiting for cmd, -1 if
+// there is none.
+func (t *writeTracker) head(cmd uint32) int {
+	if j, ok := t.waiters[cmd]; ok {
+		return j
+	}
+	if t.waiters == nil && len(t.writes) == 1 && t.writes[0].cmd == cmd {
+		return 0
+	}
+	return -1
 }
 
 // add starts tracking one write of cmd and returns its index in writes.
 // Call confirm first when time has passed since the last poll, so the
 // watermarks stand at the present.
 func (t *writeTracker) add(cmd uint32) int {
-	next, ok := t.waiters[cmd]
-	if !ok {
-		next = -1
+	j := len(t.writes)
+	t.writes = append(t.writes, trackedWrite{cmd: cmd, submittedTo: -1, doneAt: -1, next: t.head(cmd)})
+	if t.waiters != nil {
+		t.waiters[cmd] = j
 	}
-	t.writes = append(t.writes, trackedWrite{cmd: cmd, submittedTo: -1, doneAt: -1, next: next})
-	t.waiters[cmd] = len(t.writes) - 1
 	t.outstanding++
-	return len(t.writes) - 1
+	return j
 }
 
 // confirm scans what every live replica appended since the last poll.
@@ -115,14 +124,10 @@ func (t *writeTracker) scan(i int) {
 
 // observe confirms every write waiting for cmd.
 func (t *writeTracker) observe(cmd uint32) {
-	j, ok := t.waiters[cmd]
-	if !ok {
-		return
-	}
-	delete(t.waiters, cmd)
-	for ; j >= 0; j = t.writes[j].next {
+	for j := t.head(cmd); j >= 0; j = t.writes[j].next {
 		t.finish(j)
 	}
+	delete(t.waiters, cmd)
 }
 
 // finish marks write j confirmed by the poll in progress.
@@ -152,7 +157,8 @@ func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err err
 	}
 	store := t.env.stores[l]
 	gen := store.DropGeneration()
-	t.pairs = t.pairs[:0]
+	var few [8][2]uint16 // keeps a Put's or a small group's handover off the heap
+	pairs := few[:0]
 	for j, scanned := t.first, false; j < len(t.writes); j++ {
 		w := &t.writes[j]
 		if w.done() || (w.submittedTo == l && w.submitGen == gen) {
@@ -168,14 +174,14 @@ func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err err
 			}
 		}
 		k, v := consensus.DecodeSet(w.cmd)
-		t.pairs = append(t.pairs, [2]uint16{k, v})
+		pairs = append(pairs, [2]uint16{k, v})
 		w.submittedTo, w.submitGen = l, gen
 		if t.env.ackAtSubmit {
 			t.finish(j)
 		}
 	}
-	if len(t.pairs) == 0 {
+	if len(pairs) == 0 {
 		return l, false, nil
 	}
-	return l, true, store.SetAll(t.pairs...)
+	return l, true, store.SetAll(pairs...)
 }

@@ -115,8 +115,8 @@ func TestTrackerDedupWatermarksAndOrder(t *testing.T) {
 	tr := newWriteTracker(env, 4)
 	a, b := tr.add(cmd), tr.add(cmd) // two clients, same command
 	c := tr.add(consensus.EncodeSet(2, 20))
-	if !tr.waiting(cmd) || tr.waiting(consensus.EncodeSet(9, 9)) {
-		t.Error("waiting() disagrees with what was added")
+	if tr.head(cmd) != b || tr.head(consensus.EncodeSet(9, 9)) >= 0 {
+		t.Error("head() disagrees with what was added")
 	}
 	if tr.confirm(now); tr.outstanding != 3 {
 		t.Fatalf("outstanding = %d after a scan of history: an old identical command confirmed a new write", tr.outstanding)
