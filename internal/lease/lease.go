@@ -142,13 +142,7 @@ func (r *Register) Acquire(me int, now vclock.Time, dur, eps int64) (epoch uint6
 	// holder can race the store; CAS-loop to the maximum so the previous
 	// holder's Extend (which re-checks A and finds itself dispossessed)
 	// cannot shorten or lengthen our grant unnoticed.
-	exp := uint64(now + vclock.Time(dur))
-	for {
-		cur := r.b.Load()
-		if cur >= exp || r.b.CompareAndSwap(cur, exp) {
-			break
-		}
-	}
+	r.push(packA(e+1, me), now+vclock.Time(dur))
 	if r.record {
 		r.histMu.Lock()
 		r.history = append(r.history, Grant{

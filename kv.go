@@ -297,7 +297,7 @@ type kvMachine struct {
 // replica parks until a write or a commit notification arrives.
 func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	kv := m.kv
-	if kv.c.Crashed(m.idx) {
+	if !kv.alive(m.idx) {
 		return engine.Park()
 	}
 	rep := m.step(now)
@@ -671,12 +671,7 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (val uint16, found boo
 
 // LeaseDuration returns the leader-lease duration behind ReadLease's
 // local linearizable reads (0: leases disabled; see KVLease).
-func (kv *KV) LeaseDuration() time.Duration {
-	if kv.lease == nil {
-		return 0
-	}
-	return time.Duration(kv.leaseDur)
-}
+func (kv *KV) LeaseDuration() time.Duration { return time.Duration(kv.leaseDur) }
 
 // LeaseHolder returns the replica currently entitled to serve lease
 // reads — the holder of a valid, barrier-complete grant — or ok=false

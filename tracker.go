@@ -115,7 +115,10 @@ func (t *writeTracker) confirm(now vclock.Time) {
 func (t *writeTracker) scan(i int) {
 	var skipped int
 	t.marks[i], skipped = t.env.stores[i].VisitTail(t.marks[i], t.observe)
-	for j := t.first; skipped > 0 && j < len(t.writes); j++ {
+	if skipped == 0 {
+		return
+	}
+	for j := t.first; j < len(t.writes); j++ {
 		if w := &t.writes[j]; w.submittedTo == i {
 			w.submittedTo = -1
 		}
@@ -124,10 +127,14 @@ func (t *writeTracker) scan(i int) {
 
 // observe confirms every write waiting for cmd.
 func (t *writeTracker) observe(cmd uint32) {
-	for j := t.head(cmd); j >= 0; j = t.writes[j].next {
-		t.finish(j)
+	j := t.head(cmd)
+	if j < 0 {
+		return // the common case on a busy log: somebody else's command
 	}
 	delete(t.waiters, cmd)
+	for ; j >= 0; j = t.writes[j].next {
+		t.finish(j)
+	}
 }
 
 // finish marks write j confirmed by the poll in progress.
