@@ -69,15 +69,30 @@ type KVOption func(*kvSettings) error
 const ckptAuto = -1
 
 // leaseAuto is the sentinel for "lease duration not chosen": NewKV
-// enables leases with a default duration whenever the log can carry the
-// catch-up barrier.
+// enables leases with the cluster's default duration (defaultLeaseDur)
+// whenever the log can carry the catch-up barrier.
 const leaseAuto = time.Duration(-1)
 
-// defaultLeaseDur is the auto-enabled lease duration: long enough that
-// the holder's refresh cadence (a quarter of it) is negligible work,
-// short enough that a leader crash delays the next writer by at most a
-// few election timeouts.
-const defaultLeaseDur = 20 * time.Millisecond
+// defaultLeaseUnits is the auto-enabled lease duration in units of the
+// cluster's timer unit: 20ms on atomic registers (2ms unit), 250ms on the
+// SAN (25ms unit).
+const defaultLeaseUnits = 10
+
+// defaultLeaseDur derives the auto-enabled lease duration from the
+// cluster's own pacing. A lease must outlive the longest gap between two
+// activations of its holder, or the grant lapses under a leader that
+// never stopped leading — and every lapse costs a re-acquisition under a
+// new epoch plus a catch-up barrier slot, and keeps lease reads dark. On
+// atomic registers that gap is the holder's refresh cadence (a quarter of
+// the lease); on a substrate whose register accesses block in I/O it is a
+// whole consensus round, which the holder runs inside one activation. The
+// timer unit is the one pacing value a cluster scales with its medium, so
+// the default scales with it. The upper bound is the failover cost: a
+// successor waits out the dead leader's grant, which stays inside what
+// detection and re-agreement cost on the same timer unit anyway.
+func defaultLeaseDur(c *Cluster) time.Duration {
+	return defaultLeaseUnits * c.set.timerUnit
+}
 
 type kvSettings struct {
 	slots    int
@@ -180,9 +195,10 @@ func KVBatch(n int) KVOption {
 }
 
 // KVLease sets the leader-lease duration behind ReadLease's local
-// linearizable reads (default: 20ms whenever the log reserves the
-// descriptor row — batching or checkpointing on — which default options
-// do). The agreed leader claims the lease, commits one no-op barrier
+// linearizable reads (default: ten timer units — 20ms on atomic
+// registers, 250ms on the SAN — whenever the log reserves the descriptor
+// row — batching or checkpointing on — which default options do). The
+// agreed leader claims the lease, commits one no-op barrier
 // slot to prove its state covers every prior authority's commits, and
 // then serves linearizable reads from its own applied state until the
 // lease expires; it extends the lease while it leads. Every replica's
@@ -192,6 +208,14 @@ func KVBatch(n int) KVOption {
 // commit. KVLease(0) disables leases: ReadLease then degrades to quorum
 // rounds, and proposers are gated only by the Omega oracle, the
 // pre-lease behavior.
+//
+// Choose d to outlive the longest gap between two activations of the
+// holder: the holder extends its grant once per activation, so a shorter
+// lease lapses under a healthy leader, which then re-acquires under a new
+// epoch and pays the barrier slot again. On atomic registers the gap is
+// the idle refresh cadence (d/4); on the SAN, where a step blocks in
+// quorum I/O, it is one consensus round (tens of milliseconds at
+// commodity disk latencies).
 func KVLease(d time.Duration) KVOption {
 	return func(s *kvSettings) error {
 		if d < 0 {
@@ -396,7 +420,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	if leaseDur == leaseAuto {
 		leaseDur = 0
 		if log.ReservesTopRow() {
-			leaseDur = defaultLeaseDur
+			leaseDur = defaultLeaseDur(c)
 		}
 	} else if leaseDur > 0 && !log.ReservesTopRow() {
 		return nil, fmt.Errorf("omegasm: KVLease needs batching or checkpointing enabled")
@@ -458,6 +482,10 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 // PutAll, linearizable Read) — in flight or issued later — return
 // ErrClosed. Idempotent.
 func (kv *KV) Close() { kv.eng.Stop() }
+
+// now reads the engine clock every lease word is granted and judged
+// against.
+func (kv *KV) now() vclock.Time { return kv.eng.Now() }
 
 // readStore picks the replica to answer reads: the agreed leader's (it
 // commits first, so it is the freshest), else the freshest live replica.
@@ -546,7 +574,7 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 		}
 	}
 	return pollUntil(ctx, kv.eng, kv.commits, kv.interval, func() (bool, error) {
-		now := kv.eng.Now()
+		now := kv.now()
 		if t.confirm(now); t.outstanding == 0 {
 			return true, nil
 		}
@@ -612,7 +640,7 @@ func (kv *KV) Read(ctx context.Context, key uint16, mode ReadMode) (uint16, bool
 		return v, ok, nil
 	case ReadLease:
 		if kv.lease != nil {
-			if h, _, ok := kv.lease.ReadableHolder(kv.eng.Now()); ok {
+			if h, _, ok := kv.lease.ReadableHolder(kv.now()); ok {
 				// The linearization point is the validity check itself: at
 				// that instant the holder's applied state contains every
 				// committed write (barrier + exclusive authority), and the
@@ -681,7 +709,7 @@ func (kv *KV) LeaseHolder() (holder int, ok bool) {
 	if kv.lease == nil {
 		return -1, false
 	}
-	h, _, ok := kv.lease.ReadableHolder(kv.eng.Now())
+	h, _, ok := kv.lease.ReadableHolder(kv.now())
 	return h, ok
 }
 
