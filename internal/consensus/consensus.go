@@ -218,8 +218,7 @@ func (p *Proposer) Step(vclock.Time) {
 			return
 		}
 		p.wonBallot = true
-		p.inst.Dec[p.id].Write(p.id, packDec(p.chosen))
-		p.decide(p.chosen)
+		p.decide(p.chosen) // publishes DEC[id]
 	}
 }
 
@@ -227,7 +226,8 @@ func (p *Proposer) decide(v uint32) {
 	p.decided = true
 	p.value = v
 	p.phase = phaseDone
-	// Republish so laggards can learn from any register row.
+	// Publish (a winner) or republish (an adopter) so laggards can learn
+	// from any register of the row.
 	p.inst.Dec[p.id].Write(p.id, packDec(v))
 }
 
