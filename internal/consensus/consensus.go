@@ -22,6 +22,14 @@
 //
 // The state machines take micro-steps (one phase action per Step call) so
 // they run under the deterministic simulator and on live goroutines alike.
+//
+// A phase action reads whole rows (every DEC; every MBAL and BALINP)
+// through shmem.ReadRow, which a memory with expensive accesses may serve
+// as one batched round trip per action. Nothing above relies on more
+// than the batch gives: the argument is per register — each one is read
+// from the memory (on the SAN: from a majority of disks) after the
+// phase's own write returned — and asks for no atomicity across
+// registers, which the register-by-register loop never provided either.
 package consensus
 
 import (
@@ -48,6 +56,12 @@ type Instance struct {
 	MBal   []shmem.Reg // [i] owned by i: highest ballot i entered
 	BalInp []shmem.Reg // [i] owned by i: (bal<<32 | value) i last accepted
 	Dec    []shmem.Reg // [i] owned by i: (1<<32 | value) once i decided
+
+	// mem is where the rows live and blocks is MBal followed by BalInp in
+	// one slice (the two fields above are its halves): a scan reads every
+	// process's block in one shmem.ReadRow.
+	mem    shmem.Mem
+	blocks []shmem.Reg
 }
 
 // NewInstance allocates the registers of one consensus instance. tag
@@ -71,8 +85,12 @@ func NewInstances(mem shmem.Mem, n, tag0, k int) []Instance {
 	bi := shmem.WordRowBlock(mem, ClassBalInp, tag0, k, n)
 	dec := shmem.WordRowBlock(mem, ClassDec, tag0, k, n)
 	insts := make([]Instance, k)
+	blocks := make([]shmem.Reg, 0, 2*k*n)
 	for j := range insts {
-		insts[j] = Instance{N: n, MBal: mb[j], BalInp: bi[j], Dec: dec[j]}
+		lo := len(blocks)
+		blocks = append(append(blocks, mb[j]...), bi[j]...)
+		b := blocks[lo : lo+2*n : lo+2*n]
+		insts[j] = Instance{N: n, MBal: b[:n:n], BalInp: b[n:], Dec: dec[j], mem: mem, blocks: b}
 	}
 	return insts
 }
@@ -84,6 +102,20 @@ func unpackBalInp(w uint64) (bal uint32, v uint32) {
 func packDec(v uint32) uint64 { return 1<<32 | uint64(v) }
 func unpackDec(w uint64) (v uint32, ok bool) {
 	return uint32(w), w>>32 != 0
+}
+
+// readDecision polls the instance's decision row on behalf of pid and
+// returns the first published decision in register order. row is the
+// caller's reusable buffer of N words: the poll runs every micro-step, so
+// it must not allocate.
+func (inst *Instance) readDecision(pid int, row []uint64) (v uint32, ok bool) {
+	shmem.ReadRow(inst.mem, pid, inst.Dec, row)
+	for _, w := range row[:inst.N] {
+		if v, ok := unpackDec(w); ok {
+			return v, true
+		}
+	}
+	return 0, false
 }
 
 type phase int
@@ -119,6 +151,11 @@ type Proposer struct {
 	// lease catch-up barrier and quorum reads need; an adopted decision
 	// proves nothing about the adopter.
 	wonBallot bool
+
+	// row is the buffer every whole-row read lands in — N words for the
+	// decision poll, 2N for a scan — kept across slots (reset) so the
+	// steady-state commit path allocates nothing.
+	row []uint64
 }
 
 // NewProposer creates the state machine of process id proposing input on
@@ -136,6 +173,7 @@ func NewProposer(inst *Instance, id int, input uint32, omega func() int) (*Propo
 		omega: omega,
 		input: input,
 		phase: phaseFollow,
+		row:   make([]uint64, 2*inst.N),
 	}, nil
 }
 
@@ -154,6 +192,9 @@ func (p *Proposer) reset(inst *Instance, input uint32) {
 	p.value = 0
 	p.rounds = 0
 	p.wonBallot = false
+	if len(p.row) != 2*inst.N {
+		p.row = make([]uint64, 2*inst.N)
+	}
 }
 
 // WonBallot reports whether the decided value was decided by this
@@ -179,11 +220,9 @@ func (p *Proposer) Step(vclock.Time) {
 	}
 	// Adopt any published decision first: followers terminate this way,
 	// and a demoted proposer abandons its ballot.
-	for i := 0; i < p.inst.N; i++ {
-		if v, ok := unpackDec(p.inst.Dec[i].Read(p.id)); ok {
-			p.decide(v)
-			return
-		}
+	if v, ok := p.inst.readDecision(p.id, p.row); ok {
+		p.decide(v)
+		return
 	}
 	switch p.phase {
 	case phaseFollow:
@@ -242,16 +281,19 @@ func (p *Proposer) startBallot(floor uint32) {
 	p.phase = phase1
 }
 
-// scan reads every process's block and returns the highest promise ballot,
-// plus the (bal, value) of the highest accepted ballot.
+// scan reads every process's block — the MBAL row, then the BALINP row —
+// and returns the highest promise ballot, plus the (bal, value) of the
+// highest accepted ballot.
 func (p *Proposer) scan() (maxMBal uint32, maxBal uint32, maxVal uint32) {
-	for i := 0; i < p.inst.N; i++ {
-		m := uint32(p.inst.MBal[i].Read(p.id))
-		if m > maxMBal {
+	n := p.inst.N
+	shmem.ReadRow(p.inst.mem, p.id, p.inst.blocks, p.row)
+	for _, w := range p.row[:n] {
+		if m := uint32(w); m > maxMBal {
 			maxMBal = m
 		}
-		bal, val := unpackBalInp(p.inst.BalInp[i].Read(p.id))
-		if bal > maxBal {
+	}
+	for _, w := range p.row[n : 2*n] {
+		if bal, val := unpackBalInp(w); bal > maxBal {
 			maxBal, maxVal = bal, val
 		}
 	}

@@ -617,6 +617,8 @@ type Replica struct {
 	// means it is not armed for the current slot.
 	prop     *Proposer
 	propSlot int
+	// decRow is the learn poll's row buffer (see Instance.readDecision).
+	decRow []uint64
 
 	// cachedInst/cachedSlot memoize the window lookup of the slot the
 	// replica is working on: a slot takes several micro-steps to settle,
@@ -669,6 +671,7 @@ func NewReplica(log *Log, id int, omega func() int) (*Replica, error) {
 		// recycling log's tail is trimmed in place at each seal, keeping
 		// this capacity; growth past it is amortized as usual).
 		committed: make([]uint32, 0, log.Cap()*log.MaxBatch()),
+		decRow:    make([]uint64, log.N),
 		propSlot:  -1, lastSealSlot: -1, selfLatestSeq: -1, cachedSlot: -1,
 	}, nil
 }
@@ -847,11 +850,9 @@ func (r *Replica) Step(now vclock.Time) {
 		r.cachedInst, r.cachedSlot = inst, slot
 	}
 	// Learn: any replica's decision register settles the slot.
-	for i := 0; i < r.log.N; i++ {
-		if v, ok := unpackDec(inst.Dec[i].Read(r.id)); ok {
-			r.commitSlot(v)
-			return
-		}
+	if v, ok := inst.readDecision(r.id, r.decRow); ok {
+		r.commitSlot(v)
+		return
 	}
 	if r.omega() != r.id || (r.pendingLen() == 0 && !r.checkpointDue()) {
 		return

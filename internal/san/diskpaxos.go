@@ -129,7 +129,7 @@ func (dp *DiskPaxos) writeMajority(p int, name string, val uint64) error {
 func (dp *DiskPaxos) readAllMajority(reader int) ([]uint64, error) {
 	best := make([]uint64, dp.n)
 	bestSeq := make([]uint64, dp.n)
-	if err := gatherQuorum(dp.disks, dp.blockNames, bestSeq, best); err != nil {
+	if err := gatherQuorum(dp.disks, [][]string{dp.blockNames}, bestSeq, best); err != nil {
 		return nil, err
 	}
 	return best, nil
@@ -142,7 +142,7 @@ func (dp *DiskPaxos) readAllMajority(reader int) ([]uint64, error) {
 func (dp *DiskPaxos) checkCommit(reader int) (uint16, bool, error) {
 	vals := make([]uint64, dp.n)
 	seqs := make([]uint64, dp.n)
-	if err := gatherQuorum(dp.disks, dp.commitNames, seqs, vals); err != nil {
+	if err := gatherQuorum(dp.disks, [][]string{dp.commitNames}, seqs, vals); err != nil {
 		return 0, false, err
 	}
 	for _, v := range vals {

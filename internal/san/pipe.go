@@ -38,9 +38,9 @@ import (
 //     when a slow disk acks an operation the caller finished long ago.
 //
 // Scatter-gather: a multi-block read (Disk Paxos reading every process's
-// block) is one request and one latency draw per disk, not one per
-// block — the command-queuing model again: one round trip carries the
-// whole batch of read commands.
+// block, a register memory reading whole rows) is one request and one
+// latency draw per disk, not one per block — the command-queuing model
+// again: one round trip carries the whole batch of read commands.
 
 // pipeWindow bounds the in-flight requests per disk. Submission blocks
 // when a disk's window is full, which backpressures a fast proposer
@@ -60,13 +60,13 @@ const (
 // rewritten at submission.
 type pipeOp struct {
 	kind      pipeKind
-	name      string    // opRead / opWrite block name
-	names     []string  // opGather block names; aliased, caller-immutable
-	seq, val  uint64    // opWrite payload
-	submitted time.Time // latency accounting starts at submission
+	name      string     // opRead / opWrite block name
+	names     [][]string // opGather block names, window after window: the call's own list of aliased, caller-immutable windows
+	seq, val  uint64     // opWrite payload
+	submitted time.Time  // latency accounting starts at submission
 
 	rseq, rval uint64   // opRead result
-	seqs, vals []uint64 // opGather results, len(names), buffers reused
+	seqs, vals []uint64 // opGather results, one per name, buffers reused
 	err        error
 	call       *quorumCall
 }
@@ -80,6 +80,11 @@ type quorumCall struct {
 	ops     []pipeOp
 	done    chan *pipeOp
 	pending atomic.Int32
+	// windows is the gather request every op of the call aliases. It
+	// belongs to the call, not the caller, because straggler disks read it
+	// after the quorum call has returned; it is rewritten only once the
+	// last of them has acknowledged and the call was recycled.
+	windows [][]string
 }
 
 var callPool sync.Pool
@@ -198,12 +203,16 @@ func (d *Disk) runOp(op *pipeOp) {
 			op.rseq, op.rval = b.seq, b.val
 		}
 	case opGather:
-		for i, name := range op.names {
-			b := d.blocks[name]
-			if b.hasPrev && d.grayStaleRead() {
-				op.seqs[i], op.vals[i] = b.prevSeq, b.prevVal
-			} else {
-				op.seqs[i], op.vals[i] = b.seq, b.val
+		i := 0
+		for _, window := range op.names {
+			for _, name := range window {
+				b := d.blocks[name]
+				if b.hasPrev && d.grayStaleRead() {
+					op.seqs[i], op.vals[i] = b.prevSeq, b.prevVal
+				} else {
+					op.seqs[i], op.vals[i] = b.seq, b.val
+				}
+				i++
 			}
 		}
 	case opWrite:
@@ -276,22 +285,27 @@ func readQuorum(disks []*Disk, name string) (seq, val uint64, err error) {
 	return seq, val, nil
 }
 
-// gatherQuorum reads all names from a majority of disks — one
-// scatter-gather request (and one latency draw) per disk — and merges
-// highest-sequence-wins per name into bestSeq/bestVal, which the caller
-// provides with len(names). Missing blocks merge as zero.
-func gatherQuorum(disks []*Disk, names []string, bestSeq, bestVal []uint64) error {
+// gatherQuorum reads every name of every window from a majority of disks
+// — one scatter-gather request (and one latency draw) per disk — and
+// merges highest-sequence-wins per name into bestSeq/bestVal, which the
+// caller provides with one entry per name, windows concatenated in order.
+// Missing blocks merge as zero. Each window must stay immutable for as
+// long as its blocks exist (stragglers read it after the call returns);
+// the list of windows itself is copied.
+func gatherQuorum(disks []*Disk, windows [][]string, bestSeq, bestVal []uint64) error {
 	c := getCall(len(disks))
+	c.windows = append(c.windows[:0], windows...)
+	names := len(bestSeq)
 	now := time.Now()
 	for i, d := range disks {
 		op := &c.ops[i]
-		op.kind, op.names = opGather, names
-		if cap(op.seqs) < len(names) {
-			op.seqs = make([]uint64, len(names))
-			op.vals = make([]uint64, len(names))
+		op.kind, op.names = opGather, c.windows
+		if cap(op.seqs) < names {
+			op.seqs = make([]uint64, names)
+			op.vals = make([]uint64, names)
 		} else {
-			op.seqs = op.seqs[:len(names)]
-			op.vals = op.vals[:len(names)]
+			op.seqs = op.seqs[:names]
+			op.vals = op.vals[:names]
 		}
 		op.submitted = now
 		d.enqueue(op)
@@ -307,7 +321,7 @@ func gatherQuorum(disks []*Disk, names []string, bestSeq, bestVal []uint64) erro
 			continue
 		}
 		got++
-		for p := range names {
+		for p := range bestSeq {
 			if op.seqs[p] >= bestSeq[p] {
 				bestSeq[p], bestVal[p] = op.seqs[p], op.vals[p]
 			}

@@ -225,9 +225,8 @@ func newDiskMem(n int, disks []*Disk, count bool) (*DiskMem, error) {
 func (m *DiskMem) Word(owner int, class string, idx ...int) shmem.Reg {
 	name := shmem.RegName(class, idx...)
 	r := &sanReg{
-		mem:   m,
-		owner: owner,
-		name:  name,
+		blk:   &sanBlock{mem: m, names: []string{name}, n: 1},
+		owner: int32(owner),
 	}
 	if m.count {
 		r.stats = m.census.Track(class, name, owner)
@@ -239,19 +238,22 @@ func (m *DiskMem) Word(owner int, class string, idx ...int) shmem.Reg {
 // each row owned by process i) over one contiguous backing array — the
 // consensus-instance shape a recycling log re-allocates per window
 // advance. Block names are still materialized eagerly (they address the
-// disks) but the register objects cost three allocations per block.
+// disks) but the register objects cost a handful of allocations per block.
+// The name list doubles as the rows' scatter-gather request (ReadRow).
 func (m *DiskMem) WordRowBlock(class string, tag0, k, n int) [][]shmem.Reg {
+	blk := &sanBlock{mem: m, names: make([]string, k*n), n: n}
 	backing := make([]sanReg, k*n)
 	flat := make([]shmem.Reg, k*n)
 	rows := make([][]shmem.Reg, k)
 	for j := 0; j < k; j++ {
 		for i := 0; i < n; i++ {
 			r := &backing[j*n+i]
-			r.mem = m
-			r.owner = i
-			r.name = shmem.RegName(class, tag0+j, i)
+			r.blk = blk
+			r.idx = int32(j*n + i)
+			r.owner = int32(i)
+			blk.names[r.idx] = shmem.RegName(class, tag0+j, i)
 			if m.count {
-				r.stats = m.census.Track(class, r.name, i)
+				r.stats = m.census.Track(class, blk.names[r.idx], i)
 			}
 			flat[j*n+i] = r
 		}
@@ -261,6 +263,80 @@ func (m *DiskMem) WordRowBlock(class string, tag0, k, n int) [][]shmem.Reg {
 }
 
 var _ shmem.RowAllocator = (*DiskMem)(nil)
+
+// ReadRow implements shmem.RowReader: one scatter-gather request per disk
+// (pipe.go's gatherQuorum, as Disk Paxos reads its blocks) instead of one
+// quorum round trip per register. Every per-register property of
+// sanReg.Read holds: each register is read from a majority and folded
+// into its own monotone cache, the census notes one read per register, a
+// reclaimed register reads 0 (reads never create blocks, so a dead name
+// in the request re-creates nothing), and a lost quorum panics. regs must
+// be whole WordRowBlock rows of this memory, one after the other;
+// anything else is read register by register.
+func (m *DiskMem) ReadRow(pid int, regs []shmem.Reg, out []uint64) {
+	var few [4][]string // a consensus instance's rows; more spill to the heap
+	windows, live := m.rowWindows(regs, few[:0])
+	if windows == nil {
+		for i, r := range regs {
+			out[i] = r.Read(pid)
+		}
+		return
+	}
+	out = out[:len(regs)]
+	for i := range out {
+		out[i] = 0
+	}
+	if !live {
+		return // every register reclaimed: nothing to read
+	}
+	sp, _ := seqScratch.Get().(*[]uint64)
+	if sp == nil {
+		sp = new([]uint64)
+	}
+	seqs := append((*sp)[:0], out...) // len(regs) zeros
+	if err := gatherQuorum(m.disks, windows, seqs, out); err != nil {
+		panic(ErrNoQuorum)
+	}
+	for i := range regs {
+		out[i] = regs[i].(*sanReg).observe(pid, seqs[i], out[i])
+	}
+	*sp = seqs
+	seqScratch.Put(sp)
+}
+
+var _ shmem.RowReader = (*DiskMem)(nil)
+
+// seqScratch recycles ReadRow's per-call sequence buffers: a row is read
+// by several processes at once, so the scratch cannot live in the row.
+var seqScratch sync.Pool
+
+// rowWindows appends to windows the scatter-gather name list of each row
+// in regs when regs is whole WordRowBlock rows of this memory — nil
+// otherwise — and reports whether any register is still live. Each list
+// is a window of its block's name array, immutable for the life of the
+// block: straggler disks read a request's names after the quorum call has
+// returned (see gatherQuorum), so it must never be a reused scratch
+// buffer.
+func (m *DiskMem) rowWindows(regs []shmem.Reg, windows [][]string) (_ [][]string, live bool) {
+	for len(regs) > 0 {
+		first, ok := regs[0].(*sanReg)
+		if !ok || first.blk.mem != m || len(regs) < first.blk.n || int(first.idx)%first.blk.n != 0 {
+			return nil, false
+		}
+		n := first.blk.n
+		for i, reg := range regs[:n] {
+			r, ok := reg.(*sanReg)
+			if !ok || r.blk != first.blk || r.idx != first.idx+int32(i) {
+				return nil, false
+			}
+			live = live || !r.dead.Load()
+		}
+		lo := int(first.idx)
+		windows = append(windows, first.blk.names[lo:lo+n:lo+n])
+		regs = regs[n:]
+	}
+	return windows, live
+}
 
 // Census returns the (process-level) access census.
 func (m *DiskMem) Census() *shmem.Census { return m.census }
@@ -290,12 +366,23 @@ var _ shmem.Discarder = (*DiskMem)(nil)
 // Quorum returns the majority size.
 func (m *DiskMem) Quorum() int { return len(m.disks)/2 + 1 }
 
+// sanBlock is the identity the registers of one allocation call share:
+// the memory and their disk block names, flat by (row, process) —
+// names[j*n:(j+1)*n] is row j. Written only while the block is being
+// built. Keeping it out of the registers keeps a register at 72 bytes; a
+// default log holds nine thousand of them.
+type sanBlock struct {
+	mem   *DiskMem
+	names []string
+	n     int // row width (1 for a register allocated alone)
+}
+
 // sanReg is one replicated register. The single writer's sequence number
 // lives in writerSeq; readers never write.
 type sanReg struct {
-	mem       *DiskMem
-	owner     int
-	name      string
+	blk       *sanBlock
+	idx       int32 // position in blk.names
+	owner     int32
 	stats     *shmem.RegStats
 	writerSeq uint64 // guarded by seqMu; only the owner increments
 	seqMu     sync.Mutex
@@ -316,8 +403,8 @@ type sanReg struct {
 
 var _ shmem.Reg = (*sanReg)(nil)
 
-func (r *sanReg) Owner() int   { return r.owner }
-func (r *sanReg) Name() string { return r.name }
+func (r *sanReg) Owner() int   { return int(r.owner) }
+func (r *sanReg) Name() string { return r.blk.names[r.idx] }
 
 // Read implements shmem.Reg: majority read, highest sequence wins,
 // served through the per-disk pipelines (pipe.go) so a hot register
@@ -329,29 +416,40 @@ func (r *sanReg) Read(pid int) uint64 {
 	if r.dead.Load() {
 		return 0 // reclaimed register: nothing to read
 	}
-	bestSeq, bestVal, err := readQuorum(r.mem.disks, r.name)
+	bestSeq, bestVal, err := readQuorum(r.blk.mem.disks, r.Name())
 	if err != nil {
 		panic(ErrNoQuorum)
 	}
+	return r.observe(pid, bestSeq, bestVal)
+}
+
+// observe completes a read by pid whose quorum answered (seq, val): a
+// reclaimed register reads 0, anything else is folded into the handle's
+// monotone cache and attributed in the census. Shared by Read and
+// DiskMem.ReadRow.
+func (r *sanReg) observe(pid int, seq, val uint64) uint64 {
+	if r.dead.Load() {
+		return 0
+	}
 	r.cacheMu.Lock()
-	if !r.cacheInit || bestSeq > r.cacheSeq {
-		r.cacheSeq, r.cacheVal, r.cacheInit = bestSeq, bestVal, true
+	if !r.cacheInit || seq > r.cacheSeq {
+		r.cacheSeq, r.cacheVal, r.cacheInit = seq, val, true
 	} else {
-		bestVal = r.cacheVal
+		val = r.cacheVal
 	}
 	r.cacheMu.Unlock()
 	if r.stats != nil {
-		r.mem.census.NoteRead(r.stats, pid)
+		r.blk.mem.census.NoteRead(r.stats, pid)
 	}
-	return bestVal
+	return val
 }
 
 // Write implements shmem.Reg: tag with the next sequence number, write to
 // all disks, return after a majority acknowledged. Panics with ErrNoQuorum
 // when a majority of disks has crashed (see Read).
 func (r *sanReg) Write(pid int, v uint64) {
-	if r.owner != shmem.MultiWriter && pid != r.owner {
-		panic(fmt.Sprintf("san: process %d wrote 1WnR register %s owned by %d", pid, r.name, r.owner))
+	if r.Owner() != shmem.MultiWriter && pid != r.Owner() {
+		panic(fmt.Sprintf("san: process %d wrote 1WnR register %s owned by %d", pid, r.Name(), r.owner))
 	}
 	if r.dead.Load() {
 		return // reclaimed register: never re-create its deleted blocks
@@ -361,10 +459,10 @@ func (r *sanReg) Write(pid int, v uint64) {
 	seq := r.writerSeq
 	r.seqMu.Unlock()
 
-	if err := writeQuorum(r.mem.disks, r.name, seq, v); err != nil {
+	if err := writeQuorum(r.blk.mem.disks, r.Name(), seq, v); err != nil {
 		panic(ErrNoQuorum)
 	}
 	if r.stats != nil {
-		r.mem.census.NoteWrite(r.stats, pid, v)
+		r.blk.mem.census.NoteWrite(r.stats, pid, v)
 	}
 }

@@ -123,6 +123,33 @@ func WordRowBlock(mem Mem, class string, tag0, k, n int) [][]Reg {
 	return rows
 }
 
+// RowReader is implemented by memories where every register access is a
+// round trip (quorum disk I/O) and one round trip can carry the reads of
+// whole rows. The batch is purely a transport saving: each register is
+// read with exactly the semantics of its own Read — same freshness
+// guarantee, same census attribution (one read per register) — and no
+// atomicity across registers is promised or needed. Memories whose reads
+// are cheap simply do not implement it.
+type RowReader interface {
+	// ReadRow reads regs[i] into out[i] for every i on behalf of pid.
+	// regs is one or more whole rows as WordRowBlock returned them, end to
+	// end; len(out) >= len(regs).
+	ReadRow(pid int, regs []Reg, out []uint64)
+}
+
+// ReadRow reads regs[i] into out[i] for every i on behalf of pid: through
+// mem's batched path when it has one, and register by register in slice
+// order, each exactly once, otherwise.
+func ReadRow(mem Mem, pid int, regs []Reg, out []uint64) {
+	if rr, ok := mem.(RowReader); ok {
+		rr.ReadRow(pid, regs, out)
+		return
+	}
+	for i, r := range regs {
+		out[i] = r.Read(pid)
+	}
+}
+
 // RegName renders the canonical display name of a register.
 func RegName(class string, idx ...int) string {
 	switch len(idx) {

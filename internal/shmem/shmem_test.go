@@ -108,3 +108,66 @@ func TestWordSameNameSharesStats(t *testing.T) {
 		t.Errorf("same-name registers must share census stats: writes=%d, want 2", got)
 	}
 }
+
+// orderReg records which register was read, in order, into a shared log.
+type orderReg struct {
+	Reg
+	id  int
+	log *[]int
+}
+
+func (r orderReg) Read(pid int) uint64 {
+	*r.log = append(*r.log, r.id)
+	return r.Reg.Read(pid)
+}
+
+// batchMem is a memory with the batched-read capability; it answers
+// every register with a marker so the test can tell which path ran.
+type batchMem struct{ *SimMem }
+
+func (batchMem) ReadRow(pid int, row []Reg, out []uint64) {
+	for i := range row {
+		out[i] = 99
+	}
+}
+
+// TestReadRowFallback: on a memory without the batched-read capability
+// ReadRow is the register-by-register loop it replaces — every register of
+// the row exactly once, in slice order, attributed to the reader — so the
+// deterministic simulator and atomic memory see the access sequence they
+// always saw. A memory that has the capability is handed the whole row.
+func TestReadRowFallback(t *testing.T) {
+	mem := NewSimMem(4)
+	var order []int
+	row := make([]Reg, 4)
+	for i := range row {
+		reg := mem.Word(i, "DEC", 0, i)
+		reg.Write(i, uint64(10*i))
+		row[i] = orderReg{reg, i, &order}
+	}
+	out := make([]uint64, len(row))
+	ReadRow(mem, 3, row, out)
+	for i := range row {
+		if out[i] != uint64(10*i) {
+			t.Errorf("out[%d] = %d, want %d", i, out[i], 10*i)
+		}
+		if i >= len(order) || order[i] != i {
+			t.Fatalf("registers visited in order %v, want each once in slice order", order)
+		}
+	}
+	if len(order) != len(row) {
+		t.Fatalf("registers visited in order %v, want each once in slice order", order)
+	}
+	snap := mem.Census().Snapshot()
+	for i := range row {
+		if got := snap.Regs[RegName("DEC", 0, i)].ReadsBy[3]; got != 1 {
+			t.Errorf("census: DEC[0][%d] read %d times by process 3, want 1", i, got)
+		}
+	}
+
+	order = order[:0]
+	ReadRow(batchMem{mem}, 3, row, out)
+	if len(order) != 0 || out[0] != 99 || out[3] != 99 {
+		t.Errorf("a RowReader memory must serve the row itself: visited %v, out %v", order, out)
+	}
+}
