@@ -20,6 +20,11 @@ type LiveConfig struct {
 	// InitialTimeout is the value every TimerMachine's timer is first set
 	// to; default 1 (as in the simulator).
 	InitialTimeout uint64
+	// Epoch is the zero of the engine clock; default the moment of Start.
+	// Engines whose machines exchange clock readings — the replicas of one
+	// store judge a shared lease expiry, each from its own engine — must
+	// share one epoch.
+	Epoch time.Time
 }
 
 func (c *LiveConfig) normalize() {
@@ -36,7 +41,8 @@ func (c *LiveConfig) normalize() {
 // wake hint, a Notify wakes a machine immediately (a parked KV replica
 // wakes on Put enqueue instead of at the next poll tick), and a machine
 // hinting WakeNow is re-stepped back to back, so bursts drain at CPU
-// speed. Time is vclock.Time nanoseconds since Start.
+// speed. Time is vclock.Time nanoseconds since Start (or since
+// LiveConfig.Epoch, for engines that share a clock).
 type Live struct {
 	cfg   LiveConfig
 	start time.Time
@@ -130,9 +136,10 @@ func (q *eventQueue) Pop() interface{} {
 func NewLive(cfg LiveConfig) *Live {
 	cfg.normalize()
 	return &Live{
-		cfg:  cfg,
-		kick: make(chan struct{}, 1),
-		halt: make(chan struct{}),
+		cfg:   cfg,
+		start: cfg.Epoch,
+		kick:  make(chan struct{}, 1),
+		halt:  make(chan struct{}),
 	}
 }
 
@@ -165,10 +172,10 @@ func (e *Live) Add(m Machine, opts ...AddOpt) int {
 	return len(e.machines) - 1
 }
 
-// now returns nanoseconds since Start.
+// now returns nanoseconds since the engine's epoch.
 func (e *Live) now() vclock.Time { return int64(time.Since(e.start)) }
 
-// Now returns the engine clock — nanoseconds since Start — for callers
+// Now returns the engine clock — nanoseconds since the epoch — for callers
 // outside machine activations (a machine should use the time its Step
 // was handed). Lease validity checks on read paths use this: leases are
 // granted and judged against one clock, the engine's.
@@ -186,12 +193,15 @@ func (e *Live) Start() error {
 		return fmt.Errorf("engine: already started")
 	}
 	e.started = true
-	e.start = time.Now()
+	if e.start.IsZero() {
+		e.start = time.Now()
+	}
+	base := e.now() // 0 unless the epoch predates Start
 	for id, m := range e.machines {
-		e.push(event{at: m.firstAt, kind: evStep, id: id, gen: m.stepGen})
+		e.push(event{at: base + m.firstAt, kind: evStep, id: id, gen: m.stepGen})
 		if m.tm != nil {
 			e.push(event{
-				at:   vclock.Time(e.cfg.InitialTimeout) * int64(e.cfg.TimerUnit),
+				at:   base + vclock.Time(e.cfg.InitialTimeout)*int64(e.cfg.TimerUnit),
 				kind: evTimer, id: id,
 			})
 		}

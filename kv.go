@@ -272,9 +272,25 @@ type KV struct {
 	// environment the shared driver, watcher and write tracker run in.
 	kvEnv
 
-	eng     *engine.Live
-	ids     []int // engine machine id of each replica's driver
+	// engs are the schedulers, sharing one clock epoch: lease words hold
+	// engine nanoseconds, and every party judges them against that clock.
+	// engs[0] runs the leadership watcher and is the one whose Done reports
+	// the store closed. On a substrate whose register accesses are memory
+	// operations it also runs every replica, so a commit wave is a few
+	// back-to-back steps of one goroutine; where accesses block in I/O
+	// each replica has a scheduler of its own, as each election process
+	// does in internal/rt: a follower's learning reads, or a slow quorum,
+	// must not sit between the leader's steps.
+	engs []*engine.Live
+	// at[i] is replica i's driver machine: its scheduler and its id there.
+	at      []machineRef
 	commits *broadcast
+}
+
+// machineRef names one machine of one live engine.
+type machineRef struct {
+	eng *engine.Live
+	id  int
 }
 
 // broadcast is a reusable close-channel broadcast: waiters grab the
@@ -370,7 +386,8 @@ func checkLogShape(layer string, n, slots, batch, ckpt int) error {
 
 // NewKV builds and starts the cluster's replicated key-value store: one
 // replica per process over a freshly allocated log on the cluster's
-// shared memory, each driven as a wake-hinted machine of a live engine.
+// shared memory, each driven as a wake-hinted machine of a live engine
+// (one engine for all of them on atomic registers, one each on the SAN).
 // A cluster serves at most one KV in its lifetime (the log's register
 // namespace is claimed permanently); a second call errors. Call Close to
 // stop replication.
@@ -379,8 +396,9 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		return nil, fmt.Errorf("omegasm: nil cluster")
 	}
 	set := &kvSettings{slots: 1024, interval: c.stepInterval(), burst: 8, batch: 1, ckpt: ckptAuto, lease: leaseAuto}
-	if c.DiskCount() > 0 {
-		set.burst = 2 // SAN steps cost quorum I/O; idle bursts are not free
+	blocking := c.DiskCount() > 0 // a register access is quorum disk I/O
+	if blocking {
+		set.burst = 2 // idle bursts are not free
 	}
 	for _, o := range opts {
 		if o == nil {
@@ -428,9 +446,15 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	kv := &KV{
 		c:        c,
 		interval: set.interval,
-		eng:      engine.NewLive(engine.LiveConfig{}),
 		commits:  newBroadcast(),
 	}
+	epoch := time.Now()
+	newEngine := func() *engine.Live {
+		eng := engine.NewLive(engine.LiveConfig{Epoch: epoch})
+		kv.engs = append(kv.engs, eng)
+		return eng
+	}
+	shared := newEngine()
 	kv.kvEnv = kvEnv{
 		stores: make([]*consensus.KV, n),
 		leader: func() (int, bool) {
@@ -438,7 +462,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			return l, ok && l >= 0 && !c.Crashed(l)
 		},
 		alive: func(p int) bool { return !c.Crashed(p) },
-		wake:  func(i int) { kv.eng.Notify(kv.ids[i]) },
+		wake:  func(i int) { kv.at[i].eng.Notify(kv.at[i].id) },
 		// Wake the other replicas to learn the new decisions — but only from
 		// the commit's origin. A follower that merely learned entries would
 		// otherwise re-notify all peers per wave, turning one commit into
@@ -463,29 +487,40 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		if kv.stores[i], err = newStore(log, i, c.oracle(i), kv.lease); err != nil {
 			return nil, fmt.Errorf("omegasm: kv replica %d: %w", i, err)
 		}
-		kv.ids = append(kv.ids, kv.eng.Add(&kvMachine{kv, replicaDriver{env: &kv.kvEnv, idx: i}}))
+		eng := shared
+		if blocking {
+			eng = newEngine()
+		}
+		kv.at = append(kv.at, machineRef{eng, eng.Add(&kvMachine{kv, replicaDriver{env: &kv.kvEnv, idx: i}})})
 	}
 	// The leadership watcher polls at the fallback cadence.
 	watcher := leaderWatcher{env: &kv.kvEnv, last: -1}
-	kv.eng.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
+	shared.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
 		watcher.observe()
 		return engine.At(now + int64(set.interval))
 	}))
-	if err := kv.eng.Start(); err != nil {
-		return nil, err
+	for _, eng := range kv.engs {
+		if err := eng.Start(); err != nil {
+			kv.Close()
+			return nil, err
+		}
 	}
 	return kv, nil
 }
 
-// Close stops the replication engine. Reads keep answering from the
-// frozen applied state; writes stop committing, and blocking calls (Put,
-// PutAll, linearizable Read) — in flight or issued later — return
-// ErrClosed. Idempotent.
-func (kv *KV) Close() { kv.eng.Stop() }
+// Close stops the replication engines and joins them. Reads keep
+// answering from the frozen applied state; writes stop committing, and
+// blocking calls (Put, PutAll, linearizable Read) — in flight or issued
+// later — return ErrClosed. Idempotent.
+func (kv *KV) Close() {
+	for _, eng := range kv.engs {
+		eng.Stop()
+	}
+}
 
 // now reads the engine clock every lease word is granted and judged
 // against.
-func (kv *KV) now() vclock.Time { return kv.eng.Now() }
+func (kv *KV) now() vclock.Time { return kv.engs[0].Now() }
 
 // readStore picks the replica to answer reads: the agreed leader's (it
 // commits first, so it is the freshest), else the freshest live replica.
@@ -573,7 +608,7 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 			t.add(cmd)
 		}
 	}
-	return pollUntil(ctx, kv.eng, kv.commits, kv.interval, func() (bool, error) {
+	return pollUntil(ctx, kv.engs[0].Done(), kv.commits, kv.interval, func() (bool, error) {
 		now := kv.now()
 		if t.confirm(now); t.outstanding == 0 {
 			return true, nil
@@ -593,9 +628,9 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 // attempts on progress's broadcast rather than a poll loop; the fallback
 // ticker only paces the retry path (leadership moved, log pressure, a
 // signal racing the attempt). It returns ctx's error on cancellation and
-// ErrClosed once eng has been stopped — nothing is left to finish the
-// call.
-func pollUntil(ctx context.Context, eng *engine.Live, progress *broadcast, interval time.Duration, attempt func() (done bool, err error)) error {
+// ErrClosed once closed is — the engine has been stopped and nothing is
+// left to finish the call.
+func pollUntil(ctx context.Context, closed <-chan struct{}, progress *broadcast, interval time.Duration, attempt func() (done bool, err error)) error {
 	ticker := time.NewTicker(interval)
 	defer ticker.Stop()
 	for {
@@ -609,7 +644,7 @@ func pollUntil(ctx context.Context, eng *engine.Live, progress *broadcast, inter
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-eng.Done():
+		case <-closed:
 			return ErrClosed
 		case <-signalled:
 		case <-ticker.C:
@@ -673,7 +708,7 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (val uint16, found boo
 	}
 	fencedFrom := -1 // leader the fence generation below was taken from
 	var gen uint64
-	err = pollUntil(ctx, kv.eng, kv.commits, kv.interval, func() (bool, error) {
+	err = pollUntil(ctx, kv.engs[0].Done(), kv.commits, kv.interval, func() (bool, error) {
 		l, ok := kv.leader()
 		if !ok {
 			return false, nil

@@ -2,6 +2,8 @@ package omegasm
 
 import (
 	"context"
+	"errors"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -140,5 +142,97 @@ func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
 		}
 		kv.Close()
 		c.Stop()
+	}
+}
+
+// TestSANStoreSchedulerLifecycle drives the one-scheduler-per-replica
+// store through its life: a PutAll survives the leader and a minority of
+// disks crashing under it, a Put in flight when Close lands returns
+// ErrClosed, a second Close is a no-op, and Close joined every scheduler
+// — the goroutine count is back to what it was before NewKV (the
+// cluster's own processes and disk pumps). Not parallel: it counts
+// goroutines.
+func TestSANStoreSchedulerLifecycle(t *testing.T) {
+	c, err := New(WithN(3), WithSAN(SANConfig{Disks: 5}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	leader, ok := c.WaitForAgreement(30 * time.Second)
+	if !ok {
+		t.Fatal("no agreement over the SAN")
+	}
+	before := runtime.NumGoroutine()
+	kv, err := NewKV(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	if got := len(kv.engs); got != c.N()+1 {
+		t.Fatalf("SAN store runs %d schedulers, want one per replica plus the watcher's", got)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	if err := kv.Put(ctx, 1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	entries := make([]Entry, 200) // long enough to straddle the crashes
+	for i := range entries {
+		entries[i] = Entry{Key: uint16(100 + i), Val: uint16(i)}
+	}
+	result := make(chan error, 1)
+	go func() { result <- kv.PutAll(ctx, entries...) }()
+	if err := c.Crash(leader); err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 2; d++ {
+		if err := c.CrashDisk(d); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-result; err != nil {
+		t.Fatalf("PutAll across a leader crash and two disk crashes: %v", err)
+	}
+	for _, e := range entries {
+		if v, ok := kv.Get(e.Key); !ok || v != e.Val {
+			t.Fatalf("key %d = %d,%v after PutAll returned, want %d", e.Key, v, ok, e.Val)
+		}
+	}
+
+	// With every process crashed a Put can only block; Close must end it.
+	for p := 0; p < c.N(); p++ {
+		if err := c.Crash(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	go func() { result <- kv.Put(context.Background(), 2, 2) }()
+	select {
+	case err := <-result:
+		t.Fatalf("Put returned %v with no process left to serve it", err)
+	case <-time.After(30 * time.Millisecond): // blocked, as it must be
+	}
+	kv.Close()
+	select {
+	case err := <-result:
+		if !errors.Is(err, ErrClosed) {
+			t.Fatalf("in-flight Put got %v, want ErrClosed", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("Put still blocked 2s after Close")
+	}
+	kv.Close() // idempotent
+
+	deadline := time.Now().Add(time.Second)
+	for runtime.NumGoroutine() > before {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			t.Fatalf("%d goroutines a second after Close, %d before NewKV:\n%s",
+				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

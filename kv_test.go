@@ -457,24 +457,28 @@ func TestKVCloseIdempotent(t *testing.T) {
 // when Close arrives.
 func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
 	ctx := context.Background() // no deadline: only Close can end the call
+	putAll := func(kv *omegasm.KV) error {
+		return kv.PutAll(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 2, Val: 2})
+	}
 	for _, tc := range []struct {
 		name     string
 		inFlight bool
+		san      bool // one scheduler per replica: Close joins them all
 		call     func(kv *omegasm.KV) error
 	}{
-		{"put-after-close", false, func(kv *omegasm.KV) error { return kv.Put(ctx, 1, 1) }},
-		{"read-quorum-after-close", false, func(kv *omegasm.KV) error {
+		{"put-after-close", false, false, func(kv *omegasm.KV) error { return kv.Put(ctx, 1, 1) }},
+		{"put-after-close-on-SAN", false, true, func(kv *omegasm.KV) error { return kv.Put(ctx, 1, 1) }},
+		{"read-quorum-after-close", false, false, func(kv *omegasm.KV) error {
 			_, _, err := kv.Read(ctx, 1, omegasm.ReadQuorum)
 			return err
 		}},
-		{"close-during-PutAll", true, func(kv *omegasm.KV) error {
-			return kv.PutAll(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 2, Val: 2})
-		}},
-		{"close-during-ReadQuorum", true, func(kv *omegasm.KV) error {
+		{"close-during-PutAll", true, false, putAll},
+		{"close-during-PutAll-on-SAN", true, true, putAll},
+		{"close-during-ReadQuorum", true, false, func(kv *omegasm.KV) error {
 			_, _, err := kv.Read(ctx, 1, omegasm.ReadQuorum)
 			return err
 		}},
-		{"close-during-ReadLease-fallback", true, func(kv *omegasm.KV) error {
+		{"close-during-ReadLease-fallback", true, false, func(kv *omegasm.KV) error {
 			_, _, err := kv.Read(ctx, 1, omegasm.ReadLease)
 			return err
 		}},
@@ -482,8 +486,15 @@ func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
-			c := startCluster(t, fastOpts(3)...)
-			if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
+			opts := fastOpts(3)
+			if tc.san {
+				opts = []omegasm.Option{
+					omegasm.WithN(3), omegasm.WithSAN(omegasm.SANConfig{Disks: 3}),
+					omegasm.WithStepInterval(500 * time.Microsecond), omegasm.WithTimerUnit(10 * time.Millisecond),
+				}
+			}
+			c := startCluster(t, opts...)
+			if _, ok := c.WaitForAgreement(30 * time.Second); !ok {
 				t.Fatal("no agreement")
 			}
 			kv, err := omegasm.NewKV(c, omegasm.KVLease(2*time.Millisecond))

@@ -125,7 +125,7 @@ func (c *Cluster) Propose(ctx context.Context, v uint32) (uint32, error) {
 	defer a.waiters.Add(-1)
 	a.eng.Notify(a.id)
 	var val uint32
-	err = pollUntil(ctx, a.eng, a.done, c.stepInterval(), func() (ok bool, _ error) {
+	err = pollUntil(ctx, a.eng.Done(), a.done, c.stepInterval(), func() (ok bool, _ error) {
 		val, ok = a.decided()
 		return ok, nil
 	})
