@@ -49,20 +49,25 @@ const (
 // NoValue is returned by Decided when no decision is known yet.
 const NoValue = uint32(0xFFFFFFFF)
 
-// Instance is the shared memory of one consensus instance.
+// Instance is the shared memory of one consensus instance: three rows of
+// N registers, register i of each owned by process i.
+//
+//	MBAL[i]    highest ballot i entered
+//	BALINP[i]  (bal<<32 | value) i last accepted
+//	DEC[i]     (1<<32 | value) once i decided
 type Instance struct {
 	// N is the number of participating processes.
-	N      int
-	MBal   []shmem.Reg // [i] owned by i: highest ballot i entered
-	BalInp []shmem.Reg // [i] owned by i: (bal<<32 | value) i last accepted
-	Dec    []shmem.Reg // [i] owned by i: (1<<32 | value) once i decided
-
-	// mem is where the rows live and blocks is MBal followed by BalInp in
-	// one slice (the two fields above are its halves): a scan reads every
-	// process's block in one shmem.ReadRow.
-	mem    shmem.Mem
-	blocks []shmem.Reg
+	N int
+	// mem is where the rows live (for shmem.ReadRow) and regs holds them
+	// end to end — MBAL, BALINP, DEC — so a scan (the first two rows) and
+	// a decision poll (the third) are one ReadRow each.
+	mem  shmem.Mem
+	regs []shmem.Reg
 }
+
+func (inst *Instance) mbal(i int) shmem.Reg   { return inst.regs[i] }
+func (inst *Instance) balInp(i int) shmem.Reg { return inst.regs[inst.N+i] }
+func (inst *Instance) dec(i int) shmem.Reg    { return inst.regs[2*inst.N+i] }
 
 // NewInstance allocates the registers of one consensus instance. tag
 // distinguishes instances sharing one memory (e.g. log slots).
@@ -85,12 +90,11 @@ func NewInstances(mem shmem.Mem, n, tag0, k int) []Instance {
 	bi := shmem.WordRowBlock(mem, ClassBalInp, tag0, k, n)
 	dec := shmem.WordRowBlock(mem, ClassDec, tag0, k, n)
 	insts := make([]Instance, k)
-	blocks := make([]shmem.Reg, 0, 2*k*n)
+	regs := make([]shmem.Reg, 0, 3*k*n)
 	for j := range insts {
-		lo := len(blocks)
-		blocks = append(append(blocks, mb[j]...), bi[j]...)
-		b := blocks[lo : lo+2*n : lo+2*n]
-		insts[j] = Instance{N: n, MBal: b[:n:n], BalInp: b[n:], Dec: dec[j], mem: mem, blocks: b}
+		lo := len(regs)
+		regs = append(append(append(regs, mb[j]...), bi[j]...), dec[j]...)
+		insts[j] = Instance{N: n, mem: mem, regs: regs[lo:len(regs):len(regs)]}
 	}
 	return insts
 }
@@ -109,7 +113,7 @@ func unpackDec(w uint64) (v uint32, ok bool) {
 // caller's reusable buffer of N words: the poll runs every micro-step, so
 // it must not allocate.
 func (inst *Instance) readDecision(pid int, row []uint64) (v uint32, ok bool) {
-	shmem.ReadRow(inst.mem, pid, inst.Dec, row)
+	shmem.ReadRow(inst.mem, pid, inst.regs[2*inst.N:], row)
 	for _, w := range row[:inst.N] {
 		if v, ok := unpackDec(w); ok {
 			return v, true
@@ -244,7 +248,7 @@ func (p *Proposer) Step(vclock.Time) {
 		if maxBal > 0 {
 			p.chosen = maxVal
 		}
-		p.inst.BalInp[p.id].Write(p.id, packBalInp(p.ballot, p.chosen))
+		p.inst.balInp(p.id).Write(p.id, packBalInp(p.ballot, p.chosen))
 		p.phase = phase2
 	case phase2:
 		if p.omega() != p.id {
@@ -267,7 +271,7 @@ func (p *Proposer) decide(v uint32) {
 	p.phase = phaseDone
 	// Publish (a winner) or republish (an adopter) so laggards can learn
 	// from any register of the row.
-	p.inst.Dec[p.id].Write(p.id, packDec(v))
+	p.inst.dec(p.id).Write(p.id, packDec(v))
 }
 
 // startBallot picks the next ballot above floor that is congruent to this
@@ -277,7 +281,7 @@ func (p *Proposer) startBallot(floor uint32) {
 	b := (floor/n + 1) * n // smallest multiple of n strictly above floor
 	p.ballot = b + uint32(p.id) + 1
 	p.rounds++
-	p.inst.MBal[p.id].Write(p.id, uint64(p.ballot))
+	p.inst.mbal(p.id).Write(p.id, uint64(p.ballot))
 	p.phase = phase1
 }
 
@@ -286,7 +290,7 @@ func (p *Proposer) startBallot(floor uint32) {
 // highest accepted ballot.
 func (p *Proposer) scan() (maxMBal uint32, maxBal uint32, maxVal uint32) {
 	n := p.inst.N
-	shmem.ReadRow(p.inst.mem, p.id, p.inst.blocks, p.row)
+	shmem.ReadRow(p.inst.mem, p.id, p.inst.regs[:2*n], p.row)
 	for _, w := range p.row[:n] {
 		if m := uint32(w); m > maxMBal {
 			maxMBal = m

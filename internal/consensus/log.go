@@ -509,10 +509,8 @@ func (l *Log) advance(newBase int) {
 		// blocks, census rows — so an unbounded stream has a bounded
 		// footprint.
 		if old := l.ring[g%n]; old != nil {
-			for i := 0; i < l.N; i++ {
-				shmem.DiscardIfPossible(l.mem, old.MBal[i])
-				shmem.DiscardIfPossible(l.mem, old.BalInp[i])
-				shmem.DiscardIfPossible(l.mem, old.Dec[i])
+			for _, reg := range old.regs {
+				shmem.DiscardIfPossible(l.mem, reg)
 			}
 		}
 		l.ring[g%n] = &fresh[j]

@@ -185,3 +185,43 @@ func TestLiveStopIdempotentAndOutOfRange(t *testing.T) {
 	}
 	e.Notify(99) // must not panic
 }
+
+// TestLiveSharedEpoch: engines built on one epoch read one clock — valid
+// before Start, which is what lets machines on different schedulers
+// judge a shared expiry — while first-step deadlines stay relative to
+// Start, however old the epoch is.
+func TestLiveSharedEpoch(t *testing.T) {
+	const age = time.Hour
+	epoch := time.Now().Add(-age)
+	a := NewLive(LiveConfig{Epoch: epoch})
+	b := NewLive(LiveConfig{Epoch: epoch})
+	defer a.Stop()
+	defer b.Stop()
+	if na, nb := a.Now(), b.Now(); na < int64(age) || nb < na || nb-na > int64(time.Second) {
+		t.Fatalf("clocks before Start: %d and %d, want both just past %d", na, nb, int64(age))
+	}
+	const first = 20 * time.Millisecond
+	stepped := make(chan vclock.Time, 1)
+	a.Add(MachineFunc(func(now vclock.Time) Hint {
+		stepped <- now
+		return Park()
+	}), FirstStepAt(int64(first)))
+	started := a.Now()
+	if err := a.Start(); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Start(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case now := <-stepped:
+		if now < started+int64(first) {
+			t.Errorf("first step at %d, before Start (%d) + %v", now, started, first)
+		}
+		if nb := b.Now(); nb < now || nb-now > int64(time.Second) {
+			t.Errorf("engine b reads %d while a's machine stepped at %d", nb, now)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("machine never stepped")
+	}
+}
