@@ -185,7 +185,8 @@ func NewProposer(inst *Instance, id int, input uint32, omega func() int) (*Propo
 // the allocation: a replica would otherwise construct one proposer per
 // slot it leads, which is the dominant per-commit heap allocation on the
 // steady-state write path. The caller guarantees input is not NoValue
-// (the same contract NewProposer validates).
+// (the same contract NewProposer validates) and that inst has as many
+// processes as the instance the proposer was built on (row is sized once).
 func (p *Proposer) reset(inst *Instance, input uint32) {
 	p.inst = inst
 	p.input = input
@@ -196,9 +197,6 @@ func (p *Proposer) reset(inst *Instance, input uint32) {
 	p.value = 0
 	p.rounds = 0
 	p.wonBallot = false
-	if len(p.row) != 2*inst.N {
-		p.row = make([]uint64, 2*inst.N)
-	}
 }
 
 // WonBallot reports whether the decided value was decided by this

@@ -59,11 +59,13 @@ const (
 // their quorumCall and are reused across calls; every request field is
 // rewritten at submission.
 type pipeOp struct {
-	kind      pipeKind
-	name      string     // opRead / opWrite block name
-	names     [][]string // opGather block names, window after window: the call's own list of aliased, caller-immutable windows
-	seq, val  uint64     // opWrite payload
-	submitted time.Time  // latency accounting starts at submission
+	kind pipeKind
+	name string // opRead / opWrite block name
+	// names are the opGather block names, window after window: the call's
+	// own list (quorumCall.windows) of aliased, caller-immutable windows.
+	names     [][]string
+	seq, val  uint64    // opWrite payload
+	submitted time.Time // latency accounting starts at submission
 
 	rseq, rval uint64   // opRead result
 	seqs, vals []uint64 // opGather results, one per name, buffers reused

@@ -73,13 +73,9 @@ const ckptAuto = -1
 // whenever the log can carry the catch-up barrier.
 const leaseAuto = time.Duration(-1)
 
-// defaultLeaseUnits is the auto-enabled lease duration in units of the
-// cluster's timer unit: 20ms on atomic registers (2ms unit), 250ms on the
-// SAN (25ms unit).
-const defaultLeaseUnits = 10
-
 // defaultLeaseDur derives the auto-enabled lease duration from the
-// cluster's own pacing. A lease must outlive the longest gap between two
+// cluster's own pacing: ten timer units, which is 20ms on atomic
+// registers (2ms unit) and 250ms on the SAN (25ms unit). A lease must outlive the longest gap between two
 // activations of its holder, or the grant lapses under a leader that
 // never stopped leading — and every lapse costs a re-acquisition under a
 // new epoch plus a catch-up barrier slot, and keeps lease reads dark. On
@@ -91,7 +87,7 @@ const defaultLeaseUnits = 10
 // successor waits out the dead leader's grant, which stays inside what
 // detection and re-agreement cost on the same timer unit anyway.
 func defaultLeaseDur(c *Cluster) time.Duration {
-	return defaultLeaseUnits * c.set.timerUnit
+	return 10 * c.set.timerUnit
 }
 
 type kvSettings struct {

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// startSANStore starts an n=3 cluster over five simulated disks of the
-// given per-operation latency with substrate-default pacing, waits for
-// agreement and opens a default-options store on it.
-func startSANStore(t *testing.T, latency time.Duration, opts ...KVOption) (*Cluster, *KV) {
+// startSANCluster starts an n=3 cluster over five simulated disks of the
+// given per-operation latency with substrate-default pacing and waits for
+// agreement.
+func startSANCluster(t *testing.T, latency time.Duration) (c *Cluster, leader int) {
 	t.Helper()
 	c, err := New(WithN(3), WithSAN(SANConfig{Disks: 5, BaseLatency: latency, Jitter: latency / 2}))
 	if err != nil {
@@ -21,10 +21,18 @@ func startSANStore(t *testing.T, latency time.Duration, opts ...KVOption) (*Clus
 		t.Fatal(err)
 	}
 	t.Cleanup(c.Stop)
-	if _, ok := c.WaitForAgreement(30 * time.Second); !ok {
+	leader, ok := c.WaitForAgreement(30 * time.Second)
+	if !ok {
 		t.Fatal("no agreement over the SAN")
 	}
-	kv, err := NewKV(c, opts...)
+	return c, leader
+}
+
+// startSANStore opens a default-options store on such a cluster.
+func startSANStore(t *testing.T, latency time.Duration) (*Cluster, *KV) {
+	t.Helper()
+	c, _ := startSANCluster(t, latency)
+	kv, err := NewKV(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,18 +161,7 @@ func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
 // cluster's own processes and disk pumps). Not parallel: it counts
 // goroutines.
 func TestSANStoreSchedulerLifecycle(t *testing.T) {
-	c, err := New(WithN(3), WithSAN(SANConfig{Disks: 5}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Start(); err != nil {
-		t.Fatal(err)
-	}
-	defer c.Stop()
-	leader, ok := c.WaitForAgreement(30 * time.Second)
-	if !ok {
-		t.Fatal("no agreement over the SAN")
-	}
+	c, leader := startSANCluster(t, 0)
 	before := runtime.NumGoroutine()
 	kv, err := NewKV(c)
 	if err != nil {
