@@ -9,7 +9,6 @@ package omegasm_test
 
 import (
 	"context"
-	"sync"
 	"testing"
 	"time"
 
@@ -213,61 +212,6 @@ func BenchmarkAtomicRegister(b *testing.B) {
 	}
 }
 
-// BenchmarkCensusContention compares instrumented register-access
-// throughput under the retired global-mutex census and the lock-free
-// census, with 8 concurrent processes hammering the registers while a
-// monitor snapshots (the shape of an instrumented, stats-polled cluster).
-// `go test -bench CensusContention` shows the ns/op gap; the calibrated
-// throughput/speedup numbers come from `omegabench -bench`.
-func BenchmarkCensusContention(b *testing.B) {
-	const procs = 8
-	b.Run("mutex", func(b *testing.B) {
-		benchContended(b, harness.MutexCensusWorkload(procs))
-	})
-	b.Run("lockfree", func(b *testing.B) {
-		benchContended(b, harness.LockFreeCensusWorkload(procs))
-	})
-}
-
-// benchContended splits b.N iterations across the workload's goroutines
-// with a concurrent snapshot monitor polling every 100us (a realistic
-// stats poller); one iteration is one write plus a procs-wide read scan.
-func benchContended(b *testing.B, w harness.CensusWorkload) {
-	b.ReportAllocs()
-	stop := make(chan struct{})
-	var monWG sync.WaitGroup
-	monWG.Add(1)
-	go func() {
-		defer monWG.Done()
-		ticker := time.NewTicker(100 * time.Microsecond)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-ticker.C:
-				w.Snapshot()
-			}
-		}
-	}()
-	per := b.N/w.Procs + 1
-	b.ResetTimer()
-	var wg sync.WaitGroup
-	for pid := 0; pid < w.Procs; pid++ {
-		wg.Add(1)
-		go func(pid int) {
-			defer wg.Done()
-			for k := 0; k < per; k++ {
-				w.Access(pid, k)
-			}
-		}(pid)
-	}
-	wg.Wait()
-	b.StopTimer()
-	close(stop)
-	monWG.Wait()
-}
-
 // BenchmarkFleetLeaderQueries measures the Fleet's cached Leader fast
 // path: 4 running clusters of 3 processes each, queried from parallel
 // goroutines. The answer is one atomic load, so ns/op should stay flat no
@@ -308,8 +252,7 @@ func BenchmarkFleetLeaderQueries(b *testing.B) {
 // BenchmarkKVThroughput measures the public replicated key-value store:
 // each iteration is one synchronous Put — submitted to the Omega-elected
 // leader, committed through the Disk-Paxos log, applied at the reading
-// replica. `omegabench -bench` runs the wall-clock variant of this and
-// records it in BENCH_kv_throughput.json.
+// replica.
 func BenchmarkKVThroughput(b *testing.B) {
 	c, err := omegasm.New(
 		omegasm.WithN(3),
@@ -350,8 +293,6 @@ func BenchmarkKVThroughput(b *testing.B) {
 // few hundred the stream is many times the slot capacity, so the rate
 // includes the full checkpoint seal/publish/quorum-ack/recycle cycle. A
 // fixed-capacity log would fail with ErrLogFull almost immediately.
-// `omegabench -bench` runs the wall-clock async variant and records it in
-// BENCH_kv_sustained.json.
 func BenchmarkKVSustained(b *testing.B) {
 	c, err := omegasm.New(
 		omegasm.WithN(3),
@@ -392,9 +333,8 @@ func BenchmarkKVSustained(b *testing.B) {
 // end: b.N committed writes pushed through MultiPut groups (so per-shard
 // proposal batching engages), at 1 and 4 shards. One op is one committed
 // write. These are wall-clock numbers and therefore bounded by the host's
-// core count — the architecture's parallel capacity is measured exactly
-// by the virtual-time scaling benchmark (`omegabench -bench`,
-// BENCH_shardedkv_scaling.json).
+// core count — the architecture's parallel capacity is asserted exactly,
+// in virtual time, by TestSimShardedKVSaturationScalesWithShards.
 func BenchmarkShardedKVThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run("shards="+stats.I(shards), func(b *testing.B) {
@@ -433,40 +373,6 @@ func BenchmarkShardedKVThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 				done += n
-			}
-		})
-	}
-}
-
-// BenchmarkKVWakeDriven shows the polling-vs-wake gap of the engine
-// refactor on the same pinned-leader consensus stack: "polling" is the
-// pre-engine pipeline (consensus.Drive ticking every machine each
-// interval, the writer polling for its commit on the same cadence);
-// "wake" is the engine path (submit notifies the leader machine, bursts
-// drain back to back, the commit wakes the writer). One iteration is one
-// synchronous committed write. `omegabench -bench` runs the wall-clock
-// variant and records it in BENCH_engine_wakeup.json.
-func BenchmarkKVWakeDriven(b *testing.B) {
-	const interval = 200 * time.Microsecond // the shared engine default
-	for _, mode := range []struct {
-		name string
-		mk   func(procs, slots int, interval time.Duration) (*harness.KVDriver, error)
-	}{
-		{"polling", harness.NewPollingKVDriver},
-		{"wake", harness.NewWakeKVDriver},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			d, err := mode.mk(3, 2*b.N+64, interval)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer d.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := d.Put(); err != nil {
-					b.Fatal(err)
-				}
 			}
 		})
 	}

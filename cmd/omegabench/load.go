@@ -2,16 +2,14 @@ package main
 
 import (
 	"fmt"
-	"os"
 	"reflect"
 	"time"
 
 	"omegasm"
-	"omegasm/internal/harness"
 	"omegasm/load"
 )
 
-// loadSpec is the workload the -load benchmark runs against both
+// loadSpec is the workload the load subcommand runs against both
 // substrates: a Poisson client population over a Zipf-skewed key space,
 // split into an interactive SLO class and a batch SLO class.
 func loadSpec(dur time.Duration) load.Spec {
@@ -32,14 +30,24 @@ func loadSpec(dur time.Duration) load.Spec {
 	}
 }
 
-// runLoad executes the latency-under-load benchmark: the same open-loop
-// spec against the simulated sharded store (twice, asserting the runs
-// are byte-identical) and against a live ShardedKV, then scores the
-// sim's percentile predictions against the live measurements and writes
-// BENCH_latency_under_load.json.
-func runLoad(dir string, dur time.Duration) int {
+// runLoad is the load subcommand: the same open-loop spec against the
+// simulated sharded store (twice, asserting the runs are byte-identical)
+// and against a live ShardedKV, then the score of the sim's percentile
+// predictions against the live measurements.
+func runLoad(args []string) int {
+	fs, prof := newFlagSet("load")
+	dur := fs.Duration("dur", 2*time.Second, "arrival window of the workload")
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	stop, err := prof.start()
+	if err != nil {
+		return fail(err)
+	}
+	defer stop()
+
 	const shards, procs = 2, 3
-	spec := loadSpec(dur)
+	spec := loadSpec(*dur)
 
 	fmt.Printf("latency under load: %q, %v window, %.0f req/s over %d clients, %d shards x %d procs\n",
 		spec.Name, spec.Duration, spec.Rate, spec.Clients, shards, procs)
@@ -47,74 +55,26 @@ func runLoad(dir string, dur time.Duration) int {
 	simOpts := load.SimOptions{Shards: shards, N: procs}
 	simRep, err := load.RunSim(&spec, simOpts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omegabench: sim load run: %v\n", err)
-		return 1
+		return fail(fmt.Errorf("sim load run: %w", err))
 	}
 	simAgain, err := load.RunSim(&spec, simOpts)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omegabench: sim load rerun: %v\n", err)
-		return 1
+		return fail(fmt.Errorf("sim load rerun: %w", err))
 	}
 	if !reflect.DeepEqual(simRep, simAgain) {
-		fmt.Fprintf(os.Stderr, "omegabench: sim load run is not reproducible:\n%+v\n%+v\n", simRep, simAgain)
-		return 1
+		return fail(fmt.Errorf("sim load run is not reproducible:\n%+v\n%+v", simRep, simAgain))
 	}
 	fmt.Printf("\n%s(repeated run byte-identical)\n", simRep.String())
 
 	liveRep, err := runLoadLive(&spec, shards, procs)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omegabench: live load run: %v\n", err)
-		return 1
+		return fail(fmt.Errorf("live load run: %w", err))
 	}
 	fmt.Printf("\n%s", liveRep.String())
 
 	calib := load.Calibrate(&simRep, &liveRep)
 	fmt.Printf("\nsim-vs-live calibration over %d percentile pairs: MAPE %.1f%%, Pearson r %.3f\n",
 		calib.Pairs, calib.MAPEPct, calib.PearsonR)
-
-	points := make([]any, 0, 2*len(spec.Classes)+3)
-	for _, rep := range []*load.Report{&simRep, &liveRep} {
-		for _, c := range rep.Classes {
-			points = append(points, harness.LoadClassPoint{
-				Mode:          rep.Mode,
-				Class:         c.Name,
-				SLOMs:         ms(c.SLO),
-				Requests:      c.Requests,
-				Completed:     c.Completed,
-				Attainment:    c.Attainment,
-				GoodputPerSec: c.Goodput,
-				P50Ms:         ms(c.P50),
-				P95Ms:         ms(c.P95),
-				P99Ms:         ms(c.P99),
-				P999Ms:        ms(c.P999),
-			})
-		}
-		points = append(points, harness.LoadModePoint{
-			Mode:             rep.Mode,
-			Class:            "(all)",
-			Requests:         rep.Requests,
-			Completed:        rep.Completed,
-			ThroughputPerSec: rep.Throughput,
-			GoodputPerSec:    rep.Goodput,
-			JainFairness:     rep.JainFairness,
-		})
-	}
-	points = append(points, harness.LoadCalibrationPoint{
-		Mode:     "sim-vs-live",
-		MAPEPct:  calib.MAPEPct,
-		PearsonR: calib.PearsonR,
-		Pairs:    calib.Pairs,
-	})
-	path, err := harness.WriteBenchJSON(dir, harness.BenchReport{
-		Name:   "latency_under_load",
-		Unit:   "open-loop latency from scheduled arrival (ms), per SLO class; sim (virtual time) vs live (wall clock), one spec",
-		Points: points,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "omegabench: %v\n", err)
-		return 1
-	}
-	fmt.Printf("wrote %s\n", path)
 	return 0
 }
 
@@ -140,6 +100,3 @@ func runLoadLive(spec *load.Spec, shards, procs int) (load.Report, error) {
 	}
 	return load.RunLive(spec, skv, load.LiveOptions{})
 }
-
-// ms converts a duration to float milliseconds for the JSON points.
-func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }

@@ -127,7 +127,7 @@
 // both the live stack (KV/ShardedKV on the wall clock) and the simulated
 // one (SimKV/SimShardedKV under virtual time, via the Requests workload
 // below), then calibrates sim-predicted latency percentiles against
-// live-measured ones. `omegabench -load` records the comparison.
+// live-measured ones. `omegabench load` prints the comparison.
 //
 // Liveness rests on the paper's AWB assumption, which on a live host is
 // mild: at least one live process's scheduler keeps granting it steps at

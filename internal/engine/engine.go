@@ -4,9 +4,7 @@
 // the machine next needs CPU — and two engines behind it:
 //
 //   - Live (live.go): deadline-ordered, notification-driven stepping on
-//     real goroutines. It subsumes both the per-node ticker goroutines the
-//     old internal/rt runtime used and the blind polling loop the old
-//     consensus.Drive used: a parked machine wakes the moment work is
+//     real goroutines. A parked machine wakes the moment work is
 //     enqueued for it (Notify) instead of at the next tick, and a machine
 //     reporting pending work is re-stepped immediately, so bursts drain at
 //     CPU speed while idle machines cost one wakeup per poll interval.

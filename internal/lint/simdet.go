@@ -42,16 +42,14 @@ var simdetPackages = []string{
 
 // simdetFiles lists file-path suffixes that are sim-reachable (or must
 // emit byte-stable output) regardless of package: the public simulator
-// surface, the replica driver and write tracker it shares with the live
-// store (whose ticker/ctx waiting stays in kv.go), and the bench-table
-// renderer the docs-sync CI gate replays.
+// surface and the replica driver and write tracker it shares with the
+// live store (whose ticker/ctx waiting stays in kv.go).
 var simdetFiles = []string{
 	"sim.go",
 	"sim_config.go",
 	"sim_result.go",
 	"driver.go",
 	"tracker.go",
-	"omegabench/readme.go",
 	"campaign.go",
 	"faults.go",
 	"shmem/fault.go",

@@ -155,23 +155,3 @@ func TestCensusSnapshotDuringWrites(t *testing.T) {
 		t.Fatalf("final writes = %d, want %d", got, ops)
 	}
 }
-
-// TestMutexCensusBaseline keeps the benchmark baseline honest: it must
-// count exactly like the lock-free census on a serial workload.
-func TestMutexCensusBaseline(t *testing.T) {
-	c := NewMutexCensus(3, nil)
-	st := c.Track("P", "P[0]", 0)
-	c.NoteWrite(st, 0, 5)
-	c.NoteWrite(st, 0, 5)
-	c.NoteWrite(st, 0, 7)
-	c.NoteRead(st, 1)
-	if st.WritesBy[0] != 3 || st.ReadsBy[1] != 1 {
-		t.Errorf("counts writes=%v reads=%v", st.WritesBy, st.ReadsBy)
-	}
-	if st.MaxValue != 7 || st.DistinctValues != 2 {
-		t.Errorf("max=%d distinct=%d, want 7/2", st.MaxValue, st.DistinctValues)
-	}
-	if again := c.Track("P", "P[0]", 0); again != st {
-		t.Error("Track not idempotent")
-	}
-}

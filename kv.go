@@ -13,12 +13,6 @@ import (
 	"omegasm/internal/vclock"
 )
 
-// ErrNoLeader is returned by KV.Set when the cluster's live processes do
-// not currently agree on a live leader, so there is no replica to route
-// the write to. Retry after WaitForAgreement, or use Put, which retries
-// across anarchy periods itself.
-var ErrNoLeader = errors.New("omegasm: no agreed leader")
-
 // ErrLogFull is returned when a replicated log with checkpointing
 // disabled (KVCheckpointEvery(0)) has decided every slot; the store keeps
 // serving reads but accepts no further writes. Under default options the
@@ -177,7 +171,7 @@ func KVStepBurst(n int) KVOption {
 // on a 32-bit descriptor naming it, amortizing the consensus round — and
 // its quorum I/O on the SAN — across the whole batch. The price is one
 // reserved key: a batched log claims the key 0xFFFF row of the command
-// space for descriptors, so Set/Put reject key 0xFFFF entirely (an
+// space for descriptors, so Put rejects key 0xFFFF entirely (an
 // unbatched store only rejects the (0xFFFF, 0xFFFF) pair). Batching also
 // caps the cluster at 16 processes (descriptor pids are four bits).
 func KVBatch(n int) KVOption {
@@ -254,7 +248,7 @@ type Entry struct {
 //
 // Replication is wake-driven: each replica is an engine machine that
 // parks when idle, is woken the moment a write is enqueued for it (Put
-// and Set notify the leader's machine), and keeps stepping back-to-back
+// notifies the leader's machine), and keeps stepping back-to-back
 // while work is draining, so commit latency is CPU-bound instead of
 // poll-interval-bound and an idle store costs no stepping at all. The
 // KVStepInterval cadence remains as the fallback poll for the cases no
@@ -292,8 +286,8 @@ type machineRef struct {
 // broadcast is a reusable close-channel broadcast: waiters grab the
 // current channel and commit signals close it, waking every waiter at
 // once (the shape of Put's commit watch). A signal with no waiter since
-// the last reset is free: async writers (Set) commit at full rate
-// without a channel allocation per commit wave.
+// the last reset is free: a commit wave nobody is waiting on allocates
+// no channel.
 type broadcast struct {
 	mu     sync.Mutex
 	ch     chan struct{}
@@ -525,34 +519,6 @@ func (kv *KV) readStore() *consensus.KV {
 		return kv.stores[l]
 	}
 	return kv.stores[max(kv.freshest(), 0)]
-}
-
-// Set queues one write on the current leader's replica and returns
-// without waiting for commit — fire and forget. It errors with
-// ErrNoLeader during anarchy periods (no agreed live leader to route to)
-// and — only when checkpointing is disabled — ErrLogFull once the leader
-// has learned every log slot decided; reserved pairs (see Entry) error
-// synchronously. Set never retries: a
-// nil return means the write was queued, not committed, and the write is
-// silently lost if the leader crashes — or is merely demoted — before
-// committing it, because a replica sheds its uncommitted queue the moment
-// it observes another leader's reign. Set is the async fast path for
-// workloads that tolerate loss and check progress via Applied; everything
-// else should use Put or PutAll, which block until commit and retry
-// across leadership changes.
-func (kv *KV) Set(key, val uint16) error {
-	l, ok := kv.leader()
-	if !ok {
-		return ErrNoLeader
-	}
-	if kv.stores[l].LogFull() {
-		return ErrLogFull
-	}
-	if err := kv.stores[l].Set(key, val); err != nil {
-		return err
-	}
-	kv.wake(l) // the parked leader: the write drains now
-	return nil
 }
 
 // Put replicates one write and returns once it is committed. It is

@@ -341,9 +341,6 @@ func TestKVLogFull(t *testing.T) {
 	if err := kv.Put(ctx, 9, 9); err != omegasm.ErrLogFull {
 		t.Errorf("Put on a full log: %v, want ErrLogFull", err)
 	}
-	if err := kv.Set(9, 9); err != omegasm.ErrLogFull {
-		t.Errorf("Set on a full log: %v, want ErrLogFull", err)
-	}
 	if v, ok := kv.Get(2); !ok || v != 2 {
 		t.Errorf("read after log full: %d, %v", v, ok)
 	}
@@ -395,9 +392,9 @@ func TestKVSustainedStream(t *testing.T) {
 // TestKVPutWakesParkedReplicas is the wake-driven engine's latency
 // contract: with a pathologically slow fallback poll interval, a Put must
 // still commit promptly, because enqueueing the write notifies the
-// parked leader machine instead of waiting for the next tick. Under the
-// old polling driver this test would need ~interval per consensus
-// micro-step round and blow the deadline by orders of magnitude.
+// parked leader machine instead of waiting for the next tick. A driver
+// that polled would need ~interval per consensus micro-step round and
+// blow the deadline by orders of magnitude.
 func TestKVPutWakesParkedReplicas(t *testing.T) {
 	c := startCluster(t, fastOpts(3)...)
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {

@@ -184,11 +184,13 @@ func TestWatchObservesFailover(t *testing.T) {
 // latest-wins delivery path: a receiver that never drains the channel must
 // not block the watcher, the buffer must never hold more than the single
 // most recent change, and the first receive after a burst of leadership
-// changes must observe the newest state, not the oldest.
+// changes must observe a change newer than the crash, not the oldest one.
+// Which change that is cannot be pinned: Omega is only eventually stable,
+// so agreement may be lost again right after WaitForAgreement returns,
+// and that event is then legitimately the newest.
 func TestWatchCoalescesForSlowReceiver(t *testing.T) {
 	c := startCluster(t, fastOpts(4)...)
-	first, ok := c.WaitForAgreement(10 * time.Second)
-	if !ok {
+	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no initial agreement")
 	}
 
@@ -197,26 +199,46 @@ func TestWatchCoalescesForSlowReceiver(t *testing.T) {
 	events, cancel := c.Watch(100 * time.Microsecond)
 	defer cancel()
 	time.Sleep(5 * time.Millisecond) // watcher delivers the initial state
+	// Crash whoever leads now: a start-up agreement can still move in
+	// those 5 ms, and crashing a process that no longer leads would force
+	// no change at all.
+	first, ok := c.WaitForAgreement(10 * time.Second)
+	if !ok {
+		t.Fatal("agreement lost before the crash and not regained")
+	}
+	crashed := time.Now()
 	if err := c.Crash(first); err != nil {
 		t.Fatal(err)
 	}
-	next, ok := c.WaitForAgreement(20 * time.Second)
-	if !ok {
+	if _, ok := c.WaitForAgreement(20 * time.Second); !ok {
 		t.Fatal("no re-election")
 	}
 	time.Sleep(20 * time.Millisecond) // let the watcher observe the new state
 
 	// The watcher must have kept running (not blocked on the full buffer)
-	// and left exactly the most recent change buffered: receiving once,
-	// without waiting, must yield the newest state, not the stale initial
-	// agreement.
+	// and replaced the stale initial agreement with a later change:
+	// receiving once, without waiting, must yield an event from after the
+	// crash.
+	var ev omegasm.LeadershipEvent
 	select {
-	case ev := <-events:
-		if !ev.Agreed || ev.Leader == first {
-			t.Fatalf("first receive after churn = %+v; want the coalesced newest state (leader %d)", ev, next)
-		}
+	case ev = <-events:
 	default:
 		t.Fatal("no event buffered after leadership changes (watcher stalled or dropped the newest event)")
+	}
+	if (ev.Agreed && ev.Leader == first) || !ev.At.After(crashed) {
+		t.Fatalf("first receive after churn = %+v; want a change observed after the crash of %d at %v", ev, first, crashed)
+	}
+	// From there the stream must reach the re-election.
+	deadline := time.After(5 * time.Second)
+	for !ev.Agreed || ev.Leader == first {
+		if n := len(events); n > 1 {
+			t.Fatalf("%d events buffered; the channel carries only the most recent change", n)
+		}
+		select {
+		case ev = <-events:
+		case <-deadline:
+			t.Fatalf("no agreement on a new leader within 5s of the churn; last event %+v", ev)
+		}
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // testdata/scenarios: each minimized worst-case configuration must
 // reproduce its pinned outcome byte-identically (sha256 of the recorded
 // history's canonical bytes) with a clean checker verdict. Regenerate
-// the fixtures with omegabench -campaign -campscenarios testdata/scenarios
+// the fixtures with omegabench campaign -scenarios testdata/scenarios
 // after an intentional behavior change.
 func TestCommittedScenariosReplay(t *testing.T) {
 	files, err := filepath.Glob(filepath.Join("testdata", "scenarios", "*.json"))

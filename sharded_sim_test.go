@@ -122,45 +122,80 @@ func TestSimShardedKVDeterministicReplay(t *testing.T) {
 	}
 }
 
-// TestSimShardedKVSaturationScalesWithShards is the scaling benchmark's
-// property as a unit test: under the closed-loop saturation workload, a
-// 4-shard store must commit at least 3x what a single shard commits in
-// the same virtual horizon (each machine owns a virtual processor, so
-// this measures the architecture's parallel capacity), with batching
-// visibly packing many commands per consensus slot.
+// TestSimShardedKVSaturationScalesWithShards pins the architecture's
+// parallel capacity in virtual time, where it is exact for a seed and
+// independent of the host: each machine owns a virtual processor, so
+// under the closed-loop saturation workload aggregate commits must scale
+// with the shard count, and batching must multiply them again.
 func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
-	run := func(shards int) *omegasm.SimShardedKVResult {
-		res, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
-			Shards: shards, N: 3, Seed: 7, Horizon: 30_000,
-			Slots: 4096, SaturateWindow: 256,
-		})
+	run := func(cfg omegasm.SimShardedKVConfig) *omegasm.SimShardedKVResult {
+		cfg.N, cfg.Horizon, cfg.SaturateWindow = 3, 30_000, 256
+		res, err := omegasm.SimShardedKV(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for sh, sr := range res.Shards {
-			if sr.SlotsUsed >= 4096 {
-				t.Fatalf("shard %d filled its log; the measurement is capacity-capped", sh)
+			if sr.SlotsUsed >= cfg.Slots {
+				t.Fatalf("%d shards, batch %d: shard %d filled its log; the measurement is capacity-capped",
+					cfg.Shards, cfg.BatchSize, sh)
 			}
+		}
+		if res.TotalCommitted == 0 {
+			t.Fatalf("%d saturated shards, batch %d, committed nothing", cfg.Shards, cfg.BatchSize)
 		}
 		return res
 	}
-	one := run(1)
-	four := run(4)
-	if one.TotalCommitted == 0 {
-		t.Fatal("saturated single shard committed nothing")
-	}
-	// Shards are independent machines on independent virtual processors:
-	// aggregate capacity must scale near-linearly. Demand the acceptance
-	// floor (3x at 4 shards) with margin to spare for adversary variance.
-	ratio := float64(four.TotalCommitted) / float64(one.TotalCommitted)
-	if ratio < 3 {
+
+	// Default options (checkpointing log, default batch): 4 shards commit
+	// at least 3x one shard, with margin to spare for adversary variance,
+	// and batching engages — far fewer slots than commands.
+	one := run(omegasm.SimShardedKVConfig{Shards: 1, Seed: 7, Slots: 4096})
+	four := run(omegasm.SimShardedKVConfig{Shards: 4, Seed: 7, Slots: 4096})
+	if ratio := float64(four.TotalCommitted) / float64(one.TotalCommitted); ratio < 3 {
 		t.Fatalf("4 shards committed only %.2fx of 1 shard (%d vs %d)",
 			ratio, four.TotalCommitted, one.TotalCommitted)
 	}
-	// Batching must be engaging: far fewer slots than commands.
 	if four.TotalSlots*2 >= four.TotalCommitted {
 		t.Fatalf("batching not engaging: %d slots for %d commands",
 			four.TotalSlots, four.TotalCommitted)
+	}
+
+	// The corners of the scaling grid, on fixed-capacity logs
+	// (CheckpointEvery -1) so that only sharding and batching vary; each
+	// log is sized so that no shard can fill it within the horizon.
+	// Measured: 7.94x at 8 shards, 32.0x from a batch of 32.
+	corner := func(batch, shards int) *omegasm.SimShardedKVResult {
+		slots := 4096
+		if batch == 1 {
+			slots = 8192
+		}
+		return run(omegasm.SimShardedKVConfig{
+			Shards: shards, Seed: 1, Slots: slots, CheckpointEvery: -1, BatchSize: batch,
+		})
+	}
+	shardCounts := []int{1, 8}
+	if testing.Short() {
+		shardCounts = []int{1}
+	}
+	committed := map[[2]int]int{} // {batch, shards} -> commands committed
+	for _, batch := range []int{1, 32} {
+		for _, shards := range shardCounts {
+			committed[[2]int{batch, shards}] = corner(batch, shards).TotalCommitted
+		}
+		if base, wide := committed[[2]int{batch, 1}], committed[[2]int{batch, 8}]; !testing.Short() && wide < 7*base {
+			t.Errorf("batch %d: 8 shards committed %d, under 7x one shard's %d", batch, wide, base)
+		}
+	}
+	for _, shards := range shardCounts {
+		if plain, packed := committed[[2]int{1, shards}], committed[[2]int{32, shards}]; packed < 30*plain {
+			t.Errorf("%d shards: batch 32 committed %d, under 30x batch 1's %d", shards, packed, plain)
+		}
+	}
+	// A virtual-time result is a function of its configuration alone.
+	a, b := corner(32, 1), corner(32, 1)
+	if a.TotalCommitted != b.TotalCommitted || a.TotalSlots != b.TotalSlots {
+		t.Errorf("one corner run twice: %d commands in %d slots, then %d in %d",
+			a.TotalCommitted, a.TotalSlots, b.TotalCommitted, b.TotalSlots)
 	}
 }
 
