@@ -116,8 +116,8 @@
 // whole sharded store, with seeded adversarial scheduling, exact-time
 // crash schedules and byte-identical results for equal configurations —
 // failover scenarios the live runtime only produces statistically become
-// unit tests, and the scaling benchmark measures the architecture's
-// parallel capacity exactly.
+// unit tests, and the architecture's parallel capacity (commits against
+// shard count) is asserted exactly.
 //
 // # Load and SLO harness
 //

@@ -228,12 +228,12 @@ func TestWatchCoalescesForSlowReceiver(t *testing.T) {
 	if (ev.Agreed && ev.Leader == first) || !ev.At.After(crashed) {
 		t.Fatalf("first receive after churn = %+v; want a change observed after the crash of %d at %v", ev, first, crashed)
 	}
+	if cap(events) != 1 {
+		t.Fatalf("channel buffers %d events; it must carry only the most recent change", cap(events))
+	}
 	// From there the stream must reach the re-election.
 	deadline := time.After(5 * time.Second)
 	for !ev.Agreed || ev.Leader == first {
-		if n := len(events); n > 1 {
-			t.Fatalf("%d events buffered; the channel carries only the most recent change", n)
-		}
 		select {
 		case ev = <-events:
 		case <-deadline:

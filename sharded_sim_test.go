@@ -177,22 +177,28 @@ func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 	if testing.Short() {
 		shardCounts = []int{1}
 	}
-	committed := map[[2]int]int{} // {batch, shards} -> commands committed
+	type at struct{ batch, shards int }
+	got := map[at]*omegasm.SimShardedKVResult{}
 	for _, batch := range []int{1, 32} {
 		for _, shards := range shardCounts {
-			committed[[2]int{batch, shards}] = corner(batch, shards).TotalCommitted
-		}
-		if base, wide := committed[[2]int{batch, 1}], committed[[2]int{batch, 8}]; !testing.Short() && wide < 7*base {
-			t.Errorf("batch %d: 8 shards committed %d, under 7x one shard's %d", batch, wide, base)
+			got[at{batch, shards}] = corner(batch, shards)
 		}
 	}
 	for _, shards := range shardCounts {
-		if plain, packed := committed[[2]int{1, shards}], committed[[2]int{32, shards}]; packed < 30*plain {
+		plain, packed := got[at{1, shards}].TotalCommitted, got[at{32, shards}].TotalCommitted
+		if packed < 30*plain {
 			t.Errorf("%d shards: batch 32 committed %d, under 30x batch 1's %d", shards, packed, plain)
 		}
 	}
+	for _, batch := range []int{1, 32} {
+		base, wide := got[at{batch, 1}], got[at{batch, 8}]
+		if wide != nil && wide.TotalCommitted < 7*base.TotalCommitted {
+			t.Errorf("batch %d: 8 shards committed %d, under 7x one shard's %d",
+				batch, wide.TotalCommitted, base.TotalCommitted)
+		}
+	}
 	// A virtual-time result is a function of its configuration alone.
-	a, b := corner(32, 1), corner(32, 1)
+	a, b := got[at{32, 1}], corner(32, 1)
 	if a.TotalCommitted != b.TotalCommitted || a.TotalSlots != b.TotalSlots {
 		t.Errorf("one corner run twice: %d commands in %d slots, then %d in %d",
 			a.TotalCommitted, a.TotalSlots, b.TotalCommitted, b.TotalSlots)
