@@ -131,12 +131,20 @@ func TestStatsShape(t *testing.T) {
 	if s.TotalBits < 15 {
 		t.Errorf("TotalBits = %d, implausibly small", s.TotalBits)
 	}
-	var anyWrites uint64
-	for _, w := range s.Writers {
-		anyWrites += w
-	}
-	if anyWrites == 0 {
-		t.Error("no writes recorded after an election")
+	// Every initial estimate is 0, so agreement can hold before any T2
+	// step has written a register: wait for the first write.
+	for deadline := time.Now().Add(10 * time.Second); ; s = c.Stats() {
+		var writes uint64
+		for _, w := range s.Writers {
+			writes += w
+		}
+		if writes > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no writes recorded 10s after an election")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 
