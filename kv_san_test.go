@@ -223,13 +223,5 @@ func TestSANStoreSchedulerLifecycle(t *testing.T) {
 	}
 	kv.Close() // idempotent
 
-	deadline := time.Now().Add(time.Second)
-	for runtime.NumGoroutine() > before {
-		if time.Now().After(deadline) {
-			buf := make([]byte, 1<<16)
-			t.Fatalf("%d goroutines a second after Close, %d before NewKV:\n%s",
-				runtime.NumGoroutine(), before, buf[:runtime.Stack(buf, true)])
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitGoroutines(t, before)
 }
