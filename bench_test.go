@@ -142,12 +142,7 @@ func benchSteps(b *testing.B, build func(mem shmem.Mem, n int) []core.Proc) {
 // including the leader computation's suspicion scan.
 func BenchmarkAlgo1Step(b *testing.B) {
 	benchSteps(b, func(mem shmem.Mem, n int) []core.Proc {
-		ps := core.BuildAlgo1(mem, n)
-		out := make([]core.Proc, n)
-		for i, p := range ps {
-			out[i] = p
-		}
-		return out
+		return core.Procs(core.BuildAlgo1(mem, n))
 	})
 }
 
@@ -155,12 +150,7 @@ func BenchmarkAlgo1Step(b *testing.B) {
 // including the handshake re-signalling.
 func BenchmarkAlgo2Step(b *testing.B) {
 	benchSteps(b, func(mem shmem.Mem, n int) []core.Proc {
-		ps := core.BuildAlgo2(mem, n)
-		out := make([]core.Proc, n)
-		for i, p := range ps {
-			out[i] = p
-		}
-		return out
+		return core.Procs(core.BuildAlgo2(mem, n))
 	})
 }
 
@@ -415,6 +405,6 @@ func BenchmarkStabilizationAnalysis(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _, _ = trace.Stabilization(out.Res.Samples, out.Res.Crashed)
+		_, _, _ = trace.Stabilization(out.Samples, out.Crashed)
 	}
 }

@@ -1,16 +1,18 @@
 // Command omegabench runs the reproduction's three batch jobs, one per
 // subcommand:
 //
-//	omegabench exp [-quick] [-seeds N] [-out FILE]
+//	omegabench exp [-quick] [-seeds N] [-out FILE] [ID ...]
 //	omegabench load [-dur D]
 //	omegabench campaign [-seeds N] [-seedbase S] [-out FILE] [-mutate M]
 //	           [-expect E] [-scenarios DIR] [-keep K]
 //
 // exp regenerates every figure/table of the paper (the fifteen
-// experiments of internal/harness) and prints the measurements and claim
-// verdicts; it ends "omegabench: all experiments passed" or exits 1. It
-// is the default: bare `omegabench` and a leading flag (`omegabench
-// -quick`) mean exp.
+// experiments of internal/harness), or only the experiments named after
+// the flags (`omegabench exp -quick F2 T6`), and prints the measurements
+// and claim verdicts; it ends "omegabench: all experiments passed" or
+// exits 1. An unknown ID is refused before anything runs. exp is the
+// default: bare `omegabench` and a leading flag (`omegabench -quick`)
+// mean exp.
 //
 // load runs one declarative open-loop workload spec (Poisson arrivals,
 // Zipf keys, mixed SLO classes) twice against the simulated sharded
@@ -46,7 +48,7 @@ import (
 )
 
 const usageText = `usage:
-  omegabench [exp] [-quick] [-seeds N] [-out FILE]
+  omegabench [exp] [-quick] [-seeds N] [-out FILE] [ID ...]
   omegabench load [-dur D]
   omegabench campaign [-seeds N] [-seedbase S] [-out FILE] [-mutate M]
              [-expect E] [-scenarios DIR] [-keep K]
@@ -146,14 +148,36 @@ func fail(err error) int {
 	return 1
 }
 
-// runExp is the exp subcommand: every experiment of the harness, in
-// index order, with its tables, verdicts and notes.
+// selectExps resolves the positional arguments of exp: the named
+// experiments in the order given, or the whole index if none is named.
+func selectExps(ids []string) ([]harness.Experiment, error) {
+	if len(ids) == 0 {
+		return harness.All(), nil
+	}
+	exps := make([]harness.Experiment, len(ids))
+	for i, id := range ids {
+		e, err := harness.ByID(id)
+		if err != nil {
+			return nil, err
+		}
+		exps[i] = e
+	}
+	return exps, nil
+}
+
+// runExp is the exp subcommand: the named experiments of the harness
+// (all of them if none is named), with tables, verdicts and notes.
 func runExp(args []string) int {
 	fs, prof := newFlagSet("exp")
 	quick := fs.Bool("quick", false, "smaller horizons and seed counts")
 	seeds := fs.Int("seeds", 0, "seeded repetitions per data point (0: default)")
 	out := fs.String("out", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	exps, err := selectExps(fs.Args())
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "omegabench: %v\n%s", err, usageText)
 		return 2
 	}
 	stop, err := prof.start()
@@ -174,7 +198,7 @@ func runExp(args []string) int {
 
 	cfg := harness.Config{Quick: *quick, Seeds: *seeds}
 	failed := 0
-	for _, e := range harness.All() {
+	for _, e := range exps {
 		fmt.Fprintf(w, "\n================================================================\n")
 		fmt.Fprintf(w, "%s — %s\n", e.ID, e.Title)
 		fmt.Fprintf(w, "paper artifact: %s\n", e.Paper)

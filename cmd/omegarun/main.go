@@ -1,17 +1,16 @@
-// Command omegarun runs a single experiment or a single ad-hoc simulated
-// run and prints the outcome.
+// Command omegarun runs a single ad-hoc simulated run and prints the
+// outcome with full detail. (The paper's experiments are `omegabench exp
+// [ID ...]`.)
 //
 // Usage:
 //
-//	omegarun -exp F2 [-quick]          # one experiment from the index
-//	omegarun -algo algo1 -n 8 -seed 7  # one ad-hoc run with full detail
+//	omegarun -algo algo1 -n 8 -seed 7 [-crashes 2] [-census]
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"omegasm/internal/harness"
 	"omegasm/internal/trace"
@@ -23,11 +22,6 @@ func main() {
 }
 
 func run() int {
-	// The id list is derived from the harness index so it cannot drift as
-	// experiments are added.
-	exp := flag.String("exp", "", fmt.Sprintf("experiment id (%s); empty for an ad-hoc run",
-		strings.Join(harness.IDs(), ", ")))
-	quick := flag.Bool("quick", false, "smaller horizons and seed counts")
 	algo := flag.String("algo", "algo1", "algorithm: algo1|algo2|nwnr|timerfree|baseline|strawman")
 	n := flag.Int("n", 5, "number of processes")
 	seed := flag.Int64("seed", 1, "run seed")
@@ -35,30 +29,6 @@ func run() int {
 	crashes := flag.Int("crashes", 0, "number of processes to crash (never process 0)")
 	census := flag.Bool("census", false, "print the full end-of-run register census")
 	flag.Parse()
-
-	if *exp != "" {
-		e, err := harness.ByID(*exp)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "omegarun: %v\n", err)
-			return 1
-		}
-		out, err := e.Run(harness.Config{Quick: *quick})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "omegarun: %v\n", err)
-			return 1
-		}
-		fmt.Printf("%s — %s\npaper artifact: %s\n", e.ID, e.Title, e.Paper)
-		for _, tbl := range out.Tables {
-			fmt.Printf("\n%s", tbl.Render())
-		}
-		if out.Report != nil {
-			fmt.Printf("\nverdicts:\n%s", out.Report)
-			if !out.Report.AllOK() {
-				return 1
-			}
-		}
-		return 0
-	}
 
 	p := harness.Preset{
 		Algo:    harness.Algo(*algo),
@@ -82,9 +52,9 @@ func run() int {
 	}
 	fmt.Printf("algo=%s n=%d seed=%d horizon=%d crashes=%d\n", *algo, *n, *seed, *horizon, *crashes)
 	fmt.Printf("stabilized=%v leader=%d stabTime=%d end=%d\n",
-		out.Stable, out.Leader, out.StabTime, out.Res.End)
+		out.Stable, out.Leader, out.StabTime, out.EndTime)
 	fmt.Printf("leader changes in last quarter: %d\n",
-		trace.LeaderChangesAfter(out.Res.Samples, out.Res.End*3/4))
+		trace.LeaderChangesAfter(out.Samples, out.EndTime*3/4))
 	if out.StableBeforeMid() {
 		suffix := out.Suffix()
 		fmt.Printf("suffix writers: %v\n", suffix.Writers())

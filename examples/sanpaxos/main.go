@@ -46,14 +46,10 @@ func main() {
 
 	// Omega over the SAN: the same Figure 2 state machines, now reading
 	// and writing disk-replicated registers.
-	procs := make([]rt.Proc, n)
-	for i, p := range core.BuildAlgo1(mem, n) {
-		procs[i] = p
-	}
 	cluster, err := rt.New(rt.Config{
 		StepInterval: 2 * time.Millisecond, // disk ops are slow; pace accordingly
 		TimerUnit:    25 * time.Millisecond,
-	}, procs)
+	}, core.Procs(core.BuildAlgo1(mem, n)))
 	if err != nil {
 		log.Fatal(err)
 	}

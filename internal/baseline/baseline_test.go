@@ -4,50 +4,41 @@ import (
 	"testing"
 
 	"omegasm/internal/baseline"
-	"omegasm/internal/sched"
+	"omegasm/internal/harness"
 	"omegasm/internal/shmem"
-	"omegasm/internal/trace"
 	"omegasm/internal/vclock"
 )
 
-func runBaseline(t *testing.T, cfg sched.Config) (*sched.Result, *shmem.SimMem) {
+func runBaseline(t *testing.T, p harness.Preset) *harness.RunOutcome {
 	t.Helper()
-	mem := shmem.NewSimMem(cfg.N)
-	procs := make([]sched.Process, cfg.N)
-	for i, p := range baseline.Build(mem, cfg.N) {
-		procs[i] = p
-	}
-	w, err := sched.NewWorld(cfg, procs, mem)
+	p.Algo, p.AWBProc = harness.AlgoBaseline, -1
+	out, err := harness.Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return w.Run(), mem
+	return out
 }
 
 // TestBaselineElectsUnderEventualSynchrony: the baseline's home turf —
 // every process eventually timely — elects the lowest-id process.
 func TestBaselineElectsUnderEventualSynchrony(t *testing.T) {
-	res, _ := runBaseline(t, sched.Config{
-		N: 4, Seed: 1, Horizon: 100_000, AWBProc: -1,
-	})
-	st, leader, ok := trace.Stabilization(res.Samples, res.Crashed)
-	if !ok {
+	out := runBaseline(t, harness.Preset{N: 4, Seed: 1, Horizon: 100_000})
+	if !out.Stable {
 		t.Fatal("baseline did not stabilize under eventual synchrony")
 	}
-	t.Logf("leader %d at t=%d", leader, st)
+	t.Logf("leader %d at t=%d", out.Leader, out.StabTime)
 }
 
 // TestBaselineCrashRecovery: survivors re-elect after the leader crashes.
 func TestBaselineCrashRecovery(t *testing.T) {
-	res, _ := runBaseline(t, sched.Config{
-		N: 4, Seed: 2, Horizon: 200_000, AWBProc: -1,
+	out := runBaseline(t, harness.Preset{
+		N: 4, Seed: 2, Horizon: 200_000,
 		Crash: map[int]vclock.Time{0: 50_000},
 	})
-	_, leader, ok := trace.Stabilization(res.Samples, res.Crashed)
-	if !ok {
+	if !out.Stable {
 		t.Fatal("no recovery after crash")
 	}
-	if leader == 0 {
+	if out.Leader == 0 {
 		t.Fatal("crashed process still elected")
 	}
 }
@@ -55,49 +46,21 @@ func TestBaselineCrashRecovery(t *testing.T) {
 // TestBaselineEveryoneWritesForever: the cost the paper's Algorithm 1
 // eliminates — all correct baseline processes keep writing heartbeats.
 func TestBaselineEveryoneWritesForever(t *testing.T) {
-	mem := shmem.NewSimMem(4)
-	procs := make([]sched.Process, 4)
-	for i, p := range baseline.Build(mem, 4) {
-		procs[i] = p
-	}
-	cfg := sched.Config{N: 4, Seed: 3, Horizon: 100_000, AWBProc: -1}
-	w, err := sched.NewWorld(cfg, procs, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var mid *shmem.CensusSnapshot
-	w.AddHook(sched.HookFunc(func(_ *sched.World, s sched.Sample) {
-		if mid == nil && s.T >= cfg.Horizon*3/4 {
-			mid = mem.Census().Snapshot()
-		}
-	}))
-	res := w.Run()
-	if mid == nil {
+	out := runBaseline(t, harness.Preset{N: 4, Seed: 3, Horizon: 100_000})
+	if out.Mid == out.End {
 		t.Fatal("no midpoint snapshot")
 	}
-	suffix := mem.Census().Snapshot().Diff(mid)
+	suffix := out.Suffix()
 	writers := suffix.Writers()
 	if len(writers) != 4 {
 		t.Fatalf("suffix writers = %v, want all 4 (heartbeats never stop)", writers)
 	}
-	_ = res
 }
 
 // TestBaselineHeartbeatsUnbounded: the baseline's registers grow without
 // bound — the other cost, contrasting with Algorithm 2's Theorem 6.
 func TestBaselineHeartbeatsUnbounded(t *testing.T) {
-	mem := shmem.NewSimMem(3)
-	procs := make([]sched.Process, 3)
-	ps := baseline.Build(mem, 3)
-	for i := range ps {
-		procs[i] = ps[i]
-	}
-	w, err := sched.NewWorld(sched.Config{N: 3, Seed: 4, Horizon: 50_000, AWBProc: -1}, procs, mem)
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.Run()
-	snap := mem.Census().Snapshot()
+	snap := runBaseline(t, harness.Preset{N: 3, Seed: 4, Horizon: 50_000}).End
 	for i := 0; i < 3; i++ {
 		name := shmem.RegName(baseline.ClassHeartbeat, i)
 		if snap.Regs[name].MaxValue < 1000 {

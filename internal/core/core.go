@@ -22,20 +22,35 @@
 // Every algorithm is a set of per-process state machines exposing the
 // paper's three tasks: Leader (task T1), Step (one iteration of task T2's
 // infinite loop) and OnTimer (task T3). The same state machines run under
-// the deterministic simulator (package sched) and the live goroutine
-// runtime (package rt).
+// the deterministic simulator (engine.Sim) and the live goroutine runtime
+// (package rt).
 package core
 
 import "omegasm/internal/vclock"
 
-// Proc is the common view of one algorithm process. It structurally
-// matches sched.Process and rt's node contract; core depends on neither.
+// Proc is one algorithm process as every host sees it — the run host of
+// the experiments, the public simulator and the live runtime. The three
+// methods are the paper's three tasks.
 type Proc interface {
+	// Step executes one iteration of task T2's infinite loop at time now.
 	Step(now vclock.Time)
+	// OnTimer executes task T3, the timer-expiry handler, and returns the
+	// timeout value x the timer is re-set to (paper line 27); the host
+	// maps x to a duration. Returning 0 disarms the timer.
 	OnTimer(now vclock.Time) (next uint64)
+	// Leader returns the process's current leader estimate (task T1).
 	Leader() int
 	// ID returns the process identity in [0, n).
 	ID() int
+}
+
+// Procs views a slice of concrete algorithm processes as []Proc.
+func Procs[T Proc](ps []T) []Proc {
+	out := make([]Proc, len(ps))
+	for i, p := range ps {
+		out[i] = p
+	}
+	return out
 }
 
 // lexLess is the paper's lexicographic order on (suspicion count, id)

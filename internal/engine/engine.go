@@ -13,9 +13,8 @@
 //     adversary (per-machine Pacing) chooses the interleaving, crash
 //     schedules deschedule machines permanently, and all steps serialize
 //     on the caller's goroutine, so a run is an exactly reproducible
-//     function of its seed. It subsumes the event loop of sched.World and
-//     additionally hosts the consensus/KV machines, which the old World
-//     only co-scheduled as untyped auxiliaries.
+//     function of its seed. The adversaries themselves are the Pacing
+//     implementations of pacing.go.
 //
 // Mapping to the paper's model: a Machine's Step is one iteration of task
 // T2's infinite loop, and a TimerMachine's OnTimer is the body of task T3
@@ -26,11 +25,7 @@
 // asynchronous model and the AWB assumption leave to the scheduler.
 package engine
 
-import (
-	"math/rand"
-
-	"omegasm/internal/vclock"
-)
+import "omegasm/internal/vclock"
 
 // HintKind classifies a Machine's wake hint.
 type HintKind int
@@ -92,19 +87,3 @@ type MachineFunc func(now vclock.Time) Hint
 
 // Step implements Machine.
 func (f MachineFunc) Step(now vclock.Time) Hint { return f(now) }
-
-// Pacing generates the inter-step delays of one simulated machine — the
-// adversary of the asynchronous model. It is structurally identical to
-// sched.Pacing, so every pacing the experiment layer defines plugs in
-// unchanged.
-type Pacing interface {
-	// Next returns the delay before the machine's next step, >= 1 tick.
-	Next(rng *rand.Rand, now vclock.Time) vclock.Duration
-}
-
-// uniformPacing is the default sim pacing (matches sched.Uniform{1, 8}).
-type uniformPacing struct{ min, max vclock.Duration }
-
-func (u uniformPacing) Next(rng *rand.Rand, _ vclock.Time) vclock.Duration {
-	return u.min + rng.Int63n(u.max-u.min+1)
-}

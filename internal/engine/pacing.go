@@ -1,4 +1,4 @@
-package sched
+package engine
 
 import (
 	"math/rand"
@@ -6,11 +6,12 @@ import (
 	"omegasm/internal/vclock"
 )
 
-// Pacing generates the inter-step delays of one process: how long after a
-// completed T2 step the scheduler waits before granting the next one. This
-// is the adversary of the asynchronous model: the paper places no bound on
-// these delays for any process except (after tau_1) the AWB1 process, so a
-// Pacing may return arbitrarily large — but finite — values.
+// Pacing generates the inter-step delays of one simulated machine: how
+// long after a completed step the Sim engine waits before granting the
+// next one. This is the adversary of the asynchronous model: the paper
+// places no bound on these delays for any process except (after tau_1)
+// the AWB1 process, so a Pacing may return arbitrarily large — but finite
+// — values.
 type Pacing interface {
 	// Next returns the delay before the process's next step, >= 1 tick.
 	Next(rng *rand.Rand, now vclock.Time) vclock.Duration
@@ -18,7 +19,7 @@ type Pacing interface {
 
 // Fixed paces a process at exactly D ticks per step: a synchronous process.
 type Fixed struct {
-	D vclock.Duration
+	D vclock.Duration // ticks per step (floored at 1)
 }
 
 var _ Pacing = Fixed{}
@@ -33,7 +34,7 @@ func (f Fixed) Next(*rand.Rand, vclock.Time) vclock.Duration {
 
 // Uniform draws each delay uniformly from [Min, Max].
 type Uniform struct {
-	Min, Max vclock.Duration
+	Min, Max vclock.Duration // inclusive delay bounds
 }
 
 var _ Pacing = Uniform{}
@@ -56,9 +57,9 @@ func (u Uniform) Next(rng *rand.Rand, _ vclock.Time) vclock.Duration {
 // bound on its speed holds — exactly the processes AWB leaves
 // unconstrained.
 type HeavyTail struct {
-	Min, Max vclock.Duration
-	StallP   float64 // probability of a stall per step
-	StallMax vclock.Duration
+	Min, Max vclock.Duration // inclusive bounds of an ordinary delay
+	StallP   float64         // probability of a stall per step
+	StallMax vclock.Duration // upper bound of a stall (the lower is Max)
 }
 
 var _ Pacing = HeavyTail{}
@@ -83,9 +84,9 @@ func (h HeavyTail) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 // At, After applies from At on. Used to build runs that are chaotic for a
 // finite prefix and then settle — the shape of every AWB run.
 type Phase struct {
-	At     vclock.Time
-	Before Pacing
-	After  Pacing
+	At     vclock.Time // boundary time
+	Before Pacing      // pacing strictly before At
+	After  Pacing      // pacing from At on
 }
 
 var _ Pacing = Phase{}
@@ -146,7 +147,7 @@ func (g *GrowingStall) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 }
 
 // Chase is the leader-chasing adversary: whenever the observed leader
-// estimate (maintained by a scheduler hook in *Target) names this
+// estimate (maintained by an observer of the run in *Target) names this
 // process, its next step is delayed by a stall; otherwise it paces at
 // Base. With Grow=false the stalls are bounded, so every process still
 // satisfies AWB1 with delta = Stall and Omega must stabilize despite the
@@ -155,11 +156,11 @@ func (g *GrowingStall) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 // and the assumption's hypothesis fails — experiment A3 uses the pair to
 // show AWB1 is load-bearing.
 type Chase struct {
-	Self   int
-	Target *int // updated by a hook; -1 = nobody chased
-	Base   Pacing
-	Stall  vclock.Duration
-	Grow   bool
+	Self   int             // this process's id
+	Target *int            // updated by the observer; -1 = nobody chased
+	Base   Pacing          // pacing while not chased (nil: Uniform{1, 8})
+	Stall  vclock.Duration // (first) stall length
+	Grow   bool            // double the stall on every chased step
 
 	cur vclock.Duration
 }
@@ -192,9 +193,9 @@ func (c *Chase) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 // accesses, which happen within steps) are at most Delta apart. Before
 // From the inner pacing is passed through untouched.
 type Clamp struct {
-	P     Pacing
-	From  vclock.Time
-	Delta vclock.Duration
+	P     Pacing          // the pacing being bounded
+	From  vclock.Time     // time the bound starts to hold (tau_1)
+	Delta vclock.Duration // the bound
 }
 
 var _ Pacing = Clamp{}
@@ -215,9 +216,9 @@ func (c Clamp) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 // through untouched, so a Brownout wrapped outside a Clamp preserves the
 // eventual AWB1 bound once the window closes.
 type Brownout struct {
-	P        Pacing
-	From, To vclock.Time
-	Factor   vclock.Duration
+	P        Pacing          // the pacing being slowed
+	From, To vclock.Time     // the window [From, To)
+	Factor   vclock.Duration // delay multiplier inside the window
 }
 
 var _ Pacing = Brownout{}
@@ -238,8 +239,8 @@ func (b Brownout) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 // two schedules identical even when a scheduler-level knob (e.g. the AWB1
 // clamp target) differs between them.
 type OwnRng struct {
-	Rng *rand.Rand
-	P   Pacing
+	Rng *rand.Rand // the process's own source
+	P   Pacing     // the pacing drawing from it
 }
 
 var _ Pacing = OwnRng{}
@@ -254,9 +255,9 @@ func (o OwnRng) Next(_ *rand.Rand, now vclock.Time) vclock.Duration {
 // experiments that need one precisely-placed outage (e.g. demoting an
 // incumbent leader exactly once, ablation A2).
 type StallOnce struct {
-	At   vclock.Time
-	Dur  vclock.Duration
-	Base Pacing
+	At   vclock.Time     // the stall happens at the first step at or after At
+	Dur  vclock.Duration // stall length
+	Base Pacing          // pacing otherwise (nil: Uniform{1, 8})
 
 	done bool
 }
@@ -285,7 +286,7 @@ func (s *StallOnce) Next(rng *rand.Rand, now vclock.Time) vclock.Duration {
 // revisits the same state at every observation.
 type Lockstep struct {
 	Period vclock.Duration // > 0
-	Offset vclock.Duration
+	Offset vclock.Duration // phase of the grid
 }
 
 var _ Pacing = Lockstep{}

@@ -1,4 +1,4 @@
-package sched
+package engine
 
 import (
 	"math/rand"

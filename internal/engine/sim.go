@@ -52,6 +52,31 @@ type simSlot struct {
 	firings   uint64
 }
 
+// alwaysReady is the machine AlwaysReady returns.
+type alwaysReady struct {
+	body  interface{ Step(now vclock.Time) }
+	timer interface{ OnTimer(now vclock.Time) uint64 } // nil: body has no task T3
+}
+
+// AlwaysReady adapts a body whose loop always has work — the paper's task
+// T2, or a replica co-scheduled with it — to a Sim machine: every step
+// hints WakeNow, so the machine's Pacing alone decides when the next step
+// is granted. A body that also has a task T3 gets its OnTimer forwarded;
+// the timer runs only if the machine is added WithTimer.
+func AlwaysReady(body interface{ Step(now vclock.Time) }) TimerMachine {
+	m := alwaysReady{body: body}
+	m.timer, _ = body.(interface{ OnTimer(now vclock.Time) uint64 })
+	return m
+}
+
+//omegalint:allow wakehint sim-only machine: under the Sim engine WakeNow defers to the pacing adversary, so a perpetual-work hint is the model, not a busy-poll
+func (m alwaysReady) Step(now vclock.Time) Hint {
+	m.body.Step(now)
+	return Now()
+}
+
+func (m alwaysReady) OnTimer(now vclock.Time) uint64 { return m.timer.OnTimer(now) }
+
 // NewSim validates cfg and builds an empty simulation.
 func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Horizon <= 0 {
@@ -106,7 +131,7 @@ func (s *Sim) Add(m Machine, opts ...SimOpt) int {
 	}
 	sl := &simSlot{
 		m:              m,
-		pacing:         uniformPacing{min: 1, max: 8},
+		pacing:         Uniform{Min: 1, Max: 8},
 		initialTimeout: 1,
 		firstAt:        -1,
 		crashAt:        -1,

@@ -241,3 +241,101 @@ func TestSimStopEndsRun(t *testing.T) {
 		t.Fatalf("Stop ignored: run ended at %d", end)
 	}
 }
+
+// recordedBody is a paper process as AlwaysReady sees it: a T2 body, a
+// T3 handler returning nextX, no wake hint of its own.
+type recordedBody struct {
+	stepTimes []vclock.Time
+	fireTimes []vclock.Time
+	nextX     uint64 // returned by OnTimer; 0 disarms
+}
+
+func (b *recordedBody) Step(now vclock.Time) { b.stepTimes = append(b.stepTimes, now) }
+func (b *recordedBody) OnTimer(now vclock.Time) uint64 {
+	b.fireTimes = append(b.fireTimes, now)
+	return b.nextX
+}
+
+// runBodies runs one always-ready machine per nextX value, each with
+// timer behavior b first set to initial.
+func runBodies(t *testing.T, horizon vclock.Time, b vclock.Behavior, initial uint64, nextX ...uint64) (*Sim, []*recordedBody) {
+	t.Helper()
+	s, err := NewSim(SimConfig{Seed: 1, Horizon: horizon})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bodies := make([]*recordedBody, len(nextX))
+	for i, x := range nextX {
+		bodies[i] = &recordedBody{nextX: x}
+		s.Add(AlwaysReady(bodies[i]), WithTimer(b, initial))
+	}
+	s.Run()
+	return s, bodies
+}
+
+func TestTimerRearmUsesReturnedValue(t *testing.T) {
+	// nextX = 10 with Exact{Scale 3, Floor 0} => firings 10*3=30 ticks
+	// apart (after the initial firing at Expire(0, initial)).
+	_, bodies := runBodies(t, 1_000, vclock.Exact{Scale: 3}, 2, 10, 10)
+	fires := bodies[0].fireTimes
+	if len(fires) < 3 {
+		t.Fatalf("too few firings: %v", fires)
+	}
+	if fires[0] != 6 { // Expire(0, 2) = 6
+		t.Errorf("first firing at %d, want 6", fires[0])
+	}
+	for i := 1; i < len(fires); i++ {
+		if got := fires[i] - fires[i-1]; got != 30 {
+			t.Fatalf("firing gap %d, want 30 (timer must re-arm to returned x)", got)
+		}
+	}
+}
+
+func TestTimerDisarmOnZero(t *testing.T) {
+	_, bodies := runBodies(t, 10_000, vclock.Exact{Scale: 4, Floor: 1}, 1, 0, 1)
+	if got := len(bodies[0].fireTimes); got != 1 {
+		t.Fatalf("disarmed timer fired %d times, want exactly the initial firing", got)
+	}
+	if len(bodies[1].fireTimes) < 10 {
+		t.Errorf("armed timer fired only %d times", len(bodies[1].fireTimes))
+	}
+}
+
+func TestStepsAndFiringsCounted(t *testing.T) {
+	s, bodies := runBodies(t, 5_000, vclock.Exact{Scale: 4, Floor: 1}, 1, 1, 1)
+	for i, b := range bodies {
+		if s.Steps(i) != uint64(len(b.stepTimes)) {
+			t.Errorf("Steps(%d) = %d, want %d", i, s.Steps(i), len(b.stepTimes))
+		}
+		if s.TimerFirings(i) != uint64(len(b.fireTimes)) {
+			t.Errorf("TimerFirings(%d) = %d, want %d", i, s.TimerFirings(i), len(b.fireTimes))
+		}
+	}
+	if s.Now() < 4_900 {
+		t.Errorf("run ended early at %d", s.Now())
+	}
+}
+
+type bodyFunc func(now vclock.Time)
+
+func (f bodyFunc) Step(now vclock.Time) { f(now) }
+
+// TestAuxStepper: a body without a task T3 (a replica co-scheduled with
+// the election) steps at exactly its pacing, forever.
+func TestAuxStepper(t *testing.T) {
+	s, err := NewSim(SimConfig{Seed: 1, Horizon: 5_000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var auxTimes []vclock.Time
+	s.Add(AlwaysReady(bodyFunc(func(now vclock.Time) { auxTimes = append(auxTimes, now) })), WithPacing(Fixed{D: 50}))
+	s.Run()
+	if len(auxTimes) < 90 {
+		t.Fatalf("aux stepped %d times, want ~100", len(auxTimes))
+	}
+	for i := 1; i < len(auxTimes); i++ {
+		if auxTimes[i]-auxTimes[i-1] != 50 {
+			t.Fatalf("aux pacing not honored: gap %d", auxTimes[i]-auxTimes[i-1])
+		}
+	}
+}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"omegasm/internal/core"
-	"omegasm/internal/sched"
 	"omegasm/internal/shmem"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
@@ -48,26 +47,14 @@ func runA1(cfg Config) (*Outcome, error) {
 
 	type variant struct {
 		name  string
-		build func(mem shmem.Mem, n int) []sched.Process
+		build func(mem shmem.Mem) []core.Proc
 	}
+	const n = 6
 	variants := []variant{
-		{"algo1 (with STOP)", func(mem shmem.Mem, n int) []sched.Process {
-			out := make([]sched.Process, n)
-			for i, p := range core.BuildAlgo1(mem, n) {
-				out[i] = p
-			}
-			return out
-		}},
-		{"noStop ablation", func(mem shmem.Mem, n int) []sched.Process {
-			out := make([]sched.Process, n)
-			for i, p := range core.BuildNoStop(mem, n) {
-				out[i] = p
-			}
-			return out
-		}},
+		{"algo1 (with STOP)", func(mem shmem.Mem) []core.Proc { return core.Procs(core.BuildAlgo1(mem, n)) }},
+		{"noStop ablation", func(mem shmem.Mem) []core.Proc { return core.Procs(core.BuildNoStop(mem, n)) }},
 	}
 
-	n := 6
 	suspTotals := make([]float64, len(variants))
 	stableCounts := make([]int, len(variants))
 	for vi, v := range variants {
@@ -80,19 +67,16 @@ func runA1(cfg Config) (*Outcome, error) {
 				2: horizon * 2 / 5,
 				3: horizon / 2,
 			}
-			mem := shmem.NewSimMem(n)
-			procs := v.build(mem, n)
-			w, err := newWorld(p, procs, mem)
+			p.Build = v.build
+			out, err := Execute(p)
 			if err != nil {
 				return nil, err
 			}
-			res := w.Run()
-			st, _, ok := trace.Stabilization(res.Samples, res.Crashed)
-			if ok {
+			if out.Stable {
 				stable++
-				stabs = append(stabs, float64(st))
+				stabs = append(stabs, float64(out.StabTime))
 			}
-			snap := mem.Census().Snapshot()
+			snap := out.End
 			var total uint64
 			for _, r := range snap.Regs {
 				if r.Class == core.ClassSuspicions {

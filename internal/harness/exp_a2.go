@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"omegasm/internal/core"
-	"omegasm/internal/sched"
+	"omegasm/internal/engine"
 	"omegasm/internal/shmem"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
@@ -46,25 +46,11 @@ func runA2(cfg Config) (*Outcome, error) {
 
 	type variant struct {
 		name  string
-		build func(mem shmem.Mem) []sched.Process
+		build func(mem shmem.Mem) []core.Proc
 	}
 	variants := []variant{
-		{"algo1 (leader reads)", func(mem shmem.Mem) []sched.Process {
-			sh := core.NewShared1(mem, n)
-			out := make([]sched.Process, n)
-			for i := 0; i < n; i++ {
-				out[i] = core.NewAlgo1(sh, i)
-			}
-			return out
-		}},
-		{"leaderNoRead ablation", func(mem shmem.Mem) []sched.Process {
-			sh := core.NewShared1(mem, n)
-			out := make([]sched.Process, n)
-			for i := 0; i < n; i++ {
-				out[i] = core.NewLeaderNoRead(sh, i, 32)
-			}
-			return out
-		}},
+		{"algo1 (leader reads)", func(mem shmem.Mem) []core.Proc { return core.Procs(core.BuildAlgo1(mem, n)) }},
+		{"leaderNoRead ablation", func(mem shmem.Mem) []core.Proc { return core.Procs(core.BuildLeaderNoRead(mem, n, 32)) }},
 	}
 
 	report := &trace.Report{}
@@ -86,29 +72,25 @@ func runA2(cfg Config) (*Outcome, error) {
 			Tau1:    horizon / 8,
 			Delta:   8,
 		}
-		p.Pacing = []sched.Pacing{
+		p.Pacing = []engine.Pacing{
 			// Process 0: timely until mid-run, then one outage long
 			// enough for process 1's timer to expire several times.
-			&sched.StallOnce{
+			&engine.StallOnce{
 				At:   horizon / 2,
 				Dur:  horizon / 8,
-				Base: sched.Uniform{Min: 1, Max: 4},
+				Base: engine.Uniform{Min: 1, Max: 4},
 			},
-			sched.Uniform{Min: 1, Max: 4},
+			engine.Uniform{Min: 1, Max: 4},
 		}
-
-		mem := shmem.NewSimMem(n)
-		procs := v.build(mem)
-		w, err := newWorld(p, procs, mem)
+		p.Build = v.build
+		out, err := Execute(p)
 		if err != nil {
 			return nil, err
 		}
-		res := w.Run()
-		_, _, stable := trace.Stabilization(res.Samples, res.Crashed)
-		outcomes[vi] = stable
-		last := res.Samples[len(res.Samples)-1]
-		changes := trace.LeaderChangesAfter(res.Samples, horizon*3/4)
-		tbl.AddRow(v.name, fmt.Sprintf("%v", stable),
+		outcomes[vi] = out.Stable
+		last := out.Samples[len(out.Samples)-1]
+		changes := trace.LeaderChangesAfter(out.Samples, horizon*3/4)
+		tbl.AddRow(v.name, fmt.Sprintf("%v", out.Stable),
 			fmt.Sprintf("%v", last.Leaders), stats.I(changes))
 	}
 

@@ -3,7 +3,8 @@ package harness
 import (
 	"fmt"
 
-	"omegasm/internal/sched"
+	"omegasm/internal/engine"
+	"omegasm/internal/shmem"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
 )
@@ -17,8 +18,8 @@ func init() {
 	})
 }
 
-// runA3 shows AWB1 is load-bearing by persecuting the leader. A
-// scheduler hook tracks the current leader estimate; the Chase pacing
+// runA3 shows AWB1 is load-bearing by persecuting the leader. An
+// on-sample callback tracks the current leader estimate; the Chase pacing
 // stalls whichever process is being followed:
 //
 //   - bounded chase (fixed stall): every process still satisfies AWB1
@@ -59,23 +60,19 @@ func runA3(cfg Config) (*Outcome, error) {
 		// The chase replaces the default pacing; AWB1 clamping must not
 		// rescue the chased process, so no process is clamped.
 		p.AWBProc = -1
-		p.Pacing = make([]sched.Pacing, n)
+		p.Pacing = make([]engine.Pacing, n)
 		for i := 0; i < n; i++ {
-			p.Pacing[i] = &sched.Chase{
+			p.Pacing[i] = &engine.Chase{
 				Self:   i,
 				Target: &target,
-				Base:   sched.OwnRng{Rng: newRng(p.Seed, 400+i), P: sched.Uniform{Min: 1, Max: 8}},
+				Base:   engine.OwnRng{Rng: newRng(p.Seed, 400+i), P: engine.Uniform{Min: 1, Max: 8}},
 				Stall:  100,
 				Grow:   kind.grow,
 			}
 		}
-		mem, procs, w, err := buildWorld(p)
-		if err != nil {
-			return nil, err
-		}
 		// The adversary observes the run: chase whoever the lowest-id
 		// live process currently follows.
-		w.AddHook(sched.HookFunc(func(_ *sched.World, s sched.Sample) {
+		p.OnSample = func(_ shmem.Mem, s trace.Sample) {
 			target = -1
 			for _, l := range s.Leaders {
 				if l != -1 {
@@ -83,10 +80,11 @@ func runA3(cfg Config) (*Outcome, error) {
 					break
 				}
 			}
-		}))
-		res := w.Run()
-		out := &RunOutcome{Res: res, End: mem.Census().Snapshot()}
-		out.StabTime, out.Leader, out.Stable = trace.Stabilization(res.Samples, res.Crashed)
+		}
+		out, err := Execute(p)
+		if err != nil {
+			return nil, err
+		}
 		outcomes[kind.name] = out
 
 		var maxSusp uint64
@@ -95,17 +93,16 @@ func runA3(cfg Config) (*Outcome, error) {
 				maxSusp = r.MaxValue
 			}
 		}
-		_ = procs
 		tbl.AddRow(kind.name, fmt.Sprintf("%v", out.Stable),
 			fmt.Sprintf("%d", out.StabTime),
-			stats.I(trace.LeaderChangesAfter(res.Samples, horizon*3/4)),
+			stats.I(trace.LeaderChangesAfter(out.Samples, horizon*3/4)),
 			stats.U(maxSusp))
 	}
 
 	report.Add("A3/boundedChaseStabilizes", outcomes["bounded"].Stable,
 		"with bounded stalls AWB1 still holds and the election completes")
 	growing := outcomes["growing"]
-	churn := trace.LeaderChangesAfter(growing.Res.Samples, horizon*3/4)
+	churn := trace.LeaderChangesAfter(growing.Samples, horizon*3/4)
 	report.Add("A3/growingChaseChurns", !growing.Stable || churn > 0,
 		fmt.Sprintf("unbounded persecution defeats the election (stable=%v, late churn=%d): AWB1 is necessary",
 			growing.Stable, churn))

@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"omegasm/internal/core"
-	"omegasm/internal/sched"
+	"omegasm/internal/engine"
 	"omegasm/internal/shmem"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
@@ -41,42 +41,40 @@ func runF3(cfg Config) (*Outcome, error) {
 	tau1 := horizon / 8
 	const handicap = 1_000_000
 
-	mem := shmem.NewSimMem(n)
-	mem.Census().LogWrites(core.ClassProgress, core.ClassStop)
-	sh := core.NewShared1(mem, n)
-	// Footnote-7 seeding: processes 1..n-1 start with a suspicion
-	// handicap recorded in process 0's suspicion row.
-	for k := 1; k < n; k++ {
-		shmem.SeedIfPossible(sh.Suspicions[0][k], handicap)
-	}
-	procs := make([]sched.Process, n)
-	for i := 0; i < n; i++ {
-		procs[i] = core.NewAlgo1(sh, i)
-	}
-
 	p := Preset{
-		Algo:    AlgoWriteEfficient,
-		N:       n,
-		Seed:    3,
-		Horizon: horizon,
-		AWBProc: 0,
-		Tau1:    tau1,
-		Delta:   delta,
+		N:          n,
+		Seed:       3,
+		Horizon:    horizon,
+		AWBProc:    0,
+		Tau1:       tau1,
+		Delta:      delta,
+		LogClasses: []string{core.ClassProgress, core.ClassStop},
+		Build: func(mem shmem.Mem) []core.Proc {
+			sh := core.NewShared1(mem, n)
+			// Footnote-7 seeding: processes 1..n-1 start with a suspicion
+			// handicap recorded in process 0's suspicion row.
+			for k := 1; k < n; k++ {
+				shmem.SeedIfPossible(sh.Suspicions[0][k], handicap)
+			}
+			procs := make([]core.Proc, n)
+			for i := range procs {
+				procs[i] = core.NewAlgo1(sh, i)
+			}
+			return procs
+		},
 	}
-	p.Pacing = make([]sched.Pacing, n)
-	p.Pacing[0] = sched.HeavyTail{Min: 1, Max: 64, StallP: 0.05, StallMax: horizon / 32}
+	p.Pacing = make([]engine.Pacing, n)
+	p.Pacing[0] = engine.HeavyTail{Min: 1, Max: 64, StallP: 0.05, StallMax: horizon / 32}
 	for i := 1; i < n; i++ {
-		p.Pacing[i] = sched.HeavyTail{Min: 1, Max: 8, StallP: 0.02, StallMax: horizon / 64}
+		p.Pacing[i] = engine.HeavyTail{Min: 1, Max: 8, StallP: 0.02, StallMax: horizon / 64}
 	}
 	p.Timers = advTimers(n, p.Seed, horizon)
 
-	w, err := newWorld(p, procs, mem)
+	out, err := Execute(p)
 	if err != nil {
 		return nil, err
 	}
-	res := w.Run()
-	writeLog := mem.Census().WriteLog()
-	stabTime, leader, stable := trace.Stabilization(res.Samples, res.Crashed)
+	writeLog, stabTime, leader, stable := out.WriteLog, out.StabTime, out.Leader, out.Stable
 
 	report := &trace.Report{}
 	if !stable {

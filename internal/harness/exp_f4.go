@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"omegasm/internal/sched"
+	"omegasm/internal/engine"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
 	"omegasm/internal/vclock"
@@ -55,10 +55,10 @@ func runF4(cfg Config) (*Outcome, error) {
 			StrawMod:     mod,
 			StrawSuspCap: 8,
 		}
-		p.Pacing = make([]sched.Pacing, n)
+		p.Pacing = make([]engine.Pacing, n)
 		p.Timers = make([]vclock.Behavior, n)
 		for i := 0; i < n; i++ {
-			p.Pacing[i] = sched.Fixed{D: 1}
+			p.Pacing[i] = engine.Fixed{D: 1}
 			p.Timers[i] = vclock.PhaseLocked{
 				F:      vclock.Affine{A: 4, B: 1},
 				Period: mod,                // one heartbeat wrap per observation period
@@ -88,7 +88,7 @@ func runF4(cfg Config) (*Outcome, error) {
 		if err != nil {
 			return nil, err
 		}
-		changes := trace.LeaderChangesAfter(out.Res.Samples, horizon*3/4)
+		changes := trace.LeaderChangesAfter(out.Samples, horizon*3/4)
 		bounded := "yes"
 		if algo == AlgoWriteEfficient {
 			bounded = "all but one"
@@ -109,7 +109,7 @@ func runF4(cfg Config) (*Outcome, error) {
 	// Corollary 1 on Algorithm 2 under this adversary: every correct
 	// process still writes in the suffix window.
 	if a2.out.StableBeforeMid() {
-		trace.CheckAllCorrectWriteForever(report, a2.out.Suffix(), a2.out.Res.Crashed)
+		trace.CheckAllCorrectWriteForever(report, a2.out.Suffix(), a2.out.Crashed)
 	}
 
 	return &Outcome{Tables: []*stats.Table{tbl}, Report: report}, nil

@@ -57,9 +57,9 @@ func runF5(cfg Config) (*Outcome, error) {
 			}
 			suffix := out.Suffix()
 			trace.CheckBoundedMemory(report, out.End, out.Mid)
-			trace.CheckAlgo2WriteSet(report, suffix, out.Leader, out.Res.Crashed)
-			trace.CheckAllCorrectWriteForever(report, suffix, out.Res.Crashed)
-			trace.CheckReadersForever(report, suffix, out.Leader, out.Res.Crashed)
+			trace.CheckAlgo2WriteSet(report, suffix, out.Leader, out.Crashed)
+			trace.CheckAllCorrectWriteForever(report, suffix, out.Crashed)
+			trace.CheckReadersForever(report, suffix, out.Leader, out.Crashed)
 			tbl.AddRow(stats.I(n), stats.I(crashes), fmt.Sprintf("%d", seed),
 				stats.I(out.Leader), stats.I(out.End.TotalBits()),
 				fmt.Sprintf("%v", suffix.Writers()),

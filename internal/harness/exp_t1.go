@@ -57,7 +57,7 @@ func runT1(cfg Config) (*Outcome, error) {
 			suffix := out.Suffix()
 			trace.CheckWriteEfficiency(report, suffix, out.Leader)
 			trace.CheckBoundedExceptProgress(report, suffix, out.Leader)
-			trace.CheckReadersForever(report, suffix, out.Leader, out.Res.Crashed)
+			trace.CheckReadersForever(report, suffix, out.Leader, out.Crashed)
 			tbl.AddRow(stats.I(n), stats.I(crashes), fmt.Sprintf("%d", seed),
 				stats.I(out.Leader), fmt.Sprintf("%v", writesByProcess(suffix)),
 				fmt.Sprintf("%v", suffix.WrittenRegisters()))

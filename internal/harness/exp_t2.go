@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"omegasm/internal/sched"
 	"omegasm/internal/shmem"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
@@ -37,18 +36,9 @@ func runT2(cfg Config) (*Outcome, error) {
 		p := defaultPreset(algo, n, 5, horizon)
 		var snaps []*shmem.CensusSnapshot
 		var snapTimes []vclock.Time
-		mem := shmem.NewSimMem(p.N)
-		procs, err := buildProcs(p, mem)
-		if err != nil {
-			return nil, err
-		}
-		w, err := newWorld(p, procs, mem)
-		if err != nil {
-			return nil, err
-		}
 		winLen := horizon / windows
 		next := winLen
-		w.AddHook(sched.HookFunc(func(_ *sched.World, s sched.Sample) {
+		p.OnSample = func(mem shmem.Mem, s trace.Sample) {
 			// The final boundary is covered by the explicit end snapshot
 			// below; stopping early avoids a degenerate empty window.
 			for s.T >= next && next < horizon {
@@ -56,12 +46,15 @@ func runT2(cfg Config) (*Outcome, error) {
 				snapTimes = append(snapTimes, next)
 				next += winLen
 			}
-		}))
-		res := w.Run()
-		snaps = append(snaps, mem.Census().Snapshot())
-		snapTimes = append(snapTimes, res.End)
-		stab, leader, stable := trace.Stabilization(res.Samples, res.Crashed)
-		if !stable {
+		}
+		out, err := Execute(p)
+		if err != nil {
+			return nil, err
+		}
+		snaps = append(snaps, out.End)
+		snapTimes = append(snapTimes, out.EndTime)
+		stab, leader := out.StabTime, out.Leader
+		if !out.Stable {
 			report.Add(fmt.Sprintf("T2/%s/stabilized", algo), false, "run did not stabilize")
 			continue
 		}
@@ -89,7 +82,7 @@ func runT2(cfg Config) (*Outcome, error) {
 			leaderWrote := containsInt(writers, leader)
 			others := true
 			for q := 0; q < n; q++ {
-				if q == leader || res.Crashed[q] {
+				if q == leader || out.Crashed[q] {
 					continue
 				}
 				if !containsInt(readers, q) {

@@ -70,7 +70,7 @@ func runT3(cfg Config) (*Outcome, error) {
 			}
 			growing = append(growing, float64(g))
 			bits = append(bits, float64(out.End.TotalBits()))
-			window := float64(out.Res.End - out.MidTime)
+			window := float64(out.EndTime - out.MidTime)
 			var w uint64
 			for _, r := range suffix.Regs {
 				w += r.TotalWrites()

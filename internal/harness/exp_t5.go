@@ -3,7 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"omegasm/internal/sched"
+	"omegasm/internal/engine"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
 	"omegasm/internal/vclock"
@@ -153,15 +153,15 @@ func runT5(cfg Config) (*Outcome, error) {
 	// rather than adversarial stalls). The pacing is per-process-seeded
 	// and identical between the dry and the real run, so the dry run's
 	// incumbent is exactly the process the real run crashes.
-	recoveryPacing := func(seed int64, tau1 vclock.Time) []sched.Pacing {
-		ps := make([]sched.Pacing, 5)
+	recoveryPacing := func(seed int64, tau1 vclock.Time) []engine.Pacing {
+		ps := make([]engine.Pacing, 5)
 		for i := range ps {
-			ps[i] = sched.OwnRng{
+			ps[i] = engine.OwnRng{
 				Rng: newRng(seed, 9000+i),
-				P: sched.Phase{
+				P: engine.Phase{
 					At:     tau1,
-					Before: sched.HeavyTail{Min: 1, Max: 8, StallP: 0.02, StallMax: horizon / 64},
-					After:  sched.Uniform{Min: 1, Max: 8},
+					Before: engine.HeavyTail{Min: 1, Max: 8, StallP: 0.02, StallMax: horizon / 64},
+					After:  engine.Uniform{Min: 1, Max: 8},
 				},
 			}
 		}

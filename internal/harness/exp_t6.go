@@ -4,7 +4,8 @@ import (
 	"fmt"
 
 	"omegasm/internal/consensus"
-	"omegasm/internal/sched"
+	"omegasm/internal/core"
+	"omegasm/internal/engine"
 	"omegasm/internal/shmem"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
@@ -42,7 +43,7 @@ func runT6(cfg Config) (*Outcome, error) {
 
 	var replicas []*consensus.Replica
 	submitted := make(map[uint32]bool)
-	p.Aux = func(mem shmem.Mem, procs []sched.Process, w *sched.World) error {
+	p.Aux = func(mem shmem.Mem, procs []core.Proc, sim *engine.Sim) error {
 		log := consensus.NewLog(mem, n, slots)
 		for i := 0; i < n; i++ {
 			i := i
@@ -60,11 +61,11 @@ func runT6(cfg Config) (*Outcome, error) {
 			// The crashed oracle process's replica also stops stepping at
 			// the crash time: model it as a phase switch to an effectively
 			// infinite pacing.
-			var pacing sched.Pacing = sched.Uniform{Min: 1, Max: 8}
+			var pacing engine.Pacing = engine.Uniform{Min: 1, Max: 8}
 			if ct, ok := p.Crash[i]; ok {
-				pacing = sched.Phase{At: ct, Before: pacing, After: sched.Fixed{D: horizon * 2}}
+				pacing = engine.Phase{At: ct, Before: pacing, After: engine.Fixed{D: horizon * 2}}
 			}
-			w.AddAux(r, pacing)
+			sim.Add(engine.AlwaysReady(r), engine.WithPacing(pacing))
 		}
 		return nil
 	}
@@ -82,7 +83,7 @@ func runT6(cfg Config) (*Outcome, error) {
 	agree := true
 	var longest []uint32
 	for i, r := range replicas {
-		if out.Res.Crashed[i] {
+		if out.Crashed[i] {
 			continue
 		}
 		c := r.Committed()
@@ -91,7 +92,7 @@ func runT6(cfg Config) (*Outcome, error) {
 		}
 	}
 	for i, r := range replicas {
-		if out.Res.Crashed[i] {
+		if out.Crashed[i] {
 			continue
 		}
 		c := r.Committed()
@@ -119,7 +120,7 @@ func runT6(cfg Config) (*Outcome, error) {
 		Header: []string{"replica", "crashed", "committed", "pending"},
 	}
 	for i, r := range replicas {
-		tbl.AddRow(stats.I(i), fmt.Sprintf("%v", out.Res.Crashed[i]),
+		tbl.AddRow(stats.I(i), fmt.Sprintf("%v", out.Crashed[i]),
 			stats.I(len(r.Committed())), stats.I(r.Pending()))
 	}
 	return &Outcome{Tables: []*stats.Table{tbl}, Report: report}, nil

@@ -70,7 +70,7 @@ func runT7(cfg Config) (*Outcome, error) {
 				steadyW += reg.TotalWrites()
 			}
 			anarchyLen := float64(out.MidTime)
-			steadyLen := float64(out.Res.End - out.MidTime)
+			steadyLen := float64(out.EndTime - out.MidTime)
 			if anarchyLen > 0 {
 				r.ar = append(r.ar, float64(anarchyR)/anarchyLen*1000)
 				r.aw = append(r.aw, float64(anarchyW)/anarchyLen*1000)

@@ -16,10 +16,7 @@ import (
 	"math/rand"
 	"sort"
 
-	"omegasm/internal/baseline"
-	"omegasm/internal/core"
-	"omegasm/internal/sched"
-	"omegasm/internal/shmem"
+	"omegasm/internal/engine"
 	"omegasm/internal/stats"
 	"omegasm/internal/trace"
 	"omegasm/internal/vclock"
@@ -123,172 +120,7 @@ func ByID(id string) (Experiment, error) {
 			return e, nil
 		}
 	}
-	ids := make([]string, 0, len(registry))
-	for _, e := range registry {
-		ids = append(ids, e.ID)
-	}
-	sort.Strings(ids)
-	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, ids)
-}
-
-// Preset describes one simulated run.
-type Preset struct {
-	Algo    Algo
-	N       int
-	Seed    int64
-	Horizon vclock.Time
-	Crash   map[int]vclock.Time
-
-	// AWB parameters.
-	AWBProc int
-	Tau1    vclock.Time
-	Delta   vclock.Duration
-
-	// Overrides; nil entries use scheduler defaults.
-	Pacing []sched.Pacing
-	Timers []vclock.Behavior
-
-	// Strawman parameters.
-	StrawMod     uint64
-	StrawSuspCap uint64
-
-	// LogClasses enables per-write logging for these register classes.
-	LogClasses []string
-
-	// SampleEvery overrides the observation period.
-	SampleEvery vclock.Duration
-
-	// Aux steppers (e.g. consensus replicas) attached after build.
-	Aux func(mem shmem.Mem, procs []sched.Process, w *sched.World) error
-}
-
-// RunOutcome is the measured result of one simulated run.
-type RunOutcome struct {
-	Res      *sched.Result
-	End      *shmem.CensusSnapshot
-	Mid      *shmem.CensusSnapshot // taken at 3/4 of the horizon
-	MidTime  vclock.Time
-	WriteLog []shmem.WriteEvent
-
-	StabTime vclock.Time
-	Leader   int
-	Stable   bool
-
-	// Invariants is the online checker attached to every run: Validity,
-	// crash monotonicity, time monotonicity. A violation is a bug, not an
-	// experimental outcome.
-	Invariants *trace.InvariantChecker
-}
-
-// Suffix returns the census of the post-midpoint window (final minus
-// midpoint): the operational version of the paper's "after some finite
-// time" quantifier.
-func (o *RunOutcome) Suffix() *shmem.CensusSnapshot {
-	return o.End.Diff(o.Mid)
-}
-
-// StableBeforeMid reports whether the run had stabilized before the
-// midpoint snapshot, which the suffix-window verdicts require.
-func (o *RunOutcome) StableBeforeMid() bool {
-	return o.Stable && o.StabTime <= o.MidTime
-}
-
-// buildProcs allocates the preset's algorithm over mem.
-func buildProcs(p Preset, mem shmem.Mem) ([]sched.Process, error) {
-	wrap := func(n int, at func(int) sched.Process) []sched.Process {
-		out := make([]sched.Process, n)
-		for i := range out {
-			out[i] = at(i)
-		}
-		return out
-	}
-	switch p.Algo {
-	case AlgoWriteEfficient:
-		ps := core.BuildAlgo1(mem, p.N)
-		return wrap(p.N, func(i int) sched.Process { return ps[i] }), nil
-	case AlgoBounded:
-		ps := core.BuildAlgo2(mem, p.N)
-		return wrap(p.N, func(i int) sched.Process { return ps[i] }), nil
-	case AlgoNWNR:
-		ps := core.BuildNWNR(mem, p.N)
-		return wrap(p.N, func(i int) sched.Process { return ps[i] }), nil
-	case AlgoTimerFree:
-		ps := core.BuildTimerFree(mem, p.N)
-		return wrap(p.N, func(i int) sched.Process { return ps[i] }), nil
-	case AlgoBaseline:
-		ps := baseline.Build(mem, p.N)
-		return wrap(p.N, func(i int) sched.Process { return ps[i] }), nil
-	case AlgoStrawman:
-		mod, suspCap := p.StrawMod, p.StrawSuspCap
-		if mod == 0 {
-			mod = 4
-		}
-		if suspCap == 0 {
-			suspCap = 8
-		}
-		ps := core.BuildStrawman(mem, p.N, mod, suspCap)
-		return wrap(p.N, func(i int) sched.Process { return ps[i] }), nil
-	default:
-		return nil, fmt.Errorf("harness: unknown algorithm %q", p.Algo)
-	}
-}
-
-// newWorld builds the scheduler world of a preset over already-built
-// processes (exposed separately from Execute so experiments can attach
-// custom hooks).
-func newWorld(p Preset, procs []sched.Process, mem shmem.Mem) (*sched.World, error) {
-	cfg := sched.Config{
-		N:           p.N,
-		Seed:        p.Seed,
-		Horizon:     p.Horizon,
-		SampleEvery: p.SampleEvery,
-		AWBProc:     p.AWBProc,
-		Tau1:        p.Tau1,
-		Delta:       p.Delta,
-		Pacing:      p.Pacing,
-		Timers:      p.Timers,
-		Crash:       p.Crash,
-	}
-	return sched.NewWorld(cfg, procs, mem)
-}
-
-// Execute runs one preset to completion and analyzes it.
-func Execute(p Preset) (*RunOutcome, error) {
-	mem := shmem.NewSimMem(p.N)
-	if len(p.LogClasses) > 0 {
-		mem.Census().LogWrites(p.LogClasses...)
-	}
-	procs, err := buildProcs(p, mem)
-	if err != nil {
-		return nil, err
-	}
-	w, err := newWorld(p, procs, mem)
-	if err != nil {
-		return nil, err
-	}
-	out := &RunOutcome{Invariants: trace.NewInvariantChecker(p.N)}
-	w.AddHook(out.Invariants)
-	midAt := p.Horizon * 3 / 4
-	w.AddHook(sched.HookFunc(func(w *sched.World, s sched.Sample) {
-		if out.Mid == nil && s.T >= midAt {
-			out.Mid = mem.Census().Snapshot()
-			out.MidTime = s.T
-		}
-	}))
-	if p.Aux != nil {
-		if err := p.Aux(mem, procs, w); err != nil {
-			return nil, err
-		}
-	}
-	out.Res = w.Run()
-	out.End = mem.Census().Snapshot()
-	if out.Mid == nil { // horizon too small for the hook to fire
-		out.Mid = out.End
-		out.MidTime = out.Res.End
-	}
-	out.WriteLog = mem.Census().WriteLog()
-	out.StabTime, out.Leader, out.Stable = trace.Stabilization(out.Res.Samples, out.Res.Crashed)
-	return out, nil
+	return Experiment{}, fmt.Errorf("harness: unknown experiment %q (have %v)", id, IDs())
 }
 
 // defaultPreset fills an AWB-satisfying configuration: process 0 is the
@@ -311,20 +143,20 @@ func defaultPreset(algo Algo, n int, seed int64, horizon vclock.Time) Preset {
 
 // advPacing builds the canonical asynchronous adversary: every process is
 // heavy-tailed (occasional long stalls). Process 0 is also heavy-tailed —
-// the scheduler's AWB1 clamp tames it after tau_1, which is exactly the
+// the run host's AWB1 clamp tames it after tau_1, which is exactly the
 // assumption's shape: chaotic prefix, then timely. Each process draws
-// from its own seeded source (sched.OwnRng) so a process's delay sequence
+// from its own seeded source (engine.OwnRng) so a process's delay sequence
 // does not depend on the interleaving.
-func advPacing(n int, seed int64, horizon vclock.Time) []sched.Pacing {
-	ps := make([]sched.Pacing, n)
+func advPacing(n int, seed int64, horizon vclock.Time) []engine.Pacing {
+	ps := make([]engine.Pacing, n)
 	stall := horizon / 64
 	if stall < 32 {
 		stall = 32
 	}
 	for i := range ps {
-		ps[i] = sched.OwnRng{
+		ps[i] = engine.OwnRng{
 			Rng: newRng(seed, 7000+i),
-			P:   sched.HeavyTail{Min: 1, Max: 8, StallP: 0.02, StallMax: stall},
+			P:   engine.HeavyTail{Min: 1, Max: 8, StallP: 0.02, StallMax: stall},
 		}
 	}
 	return ps
@@ -349,24 +181,6 @@ func advTimersAt(n int, seed int64, settle vclock.Time) []vclock.Behavior {
 		}
 	}
 	return ts
-}
-
-// buildWorld builds memory, processes and world for a preset, for
-// experiments that need to attach hooks before running.
-func buildWorld(p Preset) (*shmem.SimMem, []sched.Process, *sched.World, error) {
-	mem := shmem.NewSimMem(p.N)
-	if len(p.LogClasses) > 0 {
-		mem.Census().LogWrites(p.LogClasses...)
-	}
-	procs, err := buildProcs(p, mem)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	w, err := newWorld(p, procs, mem)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return mem, procs, w, nil
 }
 
 func newRng(seed int64, salt int) *rand.Rand {

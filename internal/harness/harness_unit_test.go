@@ -139,7 +139,7 @@ func TestExecuteProducesSnapshots(t *testing.T) {
 	if out.MidTime < 20_000*3/4 || out.MidTime > 20_000 {
 		t.Errorf("mid snapshot at %d, want ~3/4 of horizon", out.MidTime)
 	}
-	if len(out.Res.Samples) == 0 {
+	if len(out.Samples) == 0 {
 		t.Error("no samples")
 	}
 	// Suffix is a diff: totals must not exceed end totals.

@@ -29,7 +29,7 @@ func TestLemma1CrashedLeaveCandidatesForever(t *testing.T) {
 			// Find the last sample at which any live process still named
 			// a crashed process; it must be well before the horizon.
 			lastNamed := vclock.Time(-1)
-			for _, s := range out.Res.Samples {
+			for _, s := range out.Samples {
 				for pid, l := range s.Leaders {
 					if l == 1 || l == 2 {
 						if s.Leaders[pid] != -1 {
@@ -90,7 +90,7 @@ func TestTheorem1LeaderIsLexminOfB(t *testing.T) {
 		grew := suspicionGrowth(out.Suffix(), 5)
 		best := -1
 		for k := 0; k < 5; k++ {
-			if out.Res.Crashed[k] || grew[k] > 0 {
+			if out.Crashed[k] || grew[k] > 0 {
 				continue // not in B
 			}
 			if best == -1 || totals[k] < totals[best] || (totals[k] == totals[best] && k < best) {

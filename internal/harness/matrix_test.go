@@ -5,7 +5,7 @@ import (
 	"testing"
 
 	"omegasm/internal/core"
-	"omegasm/internal/sched"
+	"omegasm/internal/engine"
 	"omegasm/internal/shmem"
 	"omegasm/internal/trace"
 	"omegasm/internal/vclock"
@@ -37,7 +37,7 @@ func TestConvergenceMatrix(t *testing.T) {
 							t.Errorf("seed %d: no stabilization", seed)
 							continue
 						}
-						if out.Leader < 0 || out.Res.Crashed[out.Leader] {
+						if out.Leader < 0 || out.Crashed[out.Leader] {
 							t.Errorf("seed %d: elected leader %d invalid/crashed", seed, out.Leader)
 						}
 					}
@@ -57,7 +57,7 @@ func TestValidityAlways(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range out.Res.Samples {
+		for _, s := range out.Samples {
 			for pid, l := range s.Leaders {
 				if l == -1 {
 					continue // crashed
@@ -79,59 +79,59 @@ func TestSelfStabilizationFromGarbage(t *testing.T) {
 	horizon := vclock.Time(200_000)
 	n := 4
 	t.Run("algo1", func(t *testing.T) {
-		mem := shmem.NewSimMem(n)
-		sh := core.NewShared1(mem, n)
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				// Garbage suspicions, but small enough that line 27's
-				// timeout (max own row + 1) stays inside the horizon.
-				shmem.SeedIfPossible(sh.Suspicions[j][k], uint64((j*7+k*13)%50))
+		runGarbage(t, n, horizon, func(mem shmem.Mem) []core.Proc {
+			sh := core.NewShared1(mem, n)
+			for j := 0; j < n; j++ {
+				for k := 0; k < n; k++ {
+					// Garbage suspicions, but small enough that line 27's
+					// timeout (max own row + 1) stays inside the horizon.
+					shmem.SeedIfPossible(sh.Suspicions[j][k], uint64((j*7+k*13)%50))
+				}
+				shmem.SeedIfPossible(sh.Progress[j], uint64(j)*1_000_000_007)
+				shmem.SeedIfPossible(sh.Stop[j], uint64(j%2))
 			}
-			shmem.SeedIfPossible(sh.Progress[j], uint64(j)*1_000_000_007)
-			shmem.SeedIfPossible(sh.Stop[j], uint64(j%2))
-		}
-		procs := make([]sched.Process, n)
-		for i := 0; i < n; i++ {
-			procs[i] = core.NewAlgo1(sh, i)
-		}
-		runGarbage(t, procs, mem, horizon)
+			procs := make([]core.Proc, n)
+			for i := 0; i < n; i++ {
+				procs[i] = core.NewAlgo1(sh, i)
+			}
+			return procs
+		})
 	})
 	t.Run("algo2", func(t *testing.T) {
-		mem := shmem.NewSimMem(n)
-		sh := core.NewShared2(mem, n)
-		for j := 0; j < n; j++ {
-			for k := 0; k < n; k++ {
-				shmem.SeedIfPossible(sh.Suspicions[j][k], uint64((j*5+k*11)%50))
-				shmem.SeedIfPossible(sh.Progress[j][k], uint64(k%2))
-				shmem.SeedIfPossible(sh.Last[j][k], uint64(j%2))
+		runGarbage(t, n, horizon, func(mem shmem.Mem) []core.Proc {
+			sh := core.NewShared2(mem, n)
+			for j := 0; j < n; j++ {
+				for k := 0; k < n; k++ {
+					shmem.SeedIfPossible(sh.Suspicions[j][k], uint64((j*5+k*11)%50))
+					shmem.SeedIfPossible(sh.Progress[j][k], uint64(k%2))
+					shmem.SeedIfPossible(sh.Last[j][k], uint64(j%2))
+				}
+				shmem.SeedIfPossible(sh.Stop[j], uint64((j+1)%2))
 			}
-			shmem.SeedIfPossible(sh.Stop[j], uint64((j+1)%2))
-		}
-		procs := make([]sched.Process, n)
-		for i := 0; i < n; i++ {
-			procs[i] = core.NewAlgo2(sh, i)
-		}
-		runGarbage(t, procs, mem, horizon)
+			procs := make([]core.Proc, n)
+			for i := 0; i < n; i++ {
+				procs[i] = core.NewAlgo2(sh, i)
+			}
+			return procs
+		})
 	})
 }
 
-func runGarbage(t *testing.T, procs []sched.Process, mem shmem.Mem, horizon vclock.Time) {
+func runGarbage(t *testing.T, n int, horizon vclock.Time, build func(mem shmem.Mem) []core.Proc) {
 	t.Helper()
-	cfg := sched.Config{
-		N: len(procs), Seed: 23, Horizon: horizon,
+	out, err := Execute(Preset{
+		N: n, Seed: 23, Horizon: horizon,
 		AWBProc: 0, Tau1: horizon / 8, Delta: 8,
-	}
-	w, err := sched.NewWorld(cfg, procs, mem)
+		Build: build,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := w.Run()
-	st, leader, ok := trace.Stabilization(res.Samples, res.Crashed)
-	if !ok {
+	if !out.Stable {
 		t.Fatalf("no stabilization from garbage initial state; last=%v",
-			res.Samples[len(res.Samples)-1].Leaders)
+			out.Samples[len(out.Samples)-1].Leaders)
 	}
-	t.Logf("stabilized on %d at t=%d from garbage state", leader, st)
+	t.Logf("stabilized on %d at t=%d from garbage state", out.Leader, out.StabTime)
 }
 
 // TestBrokenTimersBreakLiveness is the negative control: with timers that
@@ -148,14 +148,14 @@ func TestBrokenTimersBreakLiveness(t *testing.T) {
 		// deaf to the growing timeout values (violates f2/f3).
 		p.Timers[i] = vclock.Broken{Short: 8}
 		// Every process stalls regularly, forever.
-		p.Pacing[i] = sched.HeavyTail{Min: 1, Max: 8, StallP: 0.05, StallMax: 4_000}
+		p.Pacing[i] = engine.HeavyTail{Min: 1, Max: 8, StallP: 0.05, StallMax: 4_000}
 	}
 	p.AWBProc = -1 // no pacing rescue for anyone
 	out, err := Execute(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	churn := trace.LeaderChangesAfter(out.Res.Samples, horizon/2)
+	churn := trace.LeaderChangesAfter(out.Samples, horizon/2)
 	if out.Stable && churn == 0 {
 		t.Fatalf("run with AWB2-violating timers stabilized (leader=%d); "+
 			"the assumption appears unused", out.Leader)
@@ -186,7 +186,7 @@ func TestElectionPrefersLessSuspected(t *testing.T) {
 			}
 		}
 		for k := 0; k < 5; k++ {
-			if out.Res.Crashed[k] {
+			if out.Crashed[k] {
 				continue
 			}
 			if totals[k] < totals[out.Leader] {

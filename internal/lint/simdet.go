@@ -34,7 +34,6 @@ var SimDet = &analysis.Analyzer{
 var simdetPackages = []string{
 	"internal/engine",
 	"internal/consensus",
-	"internal/sched",
 	"internal/core",
 	"omegasm/load",
 	"omegasm/check",
@@ -42,8 +41,9 @@ var simdetPackages = []string{
 
 // simdetFiles lists file-path suffixes that are sim-reachable (or must
 // emit byte-stable output) regardless of package: the public simulator
-// surface and the replica driver and write tracker it shares with the
-// live store (whose ticker/ctx waiting stays in kv.go).
+// surface, the replica driver and write tracker it shares with the live
+// store (whose ticker/ctx waiting stays in kv.go), and the experiments'
+// run host.
 var simdetFiles = []string{
 	"sim.go",
 	"sim_config.go",
@@ -54,6 +54,7 @@ var simdetFiles = []string{
 	"faults.go",
 	"shmem/fault.go",
 	"san/gray.go",
+	"harness/run.go",
 }
 
 // forbiddenTimeFuncs are the time package functions that read or

@@ -31,18 +31,10 @@ import (
 	"sync/atomic"
 	"time"
 
+	"omegasm/internal/core"
 	"omegasm/internal/engine"
 	"omegasm/internal/vclock"
 )
-
-// Proc is the state-machine contract the runtime drives; the core
-// algorithms implement it.
-type Proc interface {
-	Step(now vclock.Time)
-	OnTimer(now vclock.Time) (next uint64)
-	Leader() int
-	ID() int
-}
 
 // Config parameterizes the live runtime.
 type Config struct {
@@ -73,11 +65,11 @@ type Runtime struct {
 	nodes []*node
 }
 
-// node adapts one Proc to the engine's machine contract. Step and OnTimer
+// node adapts one core.Proc to the engine's machine contract. Step and OnTimer
 // bodies run only on the engine's scheduler goroutine; the published
 // leader estimate is the lock-free read path.
 type node struct {
-	proc     Proc
+	proc     core.Proc
 	eng      *engine.Live
 	interval vclock.Duration // StepInterval in ns
 
@@ -108,7 +100,7 @@ func (n *node) OnTimer(now vclock.Time) uint64 {
 }
 
 // New builds a runtime over the given processes.
-func New(cfg Config, procs []Proc) (*Runtime, error) {
+func New(cfg Config, procs []core.Proc) (*Runtime, error) {
 	if len(procs) < 2 {
 		return nil, fmt.Errorf("rt: need at least 2 processes, got %d", len(procs))
 	}

@@ -13,16 +13,12 @@ import (
 func liveCluster(t *testing.T, n int, algo string) (*rt.Runtime, *shmem.AtomicMem) {
 	t.Helper()
 	mem := shmem.NewAtomicMem(n, true)
-	procs := make([]rt.Proc, n)
+	var procs []core.Proc
 	switch algo {
 	case "algo1":
-		for i, p := range core.BuildAlgo1(mem, n) {
-			procs[i] = p
-		}
+		procs = core.Procs(core.BuildAlgo1(mem, n))
 	case "algo2":
-		for i, p := range core.BuildAlgo2(mem, n) {
-			procs[i] = p
-		}
+		procs = core.Procs(core.BuildAlgo2(mem, n))
 	default:
 		t.Fatalf("unknown algo %q", algo)
 	}
@@ -218,11 +214,7 @@ func TestRTLeaderQueriesLockFree(t *testing.T) {
 
 func TestRTTimerFreeVariantLive(t *testing.T) {
 	mem := shmem.NewAtomicMem(3, false)
-	procs := make([]rt.Proc, 3)
-	for i, p := range core.BuildTimerFree(mem, 3) {
-		procs[i] = p
-	}
-	r, err := rt.New(rt.Config{StepInterval: 50 * time.Microsecond}, procs)
+	r, err := rt.New(rt.Config{StepInterval: 50 * time.Microsecond}, core.Procs(core.BuildTimerFree(mem, 3)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,14 +28,10 @@ func TestOmegaOverSAN(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := make([]rt.Proc, n)
-	for i, p := range core.BuildAlgo1(mem, n) {
-		procs[i] = p
-	}
 	cluster, err := rt.New(rt.Config{
 		StepInterval: time.Millisecond,
 		TimerUnit:    10 * time.Millisecond,
-	}, procs)
+	}, core.Procs(core.BuildAlgo1(mem, n)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -75,14 +71,10 @@ func TestOmegaOverSANProcessCrash(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := make([]rt.Proc, n)
-	for i, p := range core.BuildAlgo1(mem, n) {
-		procs[i] = p
-	}
 	cluster, err := rt.New(rt.Config{
 		StepInterval: time.Millisecond,
 		TimerUnit:    10 * time.Millisecond,
-	}, procs)
+	}, core.Procs(core.BuildAlgo1(mem, n)))
 	if err != nil {
 		t.Fatal(err)
 	}

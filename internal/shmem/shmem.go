@@ -7,8 +7,8 @@
 // interchangeable implementations behind the Mem/Reg interfaces:
 //
 //   - SimMem: plain words plus full instrumentation, for the deterministic
-//     simulation scheduler (package sched), which serializes all accesses
-//     on a single goroutine so linearizability is trivial.
+//     virtual-time engine (engine.Sim), which serializes all accesses on
+//     a single goroutine so linearizability is trivial.
 //   - AtomicMem (atomic.go): sync/atomic-backed registers for the live
 //     goroutine runtime (package rt).
 //   - san.DiskMem (package san): registers replicated over simulated

@@ -4,11 +4,11 @@ import "fmt"
 
 // SimMem is the simulation shared memory: plain words plus a census.
 //
-// It is intentionally not safe for concurrent use. The deterministic
-// scheduler (package sched) runs all process steps on one goroutine, so
-// every register access is trivially linearized in scheduler order, which
-// is exactly the atomicity granted by the paper's model: the linearization
-// point of each operation is the scheduler tick at which it runs.
+// It is intentionally not safe for concurrent use. The virtual-time
+// engine (engine.Sim) runs all process steps on one goroutine, so every
+// register access is trivially linearized in event order, which is
+// exactly the atomicity granted by the paper's model: the linearization
+// point of each operation is the engine tick at which it runs.
 type SimMem struct {
 	census *Census
 }

@@ -1,13 +1,9 @@
 package trace
 
-import (
-	"fmt"
+import "fmt"
 
-	"omegasm/internal/sched"
-)
-
-// InvariantChecker is an online run monitor: installed as a scheduler
-// hook, it checks at every observation point the properties that must
+// InvariantChecker is an online run monitor: fed every sample of a run,
+// it checks at every observation point the properties that must
 // hold at all times — not just eventually — and records the first
 // violation of each.
 //
@@ -27,8 +23,6 @@ type InvariantChecker struct {
 	violations []string
 }
 
-var _ sched.Hook = (*InvariantChecker)(nil)
-
 // NewInvariantChecker creates a checker for n processes.
 func NewInvariantChecker(n int) *InvariantChecker {
 	return &InvariantChecker{
@@ -38,8 +32,8 @@ func NewInvariantChecker(n int) *InvariantChecker {
 	}
 }
 
-// OnSample implements sched.Hook.
-func (c *InvariantChecker) OnSample(_ *sched.World, s sched.Sample) {
+// OnSample checks one observation.
+func (c *InvariantChecker) OnSample(s Sample) {
 	if s.T < c.lastT {
 		c.violate("time went backwards: %d after %d", s.T, c.lastT)
 	}

@@ -3,12 +3,10 @@ package trace
 import (
 	"strings"
 	"testing"
-
-	"omegasm/internal/sched"
 )
 
 func feed(c *InvariantChecker, t int64, leaders ...int) {
-	c.OnSample(nil, sched.Sample{T: t, Leaders: leaders})
+	c.OnSample(Sample{T: t, Leaders: leaders})
 }
 
 func TestInvariantCheckerCleanRun(t *testing.T) {

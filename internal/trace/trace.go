@@ -23,16 +23,22 @@ import (
 	"fmt"
 	"strings"
 
-	"omegasm/internal/sched"
 	"omegasm/internal/shmem"
 	"omegasm/internal/vclock"
 )
+
+// Sample is one observation of every process's leader estimate.
+// Leaders[p] is -1 if p had crashed by time T.
+type Sample struct {
+	T       vclock.Time
+	Leaders []int
+}
 
 // Stabilization scans the samples of a run and returns the earliest time
 // from which (a) every non-crashed process reports the same leader L,
 // (b) L did not crash in the run, and (c) this remains true through the
 // last sample. ok is false if the run never stabilizes.
-func Stabilization(samples []sched.Sample, crashed []bool) (t vclock.Time, leader int, ok bool) {
+func Stabilization(samples []Sample, crashed []bool) (t vclock.Time, leader int, ok bool) {
 	if len(samples) == 0 {
 		return 0, -1, false
 	}
@@ -57,7 +63,7 @@ func Stabilization(samples []sched.Sample, crashed []bool) (t vclock.Time, leade
 // are alive in the sample (and never crash later per crashed), or -1 if
 // they disagree. Processes that crash later in the run are ignored: the
 // oracle only constrains correct processes.
-func commonLeader(s sched.Sample, crashed []bool) int {
+func commonLeader(s Sample, crashed []bool) int {
 	leader := -2
 	for p, l := range s.Leaders {
 		if l == -1 || crashed[p] {
@@ -78,7 +84,7 @@ func commonLeader(s sched.Sample, crashed []bool) int {
 // LeaderChangesAfter counts, over all processes, the sample-to-sample
 // leader-estimate changes at or after time t. A run that stabilized has 0;
 // the Figure 4 strawman keeps accumulating them forever.
-func LeaderChangesAfter(samples []sched.Sample, t vclock.Time) int {
+func LeaderChangesAfter(samples []Sample, t vclock.Time) int {
 	changes := 0
 	var prev []int
 	for _, s := range samples {
@@ -143,17 +149,17 @@ func (r *Report) String() string {
 
 // CheckEventualLeadership adds the Validity + Eventual Leadership verdict
 // for a run and returns the stabilization point.
-func CheckEventualLeadership(r *Report, res *sched.Result) (t vclock.Time, leader int, ok bool) {
-	t, leader, ok = Stabilization(res.Samples, res.Crashed)
+func CheckEventualLeadership(r *Report, samples []Sample, crashed []bool) (t vclock.Time, leader int, ok bool) {
+	t, leader, ok = Stabilization(samples, crashed)
 	if !ok {
 		r.Add("EventualLeadership", false, "no common correct leader suffix")
 		return t, leader, ok
 	}
-	valid := leader >= 0 && leader < len(res.Crashed)
+	valid := leader >= 0 && leader < len(crashed)
 	r.Add("Validity", valid, fmt.Sprintf("leader=%d", leader))
-	correct := valid && !res.Crashed[leader]
+	correct := valid && !crashed[leader]
 	r.Add("EventualLeadership", correct,
-		fmt.Sprintf("leader=%d stabilized at t=%d (end=%d)", leader, t, res.End))
+		fmt.Sprintf("leader=%d stabilized at t=%d (end=%d)", leader, t, samples[len(samples)-1].T))
 	return t, leader, ok && correct
 }
 

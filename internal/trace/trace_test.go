@@ -4,16 +4,15 @@ import (
 	"strings"
 	"testing"
 
-	"omegasm/internal/sched"
 	"omegasm/internal/shmem"
 )
 
-func sample(t int64, leaders ...int) sched.Sample {
-	return sched.Sample{T: t, Leaders: leaders}
+func sample(t int64, leaders ...int) Sample {
+	return Sample{T: t, Leaders: leaders}
 }
 
 func TestStabilizationBasic(t *testing.T) {
-	samples := []sched.Sample{
+	samples := []Sample{
 		sample(10, 0, 1, 2),
 		sample(20, 1, 1, 2),
 		sample(30, 1, 1, 1),
@@ -27,7 +26,7 @@ func TestStabilizationBasic(t *testing.T) {
 }
 
 func TestStabilizationNeverAgrees(t *testing.T) {
-	samples := []sched.Sample{
+	samples := []Sample{
 		sample(10, 0, 1),
 		sample(20, 1, 0),
 	}
@@ -39,7 +38,7 @@ func TestStabilizationNeverAgrees(t *testing.T) {
 func TestStabilizationCrashedLeaderRejected(t *testing.T) {
 	// Everyone agrees on process 0, but 0 crashed during the run:
 	// Eventual Leadership requires a CORRECT leader.
-	samples := []sched.Sample{
+	samples := []Sample{
 		sample(10, 0, 0, 0),
 		sample(20, -1, 0, 0),
 	}
@@ -51,7 +50,7 @@ func TestStabilizationCrashedLeaderRejected(t *testing.T) {
 func TestStabilizationIgnoresEventuallyCrashedProcesses(t *testing.T) {
 	// Process 2 disagrees early and then crashes; the oracle only
 	// constrains correct processes, so the run is stable from t=10.
-	samples := []sched.Sample{
+	samples := []Sample{
 		sample(10, 1, 1, 2),
 		sample(20, 1, 1, -1),
 		sample(30, 1, 1, -1),
@@ -67,7 +66,7 @@ func TestStabilizationEmpty(t *testing.T) {
 		t.Fatal("empty run reported stable")
 	}
 	// All processes crashed by the end.
-	samples := []sched.Sample{sample(10, -1, -1)}
+	samples := []Sample{sample(10, -1, -1)}
 	if _, _, ok := Stabilization(samples, []bool{true, true}); ok {
 		t.Fatal("fully-crashed run reported stable")
 	}
@@ -76,7 +75,7 @@ func TestStabilizationEmpty(t *testing.T) {
 func TestStabilizationFlappingSuffixDetected(t *testing.T) {
 	// Agreement at the end only: stabilization time is the start of the
 	// final agreeing suffix, not any earlier coincidental agreement.
-	samples := []sched.Sample{
+	samples := []Sample{
 		sample(10, 1, 1),
 		sample(20, 0, 1),
 		sample(30, 1, 1),
@@ -88,7 +87,7 @@ func TestStabilizationFlappingSuffixDetected(t *testing.T) {
 }
 
 func TestLeaderChangesAfter(t *testing.T) {
-	samples := []sched.Sample{
+	samples := []Sample{
 		sample(10, 0, 0),
 		sample(20, 1, 0), // p0 changed
 		sample(30, 1, 1), // p1 changed
@@ -104,7 +103,7 @@ func TestLeaderChangesAfter(t *testing.T) {
 		t.Errorf("changes from 35 = %d, want 0", got)
 	}
 	// Crashed processes (-1) never count as changes.
-	samples2 := []sched.Sample{sample(10, 0, 0), sample(20, 0, -1)}
+	samples2 := []Sample{sample(10, 0, 0), sample(20, 0, -1)}
 	if got := LeaderChangesAfter(samples2, 0); got != 0 {
 		t.Errorf("crash counted as leader change: %d", got)
 	}
@@ -284,23 +283,13 @@ func TestCheckBoundedMemory(t *testing.T) {
 }
 
 func TestCheckEventualLeadership(t *testing.T) {
-	res := &sched.Result{
-		Samples: []sched.Sample{sample(10, 1, 1), sample(20, 1, 1)},
-		Crashed: []bool{false, false},
-		End:     20,
-	}
 	r := &Report{}
-	st, leader, ok := CheckEventualLeadership(r, res)
+	st, leader, ok := CheckEventualLeadership(r, []Sample{sample(10, 1, 1), sample(20, 1, 1)}, []bool{false, false})
 	if !ok || leader != 1 || st != 10 || !r.AllOK() {
 		t.Fatalf("got (%d,%d,%v):\n%s", st, leader, ok, r)
 	}
-	bad := &sched.Result{
-		Samples: []sched.Sample{sample(10, 0, 1)},
-		Crashed: []bool{false, false},
-		End:     10,
-	}
 	r2 := &Report{}
-	if _, _, ok := CheckEventualLeadership(r2, bad); ok || r2.AllOK() {
+	if _, _, ok := CheckEventualLeadership(r2, []Sample{sample(10, 0, 1)}, []bool{false, false}); ok || r2.AllOK() {
 		t.Fatal("disagreeing run passed")
 	}
 }

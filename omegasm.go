@@ -39,26 +39,18 @@ func (a Algorithm) valid() bool {
 
 // build instantiates the algorithm's n election processes over mem, for
 // either engine to drive; nil for an unknown algorithm.
-func (a Algorithm) build(mem shmem.Mem, n int) (procs []core.Proc) {
+func (a Algorithm) build(mem shmem.Mem, n int) []core.Proc {
 	switch a {
 	case WriteEfficient:
-		for _, p := range core.BuildAlgo1(mem, n) {
-			procs = append(procs, p)
-		}
+		return core.Procs(core.BuildAlgo1(mem, n))
 	case Bounded:
-		for _, p := range core.BuildAlgo2(mem, n) {
-			procs = append(procs, p)
-		}
+		return core.Procs(core.BuildAlgo2(mem, n))
 	case NWnR:
-		for _, p := range core.BuildNWNR(mem, n) {
-			procs = append(procs, p)
-		}
+		return core.Procs(core.BuildNWNR(mem, n))
 	case TimerFree:
-		for _, p := range core.BuildTimerFree(mem, n) {
-			procs = append(procs, p)
-		}
+		return core.Procs(core.BuildTimerFree(mem, n))
 	}
-	return procs
+	return nil
 }
 
 // String returns the algorithm's name as used in WithAlgorithm docs and
@@ -122,13 +114,9 @@ func newCluster(s *settings) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	built := s.algorithm.build(opened.mem, s.n)
-	if built == nil {
+	procs := s.algorithm.build(opened.mem, s.n)
+	if procs == nil {
 		return nil, fmt.Errorf("omegasm: unknown algorithm %v", s.algorithm)
-	}
-	procs := make([]rt.Proc, s.n)
-	for i, p := range built {
-		procs[i] = p
 	}
 	run, err := rt.New(rt.Config{
 		StepInterval: s.stepInterval,

@@ -8,7 +8,6 @@ import (
 	"omegasm/internal/core"
 	"omegasm/internal/engine"
 	"omegasm/internal/lease"
-	"omegasm/internal/sched"
 	"omegasm/internal/shmem"
 	"omegasm/internal/vclock"
 )
@@ -51,17 +50,6 @@ func (r *simRun) agreedLeader() (int, bool) {
 	}
 	return leader, true
 }
-
-// simProcMachine runs one election process's T2/T3 tasks.
-type simProcMachine struct{ p core.Proc }
-
-//omegalint:allow wakehint sim-only machine: WakeNow under the Sim engine is paced by the seeded adversary (the paper's T2 loop always has work)
-func (m simProcMachine) Step(now vclock.Time) engine.Hint {
-	m.p.Step(now)
-	return engine.Now()
-}
-
-func (m simProcMachine) OnTimer(now vclock.Time) uint64 { return m.p.OnTimer(now) }
 
 // simReplicaMachine runs the shared replica driver under the adversary's
 // pacing. Unlike the live engine there is no burst draining: the pacing
@@ -290,7 +278,7 @@ func simBrownout(f *SimFaults, p engine.Pacing) engine.Pacing {
 	if !f.brownout() {
 		return p
 	}
-	return sched.Brownout{
+	return engine.Brownout{
 		P:      p,
 		From:   vclock.Time(f.BrownoutFrom),
 		To:     vclock.Time(f.BrownoutTo),
@@ -356,9 +344,9 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		// process gets the same adversary with its delays clamped to delta,
 		// which is what makes the designation (and the election's liveness)
 		// real rather than vacuous.
-		var pacing engine.Pacing = sched.HeavyTail{Min: 1, Max: 8, StallP: 0.01, StallMax: 256}
+		var pacing engine.Pacing = engine.HeavyTail{Min: 1, Max: 8, StallP: 0.01, StallMax: 256}
 		if p == awb {
-			pacing = sched.Clamp{P: pacing, Delta: 8}
+			pacing = engine.Clamp{P: pacing, Delta: 8}
 		}
 		// The brownout wraps outside the AWB1 clamp: inside the window
 		// even the designated process slows, but the window is finite, so
@@ -376,7 +364,7 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		if ct, ok := cfg.crashes[p]; ok {
 			opts = append(opts, engine.WithCrashAt(ct))
 		}
-		sim.Add(simProcMachine{p: run.procs[p]}, opts...)
+		sim.Add(engine.AlwaysReady(run.procs[p]), opts...)
 	}
 
 	log, err := consensus.NewCheckpointLog(mem, n, cfg.slots, cfg.batch, cfg.ckptEvery)
@@ -409,7 +397,7 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 			})
 		}
 		run.stores[i] = kv
-		opts := []engine.SimOpt{engine.WithPacing(simBrownout(cfg.faults, sched.Uniform{Min: 1, Max: 8}))}
+		opts := []engine.SimOpt{engine.WithPacing(simBrownout(cfg.faults, engine.Uniform{Min: 1, Max: 8}))}
 		if ct, ok := cfg.crashes[i]; ok {
 			opts = append(opts, engine.WithCrashAt(ct))
 		}
