@@ -123,20 +123,21 @@ func (p *Preset) validate() error {
 
 // procs allocates the preset's processes over mem.
 func (p *Preset) procs(mem shmem.Mem) ([]core.Proc, error) {
-	switch {
-	case p.Build != nil:
+	if p.Build != nil {
 		return p.Build(mem), nil
-	case p.Algo == AlgoWriteEfficient:
+	}
+	switch p.Algo {
+	case AlgoWriteEfficient:
 		return core.Procs(core.BuildAlgo1(mem, p.N)), nil
-	case p.Algo == AlgoBounded:
+	case AlgoBounded:
 		return core.Procs(core.BuildAlgo2(mem, p.N)), nil
-	case p.Algo == AlgoNWNR:
+	case AlgoNWNR:
 		return core.Procs(core.BuildNWNR(mem, p.N)), nil
-	case p.Algo == AlgoTimerFree:
+	case AlgoTimerFree:
 		return core.Procs(core.BuildTimerFree(mem, p.N)), nil
-	case p.Algo == AlgoBaseline:
+	case AlgoBaseline:
 		return core.Procs(baseline.Build(mem, p.N)), nil
-	case p.Algo == AlgoStrawman:
+	case AlgoStrawman:
 		mod, suspCap := p.StrawMod, p.StrawSuspCap
 		if mod == 0 {
 			mod = 4
