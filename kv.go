@@ -68,20 +68,50 @@ const ckptAuto = -1
 const leaseAuto = time.Duration(-1)
 
 // defaultLeaseDur derives the auto-enabled lease duration from the
-// cluster's own pacing: ten timer units, which is 20ms on atomic
-// registers (2ms unit) and 250ms on the SAN (25ms unit). A lease must outlive the longest gap between two
+// cluster's own pacing — the timer unit is the one value a cluster scales
+// with its medium — between two bounds, and the substrate decides which
+// one binds.
+//
+// From below: a lease must outlive the longest gap between two
 // activations of its holder, or the grant lapses under a leader that
-// never stopped leading — and every lapse costs a re-acquisition under a
-// new epoch plus a catch-up barrier slot, and keeps lease reads dark. On
-// atomic registers that gap is the holder's refresh cadence (a quarter of
-// the lease); on a substrate whose register accesses block in I/O it is a
-// whole consensus round, which the holder runs inside one activation. The
-// timer unit is the one pacing value a cluster scales with its medium, so
-// the default scales with it. The upper bound is the failover cost: a
-// successor waits out the dead leader's grant, which stays inside what
-// detection and re-agreement cost on the same timer unit anyway.
+// never stopped leading — and every lapse blocks writes for acquireEps,
+// costs a re-acquisition under a new epoch plus a catch-up barrier slot,
+// and keeps lease reads dark. On atomic registers that gap is the
+// holder's refresh cadence (a quarter of the lease); on a substrate whose
+// register accesses block in I/O it is a whole consensus round, which the
+// holder runs inside one activation.
+//
+// From above: after a leader crash the successor waits out the dead
+// leader's grant plus acquireEps, but it cannot commit before the
+// survivors have detected the crash and re-agreed either — about four
+// timer units on both substrates (8ms on atomic defaults, 103ms on the
+// SAN at 200us disks). A lease that has run out by then costs a client
+// nothing; a longer one is the outage.
+//
+// On atomic registers the upper bound binds and three timer units (6ms)
+// is what BenchmarkFailoverLeaseSweep picked: with the 2.5ms eps the
+// successor's wait ends 8.3-8.5ms after the crash against 8.0-8.3ms with
+// leases off, where four units read 9.4-10.5ms and ten 20.3ms, and
+// TestLeaseDoesNotLapseUnderHealthyLeader holds the lower
+// bound at that length. On the SAN the lower bound binds: at five units a
+// grant lapsed in every episode of the sweep, so it keeps ten (250ms) and
+// there the lease is still what a client waits for (297ms against 103ms).
 func defaultLeaseDur(c *Cluster) time.Duration {
-	return 10 * c.set.timerUnit
+	if c.DiskCount() > 0 {
+		return 10 * c.set.timerUnit
+	}
+	return 3 * c.set.timerUnit
+}
+
+// acquireEps is how long past a grant's observed expiry a successor waits
+// before it claims: the bounded delay between a holder's clock read and
+// the effect of its extension, the one assumption lease-read safety rests
+// on (see internal/lease). It guards against a stalled goroutine, whose
+// length follows the host and the medium, not the grant — so it is a
+// share of the timer unit, five quarters: 2.5ms on atomic registers and
+// 31.25ms on the SAN, and a shorter KVLease does not shrink it.
+func acquireEps(c *Cluster) time.Duration {
+	return c.set.timerUnit + c.set.timerUnit/4
 }
 
 type kvSettings struct {
@@ -185,27 +215,33 @@ func KVBatch(n int) KVOption {
 }
 
 // KVLease sets the leader-lease duration behind ReadLease's local
-// linearizable reads (default: ten timer units — 20ms on atomic
-// registers, 250ms on the SAN — whenever the log reserves the descriptor
-// row — batching or checkpointing on — which default options do). The
-// agreed leader claims the lease, commits one no-op barrier
-// slot to prove its state covers every prior authority's commits, and
-// then serves linearizable reads from its own applied state until the
-// lease expires; it extends the lease while it leads. Every replica's
-// proposer is gated on holding the lease, so commits never straddle two
-// leases — the price is that after a leader crash the successor waits
-// out the remainder of the dead leader's lease (at most d) before it can
-// commit. KVLease(0) disables leases: ReadLease then degrades to quorum
-// rounds, and proposers are gated only by the Omega oracle, the
-// pre-lease behavior.
+// linearizable reads (default: three timer units, 6ms, on atomic
+// registers and ten, 250ms, on the SAN — see below — whenever the log
+// reserves the descriptor row — batching or checkpointing on — which
+// default options do). The agreed leader claims the lease, commits one
+// no-op barrier slot to prove its state covers every prior authority's
+// commits, and then serves linearizable reads from its own applied state
+// until the lease expires; it extends the lease while it leads. Every
+// replica's proposer is gated on holding the lease, so commits never
+// straddle two leases — the price is that after a leader crash the
+// successor waits out the remainder of the dead leader's lease, plus a
+// margin of five quarters of a timer unit for the dead leader's last
+// extension to land, before it can commit. KVLease(0) disables leases:
+// ReadLease then degrades to quorum rounds, and proposers are gated only
+// by the Omega oracle, the pre-lease behavior.
 //
-// Choose d to outlive the longest gap between two activations of the
-// holder: the holder extends its grant once per activation, so a shorter
-// lease lapses under a healthy leader, which then re-acquires under a new
-// epoch and pays the barrier slot again. On atomic registers the gap is
-// the idle refresh cadence (d/4); on the SAN, where a step blocks in
-// quorum I/O, it is one consensus round (tens of milliseconds at
-// commodity disk latencies).
+// Choose d between two bounds. It must outlive the longest gap between
+// two activations of the holder: the holder extends its grant once per
+// activation, so a shorter lease lapses under a healthy leader, which
+// then re-acquires under a new epoch and pays the barrier slot again. On
+// atomic registers the gap is the idle refresh cadence (d/4); on the SAN,
+// where a step blocks in quorum I/O, it is one consensus round (tens of
+// milliseconds at commodity disk latencies). And a successor cannot
+// commit before the survivors re-agree anyway, about four timer units
+// after the crash: a lease that has run out by then is free, a longer one
+// is what clients wait for. The atomic default sits under that bound; the
+// SAN default cannot (five timer units already lapse there), and
+// KVLease(d) means exactly d on either.
 func KVLease(d time.Duration) KVOption {
 	return func(s *kvSettings) error {
 		if d < 0 {
@@ -323,8 +359,10 @@ type kvMachine struct {
 // Step implements engine.Machine. The hint encodes the replica's state:
 // draining work wants the CPU back immediately, a replica with a queued
 // command but no leadership polls at the fallback cadence (leadership may
-// move to it, or the watcher may drop its queue), and an idle caught-up
-// replica parks until a write or a commit notification arrives.
+// move to it, or the watcher may drop its queue), an idle leader sets one
+// timer — to its grant's next refresh, or to the end of the predecessor's
+// grant it is waiting out — and an idle caught-up replica parks until a
+// write or a commit notification arrives.
 func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	kv := m.kv
 	if !kv.alive(m.idx) {
@@ -347,12 +385,28 @@ func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 		return engine.At(now + int64(kv.interval))
 	case rep.holder:
 		// An idle leaseholder must not park: its grant needs extending
-		// well before expiry or lease reads go dark between writes.
+		// well before expiry or lease reads go dark between writes. A
+		// quarter of the grant leaves three refreshes to miss.
 		return engine.At(now + kv.leaseDur/4)
-	case kv.lease != nil && rep.leading:
-		// An agreed leader still waiting out a predecessor's grant polls
-		// for the expiry at the fallback cadence.
-		return engine.At(now + int64(kv.interval))
+	case kv.lease != nil:
+		g, _ := kv.lease.Peek()
+		// An agreed leader still waiting out a predecessor's grant sleeps
+		// to the first instant Acquire can succeed: strictly past the
+		// observed expiry plus eps. Each wake re-reads the expiry, so a
+		// late extension by the predecessor only moves the timer. When
+		// that instant has already passed (a claim lost a race), the
+		// fallback cadence retries.
+		if at := g.Expiry + kv.acquireEps + 1; rep.leading && at > now {
+			return engine.At(at)
+		}
+		// The register's holder must not park either while the processes
+		// do not, at this instant, agree on it: nothing wakes a parked
+		// replica when agreement returns to the same leader, and its
+		// grant would run out under it. A demotion ends the polling when
+		// the successor claims the register.
+		if rep.leading || (g.Epoch > 0 && g.Holder == m.idx) {
+			return engine.At(now + int64(kv.interval))
+		}
 	}
 	return engine.Park() // idle: until notified
 }
@@ -471,7 +525,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	if leaseDur > 0 {
 		kv.lease = &lease.Register{}
 		kv.leaseDur = int64(leaseDur)
-		kv.acquireEps = int64(leaseDur / 8)
+		kv.acquireEps = int64(acquireEps(c))
 	}
 	for i := range kv.stores {
 		if kv.stores[i], err = newStore(log, i, c.oracle(i), kv.lease); err != nil {

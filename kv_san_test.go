@@ -119,23 +119,28 @@ func TestSANDefaultLeaseIsReadableAndIdleCommitsNothing(t *testing.T) {
 	}
 }
 
-// TestDefaultLeaseFollowsTimerUnit: the auto lease is ten timer units —
-// today's 20ms on atomic defaults — and an explicit KVLease still means
-// exactly what it says.
+// TestDefaultLeaseFollowsTimerUnit pins the rule defaultLeaseDur states:
+// the auto lease is three timer units on atomic registers (inside the four
+// or so that re-agreement takes) and ten on the SAN (outliving a blocking
+// consensus round), an explicit KVLease still means exactly what it says,
+// and the acquire margin is five quarters of a timer unit whatever the
+// lease — 2.5ms and 31.25ms on the substrates' default pacing.
 func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
 	san := WithSAN(SANConfig{Disks: 3})
+	const ms = time.Millisecond
 	for _, tc := range []struct {
-		name string
-		opts []Option
-		kv   []KVOption
-		want time.Duration
+		name       string
+		opts       []Option
+		kv         []KVOption
+		lease, eps time.Duration
 	}{
-		{"atomic-default", nil, nil, 20 * time.Millisecond},
-		{"atomic-timer-unit", []Option{WithTimerUnit(3 * time.Millisecond)}, nil, 30 * time.Millisecond},
-		{"san-default", []Option{san}, nil, 250 * time.Millisecond},
-		{"san-timer-unit", []Option{san, WithTimerUnit(10 * time.Millisecond)}, nil, 100 * time.Millisecond},
-		{"explicit", []Option{san}, []KVOption{KVLease(7 * time.Millisecond)}, 7 * time.Millisecond},
-		{"off", nil, []KVOption{KVLease(0)}, 0},
+		{"atomic-default", nil, nil, 6 * ms, 2500 * time.Microsecond},
+		{"atomic-timer-unit", []Option{WithTimerUnit(4 * ms)}, nil, 12 * ms, 5 * ms},
+		{"san-default", []Option{san}, nil, 250 * ms, 31250 * time.Microsecond},
+		{"san-timer-unit", []Option{san, WithTimerUnit(10 * ms)}, nil, 100 * ms, 12500 * time.Microsecond},
+		{"explicit-san", []Option{san}, []KVOption{KVLease(7 * ms)}, 7 * ms, 31250 * time.Microsecond},
+		{"explicit-atomic", nil, []KVOption{KVLease(40 * ms)}, 40 * ms, 2500 * time.Microsecond},
+		{"off", nil, []KVOption{KVLease(0)}, 0, 0},
 	} {
 		c, err := New(append([]Option{WithN(3)}, tc.opts...)...)
 		if err != nil {
@@ -145,8 +150,14 @@ func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := kv.LeaseDuration(); got != tc.want {
-			t.Errorf("%s: LeaseDuration() = %v, want %v", tc.name, got, tc.want)
+		if got := kv.LeaseDuration(); got != tc.lease {
+			t.Errorf("%s: LeaseDuration() = %v, want %v", tc.name, got, tc.lease)
+		}
+		if got := time.Duration(kv.acquireEps); got != tc.eps {
+			t.Errorf("%s: acquireEps = %v, want %v", tc.name, got, tc.eps)
+		}
+		if (kv.lease == nil) != (tc.lease == 0) {
+			t.Errorf("%s: lease register present = %v with lease %v", tc.name, kv.lease != nil, tc.lease)
 		}
 		kv.Close()
 		c.Stop()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"omegasm"
+	"omegasm/check"
 )
 
 // leaseCampaignConfig builds the adversarial leased run the campaign
@@ -121,6 +122,19 @@ func TestSimLeaseReplayByteIdentical(t *testing.T) {
 	}
 }
 
+// leasedCrashP0 returns the stock campaign grid's leased point that
+// crashes p0.
+func leasedCrashP0(t *testing.T) omegasm.CampaignPoint {
+	t.Helper()
+	for _, pt := range omegasm.DefaultCampaignGrid() {
+		if _, crashes := pt.Config.Crashes[0]; pt.Name == "leased-crash-p0" && crashes && pt.Config.Lease > 0 {
+			return pt
+		}
+	}
+	t.Fatal("grid point leased-crash-p0 is gone, or no longer crashes p0 under a lease")
+	return omegasm.CampaignPoint{}
+}
+
 // TestSimDemotedHolderReleasesAuthority pins the live-vs-sim drift the
 // shared replica driver removed: the simulator's copy of the driver used
 // to extend a lease for as long as it was held, so a holder the oracle
@@ -129,16 +143,8 @@ func TestSimLeaseReplayByteIdentical(t *testing.T) {
 // shipped driver extends only while it is the agreed leader, so the
 // stall is bounded by one lease and writes commit before the crash.
 func TestSimDemotedHolderReleasesAuthority(t *testing.T) {
-	var point omegasm.CampaignPoint
-	for _, pt := range omegasm.DefaultCampaignGrid() {
-		if pt.Name == "leased-crash-p0" {
-			point = pt
-		}
-	}
-	crashAt, ok := point.Config.Crashes[0]
-	if !ok || point.Config.Lease == 0 {
-		t.Fatal("grid point leased-crash-p0 no longer crashes p0 under a lease")
-	}
+	point := leasedCrashP0(t)
+	crashAt := point.Config.Crashes[0]
 	for seed := int64(300_000); seed <= 300_007; seed++ {
 		cfg := point.Config
 		cfg.Seed = seed
@@ -158,6 +164,85 @@ func TestSimDemotedHolderReleasesAuthority(t *testing.T) {
 		}
 		if limit := cfg.Lease + 256; res.CommitStallMax > limit {
 			t.Errorf("seed %d: commit stall %d ticks exceeds one lease (%d)", seed, res.CommitStallMax, limit)
+		}
+	}
+}
+
+// TestSimLeaseHidesInsideReagreement checks, on the exact clock, the rule
+// the live default lease is picked by (defaultLeaseDur): a hand-over
+// costs max(re-agreement, lease), so a grant shorter than the time the
+// processes need to settle on the next leader is free and every tick
+// beyond it is a tick of stall. The grid point leased-crash-p0 is swept
+// over SimKVConfig.Lease under a write stream dense enough that the
+// longest commit stall is a hand-over and not the workload's own gap. (Its
+// costly hand-overs are the start-up ones — the first estimates name p0,
+// the election moves on, and the demoted holder's grant has to run out;
+// by the crash at 9000 p0 holds nothing.) The simulator runs eps 0, so
+// the knee sits at the lease itself.
+func TestSimLeaseHidesInsideReagreement(t *testing.T) {
+	point := leasedCrashP0(t)
+	run := func(seed, lease int64, mut omegasm.SimMutation) *omegasm.SimKVResult {
+		t.Helper()
+		cfg := point.Config
+		cfg.Seed, cfg.Lease, cfg.Mutation, cfg.Record = seed, lease, mut, true
+		cfg.Writes = nil
+		for i := 0; i < 320; i++ {
+			cfg.Writes = append(cfg.Writes, omegasm.SimWrite{At: int64(100 + 50*i), Key: uint16(1 + i%10), Val: uint16(100 + i)})
+		}
+		res, err := omegasm.SimKV(cfg)
+		if err != nil {
+			t.Fatalf("seed %d lease %d: %v", seed, lease, err)
+		}
+		return res
+	}
+	// The sweep starts at 32 ticks: a grant must outlive its holder's
+	// activation gap (pacing draws up to 8 ticks; at 8 it lapses ~1400
+	// times a run), and at 16 a successor tries to claim inside a valid
+	// grant — what the seeded mutation needs to show — in two seeds of four.
+	leases := []int64{32, 64, 128, 256, 512, 1024, 2048, point.Config.Lease}
+	const (
+		jitter = 16  // how far one activation's pacing moves a stall
+		commit = 128 // acquisition to first commit: barrier slot, phases
+	)
+	for seed := int64(1); seed <= 4; seed++ {
+		stall := make([]int64, len(leases))
+		for i, lease := range leases {
+			res := run(seed, lease, omegasm.MutNone)
+			for _, v := range res.LeaseViolations {
+				t.Errorf("seed %d lease %d: lease violation: %s", seed, lease, v)
+			}
+			if v := res.Verify(check.Options{}); !v.OK() {
+				t.Errorf("seed %d lease %d: %v", seed, lease, v.Violations)
+			}
+			if res.Delivered != 320 {
+				t.Errorf("seed %d lease %d: %d of 320 writes delivered", seed, lease, res.Delivered)
+			}
+			stall[i] = res.CommitStallMax
+		}
+		reagree := stall[0] // what a hand-over stalls when the lease is too short to matter
+		knee := false
+		for i, lease := range leases {
+			lo, hi := max(reagree-jitter, lease+1), max(reagree+jitter, lease+commit)
+			if stall[i] < lo || stall[i] > hi {
+				t.Errorf("seed %d lease %d: CommitStallMax %d outside [%d, %d] = max(re-agreement %d, lease)", seed, lease, stall[i], lo, hi, reagree)
+			}
+			if i > 0 && leases[i-1] >= reagree {
+				// Both leases are beyond the knee: tick for tick.
+				knee = true
+				if d, want := stall[i]-stall[i-1], lease-leases[i-1]; d < want-jitter || d > want+jitter {
+					t.Errorf("seed %d: lease %d -> %d moved the stall by %d ticks, want %d", seed, leases[i-1], lease, d, want)
+				}
+			}
+		}
+		if !knee || reagree < 2*leases[0] {
+			t.Errorf("seed %d: sweep %v does not straddle the re-agreement time %d", seed, leases, reagree)
+		}
+		t.Logf("seed %d: re-agreement %d ticks, stalls %v at leases %v", seed, reagree, stall, leases)
+
+		// The checker keeps its teeth where the grant is shortest.
+		res := run(seed, leases[0], omegasm.MutPrematureLeaseExtend)
+		if len(res.LeaseViolations) == 0 && res.Verify(check.Options{}).OK() {
+			t.Errorf("seed %d: MutPrematureLeaseExtend went unnoticed at lease %d", seed, leases[0])
 		}
 	}
 }
