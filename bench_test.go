@@ -5,14 +5,13 @@
 // Run with:
 //
 //	go test -bench=. -benchmem
-package omegasm_test
+package omegasm
 
 import (
 	"context"
 	"testing"
 	"time"
 
-	"omegasm"
 	"omegasm/internal/consensus"
 	"omegasm/internal/core"
 	"omegasm/internal/harness"
@@ -207,11 +206,11 @@ func BenchmarkAtomicRegister(b *testing.B) {
 // goroutines. The answer is one atomic load, so ns/op should stay flat no
 // matter how many queriers pile on.
 func BenchmarkFleetLeaderQueries(b *testing.B) {
-	f, err := omegasm.NewFleet(
-		omegasm.WithClusters(4),
-		omegasm.WithN(3),
-		omegasm.WithStepInterval(100*time.Microsecond),
-		omegasm.WithTimerUnit(time.Millisecond),
+	f, err := NewFleet(
+		WithClusters(4),
+		WithN(3),
+		WithStepInterval(100*time.Microsecond),
+		WithTimerUnit(time.Millisecond),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -244,10 +243,10 @@ func BenchmarkFleetLeaderQueries(b *testing.B) {
 // leader, committed through the Disk-Paxos log, applied at the reading
 // replica.
 func BenchmarkKVThroughput(b *testing.B) {
-	c, err := omegasm.New(
-		omegasm.WithN(3),
-		omegasm.WithStepInterval(100*time.Microsecond),
-		omegasm.WithTimerUnit(time.Millisecond),
+	c, err := New(
+		WithN(3),
+		WithStepInterval(100*time.Microsecond),
+		WithTimerUnit(time.Millisecond),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -259,9 +258,9 @@ func BenchmarkKVThroughput(b *testing.B) {
 	if _, ok := c.WaitForAgreement(20 * time.Second); !ok {
 		b.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c,
-		omegasm.KVSlots(2*b.N+64), // commits may duplicate across failovers
-		omegasm.KVStepInterval(50*time.Microsecond))
+	kv, err := NewKV(c,
+		KVSlots(2*b.N+64), // commits may duplicate across failovers
+		kvStepInterval(50*time.Microsecond))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -284,10 +283,10 @@ func BenchmarkKVThroughput(b *testing.B) {
 // includes the full checkpoint seal/publish/quorum-ack/recycle cycle. A
 // fixed-capacity log would fail with ErrLogFull almost immediately.
 func BenchmarkKVSustained(b *testing.B) {
-	c, err := omegasm.New(
-		omegasm.WithN(3),
-		omegasm.WithStepInterval(100*time.Microsecond),
-		omegasm.WithTimerUnit(time.Millisecond),
+	c, err := New(
+		WithN(3),
+		WithStepInterval(100*time.Microsecond),
+		WithTimerUnit(time.Millisecond),
 	)
 	if err != nil {
 		b.Fatal(err)
@@ -299,9 +298,9 @@ func BenchmarkKVSustained(b *testing.B) {
 	if _, ok := c.WaitForAgreement(20 * time.Second); !ok {
 		b.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c,
-		omegasm.KVSlots(64), // window stays tiny no matter how long the stream runs
-		omegasm.KVStepInterval(50*time.Microsecond))
+	kv, err := NewKV(c,
+		KVSlots(64), // window stays tiny no matter how long the stream runs
+		kvStepInterval(50*time.Microsecond))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -328,14 +327,14 @@ func BenchmarkKVSustained(b *testing.B) {
 func BenchmarkShardedKVThroughput(b *testing.B) {
 	for _, shards := range []int{1, 4} {
 		b.Run("shards="+stats.I(shards), func(b *testing.B) {
-			s, err := omegasm.NewShardedKV(
-				omegasm.WithShards(shards),
-				omegasm.WithN(3),
-				omegasm.WithStepInterval(100*time.Microsecond),
-				omegasm.WithTimerUnit(time.Millisecond),
+			s, err := NewShardedKV(
+				WithShards(shards),
+				WithN(3),
+				WithStepInterval(100*time.Microsecond),
+				WithTimerUnit(time.Millisecond),
 				// Worst-case skew plus failover duplicates must still fit
 				// one shard's log: with batching each slot holds many.
-				omegasm.WithShardSlots(b.N/8+2048),
+				withShardSlots(b.N/8+2048),
 			)
 			if err != nil {
 				b.Fatal(err)
@@ -354,10 +353,10 @@ func BenchmarkShardedKVThroughput(b *testing.B) {
 			b.ResetTimer()
 			for done := 0; done < b.N; {
 				n := min(group, b.N-done)
-				entries := make([]omegasm.Entry, n)
+				entries := make([]Entry, n)
 				for j := range entries {
 					k := done + j
-					entries[j] = omegasm.Entry{Key: uint16(k % 1024), Val: uint16(k)}
+					entries[j] = Entry{Key: uint16(k % 1024), Val: uint16(k)}
 				}
 				if err := s.MultiPut(ctx, entries...); err != nil {
 					b.Fatal(err)

@@ -188,15 +188,15 @@ func cloneSimConfig(c SimKVConfig) SimKVConfig {
 	return out
 }
 
-// MinimizeScenario greedily shrinks a reproducing configuration: it
+// minimizeScenario greedily shrinks a reproducing configuration: it
 // drops writes, requests and crashes one at a time, halves the horizon
 // and strips the fault models, keeping each change only while keep
 // still accepts the (recorded, verified) rerun. The result is the local
 // minimum the regression fixture commits — small enough to read, still
 // reproducing the property of interest. keep is called with every
-// candidate's result and verdict; MinimizeScenario errors if the
+// candidate's result and verdict; minimizeScenario errors if the
 // starting configuration itself does not reproduce.
-func MinimizeScenario(cfg SimKVConfig, keep func(*SimKVResult, check.Verdict) bool) (SimKVConfig, error) {
+func minimizeScenario(cfg SimKVConfig, keep func(*SimKVResult, check.Verdict) bool) (SimKVConfig, error) {
 	try := func(c SimKVConfig) bool {
 		c.Record = true
 		res, err := SimKV(c)
@@ -300,9 +300,9 @@ func historyHash(h *check.History) string {
 	return hex.EncodeToString(sum[:])
 }
 
-// BuildScenario runs cfg once (with recording forced on) and pins its
+// buildScenario runs cfg once (with recording forced on) and pins its
 // outcome into a committable fixture.
-func BuildScenario(name string, cfg SimKVConfig) (*Scenario, error) {
+func buildScenario(name string, cfg SimKVConfig) (*Scenario, error) {
 	c := cloneSimConfig(cfg)
 	c.Record = true
 	res, err := SimKV(c)
@@ -405,14 +405,14 @@ func BuildWorstScenarios(cfg CampaignConfig) ([]*Scenario, error) {
 			return nil, err
 		}
 		churn, delivered, committed := best.LeaderChanges, orig.Delivered, orig.CommittedTotal
-		minimized, err := MinimizeScenario(c, func(res *SimKVResult, v check.Verdict) bool {
+		minimized, err := minimizeScenario(c, func(res *SimKVResult, v check.Verdict) bool {
 			return v.OK() && res.LeaderChanges >= churn &&
 				res.Delivered >= delivered && res.CommittedTotal >= committed
 		})
 		if err != nil {
 			minimized = c
 		}
-		sc, err := BuildScenario(pt.Name, minimized)
+		sc, err := buildScenario(pt.Name, minimized)
 		if err != nil {
 			return nil, err
 		}

@@ -158,7 +158,7 @@ func TestMinimizeScenario(t *testing.T) {
 	}
 	cfg := cloneSimConfig(base)
 	cfg.Seed = seed
-	minimized, err := MinimizeScenario(cfg, lost)
+	minimized, err := minimizeScenario(cfg, lost)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +182,7 @@ func TestMinimizeScenario(t *testing.T) {
 // satisfies the predicate is an error, not a silently-returned input.
 func TestMinimizeScenarioRejectsNonRepro(t *testing.T) {
 	cfg := SimKVConfig{N: 3, Horizon: 10_000}
-	_, err := MinimizeScenario(cfg, func(*SimKVResult, check.Verdict) bool { return false })
+	_, err := minimizeScenario(cfg, func(*SimKVResult, check.Verdict) bool { return false })
 	if err == nil {
 		t.Fatal("want an error for a non-reproducing seed")
 	}
@@ -198,7 +198,7 @@ func TestScenarioBuildAndReplay(t *testing.T) {
 		Crashes: map[int]int64{0: 9_000},
 		Seed:    11,
 	}
-	sc, err := BuildScenario("build-replay", cfg)
+	sc, err := buildScenario("build-replay", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestScenarioBuildAndReplay(t *testing.T) {
 // is the property that makes the committed fixtures regression tests.
 func TestScenarioReplayCatchesDrift(t *testing.T) {
 	cfg := SimKVConfig{N: 3, Horizon: 20_000, Writes: campaignDenseWrites(3_000, 5_000, 1_000), Seed: 3}
-	sc, err := BuildScenario("drift", cfg)
+	sc, err := buildScenario("drift", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -59,24 +59,26 @@ func parseCampaign(args []string) (campaignOpts, *profiles, error) {
 	})
 	fs.StringVar(&o.scenarios, "scenarios", "", "regenerate minimized scenario fixtures into this directory")
 	fs.IntVar(&o.keep, "keep", 10, "worst runs kept in the report")
-	return o, prof, fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return o, prof, err
+	}
+	return o, prof, noArgs(fs)
+}
+
+// parseCampaignJob is parseCampaign as an entry of the subcommand table.
+func parseCampaignJob(args []string) (func() int, error) {
+	o, prof, err := parseCampaign(args)
+	if err != nil {
+		return nil, err
+	}
+	return prof.around(func() int { return runCampaign(o) }), nil
 }
 
 // runCampaign is the campaign subcommand: a seed sweep over the stock
 // (or mutated) grid, a scored report on stdout and optionally as JSON,
 // an expectation gate for CI, and optionally a refresh of the committed
 // scenario fixtures.
-func runCampaign(args []string) int {
-	o, prof, err := parseCampaign(args)
-	if err != nil {
-		return 2
-	}
-	stop, err := prof.start()
-	if err != nil {
-		return fail(err)
-	}
-	defer stop()
-
+func runCampaign(o campaignOpts) int {
 	cfg := omegasm.CampaignConfig{Seeds: o.seeds, SeedBase: o.seedBase, Keep: o.keep, Mutation: o.mutation}
 	rep, err := omegasm.RunCampaign(cfg)
 	if err != nil {

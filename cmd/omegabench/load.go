@@ -30,24 +30,26 @@ func loadSpec(dur time.Duration) load.Spec {
 	}
 }
 
-// runLoad is the load subcommand: the same open-loop spec against the
-// simulated sharded store (twice, asserting the runs are byte-identical)
-// and against a live ShardedKV, then the score of the sim's percentile
-// predictions against the live measurements.
-func runLoad(args []string) int {
+// parseLoad parses the load subcommand.
+func parseLoad(args []string) (func() int, error) {
 	fs, prof := newFlagSet("load")
 	dur := fs.Duration("dur", 2*time.Second, "arrival window of the workload")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, err
 	}
-	stop, err := prof.start()
-	if err != nil {
-		return fail(err)
+	if err := noArgs(fs); err != nil {
+		return nil, err
 	}
-	defer stop()
+	return prof.around(func() int { return runLoad(*dur) }), nil
+}
 
+// runLoad runs the same open-loop spec against the simulated sharded
+// store (twice, asserting the runs are byte-identical) and against a live
+// ShardedKV, then scores the sim's percentile predictions against the
+// live measurements.
+func runLoad(dur time.Duration) int {
 	const shards, procs = 2, 3
-	spec := loadSpec(*dur)
+	spec := loadSpec(dur)
 
 	fmt.Printf("latency under load: %q, %v window, %.0f req/s over %d clients, %d shards x %d procs\n",
 		spec.Name, spec.Duration, spec.Rate, spec.Clients, shards, procs)

@@ -1,10 +1,13 @@
-// Command omegabench runs the reproduction's three batch jobs, one per
-// subcommand:
+// Command omegabench runs the reproduction's batch jobs and demos, one
+// per subcommand:
 //
 //	omegabench exp [-quick] [-seeds N] [-out FILE] [ID ...]
 //	omegabench load [-dur D]
 //	omegabench campaign [-seeds N] [-seedbase S] [-out FILE] [-mutate M]
 //	           [-expect E] [-scenarios DIR] [-keep K]
+//	omegabench run [-algo A] [-n N] [-seed S] [-horizon T] [-crashes C] [-census]
+//	omegabench san [-n N] [-disks D] [-crash-disk K] [-crash-proc] [-kv]
+//	           [-base D] [-jitter D] [-duration D]
 //
 // exp regenerates every figure/table of the paper (the fifteen
 // experiments of internal/harness), or only the experiments named after
@@ -12,7 +15,9 @@
 // and claim verdicts; it ends "omegabench: all experiments passed" or
 // exits 1. An unknown ID is refused before anything runs. exp is the
 // default: bare `omegabench` and a leading flag (`omegabench -quick`)
-// mean exp.
+// mean exp. `omegabench exp F4` replays the Theorem 5 impossibility
+// construction (the bounded "obvious fix" thrashes forever under a legal
+// AWB schedule while the paper's algorithms stabilize).
 //
 // load runs one declarative open-loop workload spec (Poisson arrivals,
 // Zipf keys, mixed SLO classes) twice against the simulated sharded
@@ -30,9 +35,20 @@
 // sweeps; -scenarios regenerates the minimized regression fixtures under
 // testdata/scenarios.
 //
+// run is one ad-hoc simulated election run printed with full detail:
+// stabilization, the suffix writers of the paper's Theorem 3 and, with
+// -census, every register's end-of-run census.
+//
+// san runs the paper's motivating deployment live through the public
+// API: Omega over a simulated storage-area network of crash-prone disks,
+// the replicated key-value store on top, a minority of disks and then the
+// elected leader crashed mid-run, and writes still committing after.
+//
 // Every subcommand accepts -cpuprofile FILE and -memprofile FILE, which
-// write pprof profiles covering the whole run. Performance is measured
-// by the repo benchmark (BENCHMARK.json, benchmark/), not here.
+// write pprof profiles covering the whole run. A command line is parsed
+// whole — flags, then the positional arguments — before anything runs: a
+// usage error exits 2. Performance is measured by the repo benchmark
+// (BENCHMARK.json, benchmark/), not here.
 package main
 
 import (
@@ -52,6 +68,9 @@ const usageText = `usage:
   omegabench load [-dur D]
   omegabench campaign [-seeds N] [-seedbase S] [-out FILE] [-mutate M]
              [-expect E] [-scenarios DIR] [-keep K]
+  omegabench run [-algo A] [-n N] [-seed S] [-horizon T] [-crashes C] [-census]
+  omegabench san [-n N] [-disks D] [-crash-disk K] [-crash-proc] [-kv]
+             [-base D] [-jitter D] [-duration D]
 every subcommand also takes -cpuprofile FILE and -memprofile FILE
 `
 
@@ -68,20 +87,47 @@ func dispatch(args []string) (cmd string, rest []string) {
 	return args[0], args[1:]
 }
 
+// commands is the subcommand table. Each entry parses a command line —
+// flags and positional arguments — into the job it names without starting
+// it, and reports a usage error on standard error itself.
+var commands = map[string]func(args []string) (job func() int, err error){
+	"exp":      parseExp,
+	"load":     parseLoad,
+	"campaign": parseCampaignJob,
+	"run":      parseRun,
+	"san":      parseSan,
+}
+
 // run executes one subcommand and returns the process exit status: 0 on
 // success, 1 when the job failed, 2 when the command line was wrong.
 func run(args []string) int {
 	cmd, rest := dispatch(args)
-	switch cmd {
-	case "exp":
-		return runExp(rest)
-	case "load":
-		return runLoad(rest)
-	case "campaign":
-		return runCampaign(rest)
+	parse, ok := commands[cmd]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "omegabench: unknown subcommand %q\n%s", cmd, usageText)
+		return 2
 	}
-	fmt.Fprintf(os.Stderr, "omegabench: unknown subcommand %q\n%s", cmd, usageText)
-	return 2
+	job, err := parse(rest)
+	if err != nil {
+		return 2
+	}
+	return job()
+}
+
+// usage reports a command-line error the flag package has not reported
+// (a bad positional argument or flag combination) and returns it.
+func usage(err error) error {
+	fmt.Fprintf(os.Stderr, "omegabench: %v\n%s", err, usageText)
+	return err
+}
+
+// noArgs refuses positional arguments after the flags of a subcommand
+// that takes none.
+func noArgs(fs *flag.FlagSet) error {
+	if fs.NArg() > 0 {
+		return usage(fmt.Errorf("unexpected arguments %q", fs.Args()))
+	}
+	return nil
 }
 
 // newFlagSet returns the flag set of one subcommand with the profiling
@@ -100,6 +146,18 @@ func newFlagSet(cmd string) (*flag.FlagSet, *profiles) {
 
 // profiles holds the -cpuprofile and -memprofile file names.
 type profiles struct{ cpu, mem string }
+
+// around wraps job so that the requested profiles cover it.
+func (p *profiles) around(job func() int) func() int {
+	return func() int {
+		stop, err := p.start()
+		if err != nil {
+			return fail(err)
+		}
+		defer stop()
+		return job()
+	}
+}
 
 // start begins the requested profiles; the returned stop writes them out.
 func (p *profiles) start() (stop func(), err error) {
@@ -165,30 +223,31 @@ func selectExps(ids []string) ([]harness.Experiment, error) {
 	return exps, nil
 }
 
-// runExp is the exp subcommand: the named experiments of the harness
-// (all of them if none is named), with tables, verdicts and notes.
-func runExp(args []string) int {
+// parseExp parses the exp subcommand: the named experiments of the
+// harness (all of them if none is named).
+func parseExp(args []string) (func() int, error) {
 	fs, prof := newFlagSet("exp")
 	quick := fs.Bool("quick", false, "smaller horizons and seed counts")
 	seeds := fs.Int("seeds", 0, "seeded repetitions per data point (0: default)")
 	out := fs.String("out", "", "also write the report to this file")
 	if err := fs.Parse(args); err != nil {
-		return 2
+		return nil, err
 	}
 	exps, err := selectExps(fs.Args())
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "omegabench: %v\n%s", err, usageText)
-		return 2
+		return nil, usage(err)
 	}
-	stop, err := prof.start()
-	if err != nil {
-		return fail(err)
-	}
-	defer stop()
+	return prof.around(func() int {
+		return runExp(exps, harness.Config{Quick: *quick, Seeds: *seeds}, *out)
+	}), nil
+}
 
+// runExp runs exps and prints their tables, verdicts and notes, also to
+// the file out if named.
+func runExp(exps []harness.Experiment, cfg harness.Config, out string) int {
 	var w io.Writer = os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
+	if out != "" {
+		f, err := os.Create(out)
 		if err != nil {
 			return fail(err)
 		}
@@ -196,7 +255,6 @@ func runExp(args []string) int {
 		w = io.MultiWriter(os.Stdout, f)
 	}
 
-	cfg := harness.Config{Quick: *quick, Seeds: *seeds}
 	failed := 0
 	for _, e := range exps {
 		fmt.Fprintf(w, "\n================================================================\n")

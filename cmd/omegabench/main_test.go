@@ -1,6 +1,8 @@
 package main
 
 import (
+	"crypto/sha256"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -10,7 +12,29 @@ import (
 
 	"omegasm"
 	"omegasm/internal/harness"
+	"omegasm/internal/lint"
 )
+
+// capture runs fn with *f (os.Stdout or os.Stderr) redirected into a
+// pipe and returns what fn wrote there.
+func capture(t *testing.T, f **os.File, fn func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
+	saved := *f
+	*f = w
+	fn()
+	*f = saved
+	w.Close()
+	return string(<-read)
+}
 
 // TestDispatch pins the command-line grammar: the subcommand comes
 // first, and a bare or flag-led command line still means exp, so
@@ -27,6 +51,8 @@ func TestDispatch(t *testing.T) {
 		{[]string{"exp", "-quick", "F2"}, "exp", []string{"-quick", "F2"}},
 		{[]string{"load", "-dur", "500ms"}, "load", []string{"-dur", "500ms"}},
 		{[]string{"campaign", "-seeds", "6"}, "campaign", []string{"-seeds", "6"}},
+		{[]string{"run", "-census"}, "run", []string{"-census"}},
+		{[]string{"san", "-duration", "500ms"}, "san", []string{"-duration", "500ms"}},
 		{[]string{"bogus", "-quick"}, "bogus", []string{"-quick"}},
 	} {
 		cmd, rest := dispatch(tc.args)
@@ -48,10 +74,97 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{"campaign", "-expect", "nonsense"},
 		{"campaign", "-mutate", "nonsense"},
 		{"campaign", "-campseeds", "6"},
+		{"load", "extra"},
 	} {
 		if got := run(args); got != 2 {
 			t.Errorf("run(%q) = %d, want 2", args, got)
 		}
+	}
+}
+
+// TestRunAndSanUsageErrorsRunNothing: the folded omegarun and omegasan
+// refuse a bad command line with status 2 before any run has printed a
+// line — including the SAN preset that would crash a disk majority.
+func TestRunAndSanUsageErrorsRunNothing(t *testing.T) {
+	for _, args := range [][]string{
+		{"run", "-algo", "algo9"},
+		{"run", "-n", "many"},
+		{"run", "-census", "extra"},
+		{"san", "-disks", "3", "-crash-disk", "2"},
+		{"san", "-duration", "soon"},
+		{"san", "-kv", "extra"},
+	} {
+		var status int
+		if out := capture(t, &os.Stdout, func() { status = run(args) }); status != 2 || out != "" {
+			t.Errorf("run(%q) = %d with output %q; want 2 and nothing run", args, status, out)
+		}
+	}
+}
+
+// TestRunIsByteIdenticalToOmegarun pins `omegabench run` to the output
+// of the omegarun binary it replaced (sha256 as pinned in the verify
+// skill): the same flags, the same simulated run, the same bytes.
+func TestRunIsByteIdenticalToOmegarun(t *testing.T) {
+	var status int
+	out := capture(t, &os.Stdout, func() {
+		status = run([]string{"run", "-algo", "algo1", "-n", "8", "-seed", "7", "-crashes", "2", "-census"})
+	})
+	if status != 0 {
+		t.Fatalf("exit status %d", status)
+	}
+	const want = "b978b46034652b7a0c535d270842abee5aa7f6d7843dfcffe64bd9cf48a22393"
+	if got := fmt.Sprintf("%x", sha256.Sum256([]byte(out))); got != want {
+		t.Errorf("sha256 %s, want %s:\n%s", got, want, out)
+	}
+}
+
+// TestSanSurvivesDiskAndLeaderCrash runs the SAN preset of the former
+// omegasan: a disk and then the elected leader crash, and the store
+// still commits the second half of its writes.
+func TestSanSurvivesDiskAndLeaderCrash(t *testing.T) {
+	var status int
+	out := capture(t, &os.Stdout, func() { status = run([]string{"san", "-duration", "500ms"}) })
+	if status != 0 {
+		t.Fatalf("exit status %d:\n%s", status, out)
+	}
+	for _, want := range []string{"crashing disk 0", "re-elected leader", "store after failover: 16 keys", "done"} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output lacks %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestDocCommandLinesParse parses every omegabench command line quoted
+// in the docs, the workflows and the verify skill against the real
+// subcommand table and flag sets, without running anything, and checks
+// that every `go run ./cmd/X` names a binary that exists.
+func TestDocCommandLinesParse(t *testing.T) {
+	cmds, err := lint.DocCommands("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := 0
+	for _, c := range cmds {
+		if _, err := os.Stat(filepath.Join("../../cmd", c.Tool)); err != nil {
+			t.Errorf("%s: no binary cmd/%s", c.Where, c.Tool)
+			continue
+		}
+		if c.Tool != "omegabench" {
+			continue
+		}
+		cmd, rest := dispatch(c.Args)
+		parse, ok := commands[cmd]
+		if !ok {
+			t.Errorf("%s: omegabench %s: unknown subcommand %q", c.Where, strings.Join(c.Args, " "), cmd)
+			continue
+		}
+		if _, err := parse(rest); err != nil {
+			t.Errorf("%s: omegabench %s: %v", c.Where, strings.Join(c.Args, " "), err)
+		}
+		parsed++
+	}
+	if parsed < 10 {
+		t.Errorf("parsed %d omegabench command lines in the docs; the extractor has gone blind", parsed)
 	}
 }
 
@@ -60,24 +173,13 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 // -out file is created only after the names are resolved.
 func TestExpUnknownIDIsRefusedBeforeAnyRun(t *testing.T) {
 	out := filepath.Join(t.TempDir(), "report.txt")
-	r, w, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	stderr := os.Stderr
-	os.Stderr = w
-	status := run([]string{"exp", "-quick", "-out", out, "F2", "F9"})
-	os.Stderr = stderr
-	w.Close()
-	msg, err := io.ReadAll(r)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var status int
+	msg := capture(t, &os.Stderr, func() { status = run([]string{"exp", "-quick", "-out", out, "F2", "F9"}) })
 	if status != 2 {
 		t.Errorf("exit status %d, want 2", status)
 	}
 	for _, id := range harness.IDs() {
-		if !strings.Contains(string(msg), id) {
+		if !strings.Contains(msg, id) {
 			t.Errorf("message does not list %s:\n%s", id, msg)
 		}
 	}

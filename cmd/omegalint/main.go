@@ -40,12 +40,22 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// run executes the multichecker and returns the process exit status.
-func run(args []string, stdout, stderr io.Writer) int {
+// options is a parsed omegalint command line.
+type options struct {
+	json, list bool
+	analyzers  []*analysis.Analyzer
+	patterns   []string
+}
+
+// parse parses a command line without loading anything; a usage error
+// has already been reported on stderr when it returns one.
+func parse(args []string, stderr io.Writer) (options, error) {
+	var o options
 	fs := flag.NewFlagSet("omegalint", flag.ContinueOnError)
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
+	fs.SetOutput(stderr)
+	fs.BoolVar(&o.json, "json", false, "emit findings as a JSON array")
 	checks := fs.String("c", "", "comma-separated analyzer subset (default: all)")
-	list := fs.Bool("list", false, "list the analyzers and exit")
+	fs.BoolVar(&o.list, "list", false, "list the analyzers and exit")
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: omegalint [-json] [-c analyzer,...] [packages]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
@@ -54,18 +64,28 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(args); err != nil {
+		return o, err
+	}
+	var err error
+	if o.analyzers, err = selectAnalyzers(*checks); err != nil {
+		fmt.Fprintf(stderr, "omegalint: %v\n", err)
+		return o, err
+	}
+	o.patterns = fs.Args()
+	return o, nil
+}
+
+// run executes the multichecker and returns the process exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, err := parse(args, stderr)
+	if err != nil {
 		return 2
 	}
-	if *list {
+	if o.list {
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(stdout, "%-12s %s\n", a.Name, a.Doc)
 		}
 		return 0
-	}
-	analyzers, err := selectAnalyzers(*checks)
-	if err != nil {
-		fmt.Fprintf(stderr, "omegalint: %v\n", err)
-		return 2
 	}
 
 	root, err := findModuleRoot()
@@ -83,13 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "omegalint: %v\n", err)
 		return 2
 	}
-	targets, err := filterPackages(prog, module, fs.Args())
+	targets, err := filterPackages(prog, module, o.patterns)
 	if err != nil {
 		fmt.Fprintf(stderr, "omegalint: %v\n", err)
 		return 2
 	}
 
-	findings, err := lint.RunSuite(prog, targets, analyzers)
+	findings, err := lint.RunSuite(prog, targets, o.analyzers)
 	if err != nil {
 		fmt.Fprintf(stderr, "omegalint: %v\n", err)
 		return 2
@@ -99,7 +119,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			findings[i].File = rel
 		}
 	}
-	if *jsonOut {
+	if o.json {
 		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if findings == nil {
@@ -115,7 +135,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if len(findings) > 0 {
-		if !*jsonOut {
+		if !o.json {
 			fmt.Fprintf(stderr, "omegalint: %d finding(s)\n", len(findings))
 		}
 		return 1

@@ -125,3 +125,27 @@ func TestRunList(t *testing.T) {
 		}
 	}
 }
+
+// TestDocCommandLinesParse parses every omegalint command line quoted in
+// the docs, the workflows and the verify skill against the real flag
+// set and analyzer table, without loading or analyzing anything.
+func TestDocCommandLinesParse(t *testing.T) {
+	cmds, err := lint.DocCommands("../..")
+	if err != nil {
+		t.Fatal(err)
+	}
+	parsed := 0
+	for _, c := range cmds {
+		if c.Tool != "omegalint" {
+			continue
+		}
+		var stderr bytes.Buffer
+		if _, err := parse(c.Args, &stderr); err != nil {
+			t.Errorf("%s: omegalint %s: %v\n%s", c.Where, strings.Join(c.Args, " "), err, stderr.String())
+		}
+		parsed++
+	}
+	if parsed == 0 {
+		t.Error("found no omegalint command line in the docs; the extractor has gone blind")
+	}
+}

@@ -22,14 +22,13 @@
 //
 // # Substrates
 //
-// The processes communicate through a pluggable shared-memory Substrate.
-// The default is Atomic(): sync/atomic registers in process memory. The
-// paper's motivating deployment — "computers that communicate through a
+// The processes communicate through shared memory: by default sync/atomic
+// registers in process memory. The paper's motivating deployment — "computers that communicate through a
 // network of attached disks ... a storage area network (SAN)" (its
-// Section 1, pointing at Disk Paxos) — is the SAN substrate: every
-// register replicated over simulated network-attached disks, written to
-// all and acknowledged by a majority, so disk crashes below a majority
-// are masked:
+// Section 1, pointing at Disk Paxos) — is WithSAN: every register
+// replicated over simulated network-attached disks, written to all and
+// acknowledged by a majority, so disk crashes below a majority are
+// masked:
 //
 //	c, err := omegasm.New(
 //		omegasm.WithN(3),
@@ -63,33 +62,32 @@
 //
 // # Consensus and replication
 //
-// Because Omega is exactly the liveness ingredient Paxos needs, a Cluster
-// also exposes the replication stack: Propose runs one-shot consensus
-// among the cluster's processes, and NewKV serves a replicated key-value
-// store over an Omega-driven Disk-Paxos log — both over whichever
-// substrate the cluster was built on. The KV store can batch: KVBatch
-// lets one consensus slot commit a whole group of queued writes via a
-// published-batch indirection, amortizing the Disk-Paxos round (PutAll is
-// the matching group-commit write path).
+// Because Omega is exactly the liveness ingredient Paxos needs, NewKV
+// serves a replicated key-value store over an Omega-driven Disk-Paxos log
+// among a Cluster's processes, over whichever substrate the cluster was
+// built on. KV.Read offers three consistency points, from the freshest
+// replica's state to a lease-local or a quorum-fenced linearizable read.
+// The KV store can batch: KVBatch lets one consensus slot commit a whole
+// group of queued writes via a published-batch indirection, amortizing
+// the Disk-Paxos round (PutAll is the matching group-commit write path).
 //
 // # Unbounded write streams
 //
-// The log checkpoints by default (KVCheckpointEvery for a standalone KV,
-// WithCheckpointEvery per shard of a ShardedKV): every few decided slots
-// the leader seals the committed prefix into a snapshot of the store's
-// state, published to immutable per-epoch register areas on the
-// substrate via the same pointer-to-value indirection batches use; once
-// a quorum of replicas durably acknowledges the seal, the sealed slots
-// are recycled and reused, so the write stream is unbounded — KVSlots
-// bounds only the in-flight window, and Put/PutAll never return
-// ErrLogFull. A replica that falls behind the recycled window (restarted
-// or long parked) installs the latest published snapshot and resumes at
-// the seal point. The durability statement is unchanged by recycling: a
-// committed write survives any minority of crashes, including across
-// recycling, because it is always reconstructible from either a live
-// slot or a durably published snapshot. KVCheckpointEvery(0) (or
-// WithCheckpointEvery(0)) restores the fixed-capacity log and its
-// ErrLogFull semantics.
+// The log checkpoints: every quarter window of decided slots the leader
+// seals the committed prefix into a snapshot of the store's state,
+// published to immutable per-epoch register areas on the substrate via
+// the same pointer-to-value indirection batches use; once a quorum of
+// replicas durably acknowledges the seal, the sealed slots are recycled
+// and reused, so the write stream is unbounded — KVSlots bounds only the
+// in-flight window, and Put/PutAll never return ErrLogFull. A replica
+// that falls behind the recycled window (restarted or long parked)
+// installs the latest published snapshot and resumes at the seal point.
+// The durability statement is unchanged by recycling: a committed write
+// survives any minority of crashes, including across recycling, because
+// it is always reconstructible from either a live slot or a durably
+// published snapshot. Only a cluster of more than 16 processes, which
+// checkpoint descriptors cannot name, keeps a fixed-capacity log, and
+// only its store returns ErrLogFull.
 //
 // # Sharding
 //

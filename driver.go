@@ -30,8 +30,8 @@ type kvEnv struct {
 	// callers. The simulator leaves it nil — its machines never park, and
 	// an extra wake would perturb the adversary's schedule.
 	progressed func(from int, origin bool)
-	// burst is how many replica micro-steps one activation runs (live:
-	// KVStepBurst; simulator: 1, the pacing is the asynchrony model).
+	// burst is how many replica micro-steps one activation runs (live: 8,
+	// 2 on the SAN; simulator: 1, the pacing is the asynchrony model).
 	burst int
 	// lease is the leader-lease register (nil: leases off), leaseDur the
 	// grant length in engine time, and acquireEps how long past the

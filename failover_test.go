@@ -190,22 +190,24 @@ func millis(d time.Duration) float64 { return float64(d) / float64(time.Millisec
 // again. Run with
 // -benchtime 30x; CHANGES.md records the table.
 func BenchmarkFailoverLeaseSweep(b *testing.B) {
+	disks := SANConfig{Disks: 5, BaseLatency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond}
 	for _, sub := range []struct {
-		medium Substrate
+		name   string
+		medium substrate
+		opts   []Option
 		units  []int
 	}{
-		{Atomic(), []int{0, 2, 3, 4, 5, 6, 10}},
-		{SAN(SANConfig{Disks: 5, BaseLatency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond}), []int{5, 10}},
+		{"atomic", atomicSubstrate{}, nil, []int{0, 2, 3, 4, 5, 6, 10}},
+		{"san", sanSubstrate{disks}, []Option{WithSAN(disks)}, []int{5, 10}},
 	} {
-		opts := []Option{WithSubstrate(sub.medium)}
 		_, unit := sub.medium.pacing()
 		for _, units := range sub.units {
-			b.Run(fmt.Sprintf("%s/lease=%du", sub.medium.Name(), units), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%s/lease=%du", sub.name, units), func(b *testing.B) {
 				lease := time.Duration(units) * unit
 				var outage, reagree []float64
 				var epochs uint64
 				for i := 0; i < b.N; i++ {
-					ep := runCrashEpisode(b, opts, []KVOption{KVLease(lease)}, false)
+					ep := runCrashEpisode(b, sub.opts, []KVOption{kvLease(lease)}, false)
 					outage = append(outage, millis(ep.outage))
 					reagree = append(reagree, millis(ep.reagree))
 					epochs += ep.epochs
@@ -275,7 +277,7 @@ func TestLeaseDoesNotLapseUnderHealthyLeader(t *testing.T) {
 	// sampler sees every epoch. It returns what the window held against
 	// the lease, "" for nothing.
 	const phase = 1500 * time.Millisecond
-	late := kv.LeaseDuration() / 2 // a sampler starved this long says the holder was too
+	late := time.Duration(kv.leaseDur) / 2 // a sampler starved this long says the holder was too
 	settle := 2 * time.Duration(kv.leaseDur+kv.acquireEps)
 	busy := 0 // windows in which leadership never settled
 	window := func() string {
@@ -364,7 +366,7 @@ func TestLeaseDoesNotLapseUnderHealthyLeader(t *testing.T) {
 // stopped and the successor's machine is driven by hand along its own
 // hints, so every activation is counted.
 func TestDarkLeaderSleepsToTheExpiry(t *testing.T) {
-	c, kv, stop := openStore(t, nil, KVLease(40*time.Millisecond))
+	c, kv, stop := openStore(t, nil, kvLease(40*time.Millisecond))
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()

@@ -17,8 +17,7 @@ import (
 // into one packed atomic word, so a query is a single atomic load
 // regardless of cluster size or query rate.
 type Fleet struct {
-	refreshInterval time.Duration
-	clusters        []*Cluster
+	clusters []*Cluster
 	// view[i] is cluster i's packed agreement word, see packView.
 	view []atomic.Uint64
 
@@ -28,6 +27,10 @@ type Fleet struct {
 	// eng hosts the view refresher as one fixed-cadence machine.
 	eng *engine.Live
 }
+
+// refreshInterval is how often a Fleet folds each cluster's agreement
+// state into its cached view.
+const refreshInterval = engine.DefaultStepInterval
 
 // packView encodes an AgreedLeader result in one word: bit 63 set when the
 // cluster's live processes agree, low bits the leader id.
@@ -47,19 +50,9 @@ func unpackView(w uint64) (leader int, agreed bool) {
 
 // NewFleet validates the options and builds a stopped Fleet; call Start
 // to run it. Cluster options (WithN, WithAlgorithm, WithSAN, ...) apply
-// to every member; the fleet-only options WithClusters,
-// WithRefreshInterval and WithClusterOptions shape the fleet itself.
-// Per-cluster overrides compose after the fleet-wide options, so a
-// heterogeneous fleet is:
-//
-//	f, err := omegasm.NewFleet(
-//		omegasm.WithClusters(8),
-//		omegasm.WithN(3),
-//		omegasm.WithClusterOptions(0, omegasm.WithN(5), omegasm.WithSAN(omegasm.SANConfig{})),
-//	)
-//
-// Substrate-backed members get their own substrate instance each (a SAN
-// cluster's disk farm is not shared with its neighbors).
+// to every member; the fleet-only WithClusters sets how many members
+// there are. SAN-backed members get a disk farm each (it is not shared
+// with their neighbors).
 func NewFleet(opts ...Option) (*Fleet, error) {
 	fs := newSettings()
 	if err := fs.apply(opts); err != nil {
@@ -75,35 +68,16 @@ func NewFleet(opts ...Option) (*Fleet, error) {
 // re-resolving the option list per member (shared by NewFleet and
 // NewShardedKV, which fixes the cluster count to its shard count first).
 func newFleetFromSettings(fs *settings, opts []Option) (*Fleet, error) {
-	if fs.refreshInterval <= 0 {
-		fs.refreshInterval = engine.DefaultStepInterval
-	}
-	for _, ov := range fs.overrides {
-		if ov.index >= fs.clusters {
-			return nil, fmt.Errorf("omegasm: cluster override index %d out of range (fleet of %d)", ov.index, fs.clusters)
-		}
-	}
 	f := &Fleet{
-		refreshInterval: fs.refreshInterval,
-		view:            make([]atomic.Uint64, fs.clusters),
-		eng:             engine.NewLive(engine.LiveConfig{}),
+		view: make([]atomic.Uint64, fs.clusters),
+		eng:  engine.NewLive(engine.LiveConfig{}),
 	}
 	for i := 0; i < fs.clusters; i++ {
 		// Re-resolve the full option list per member so each cluster gets
-		// fresh state (its own substrate instance), then layer this
-		// member's overrides on top.
+		// fresh state (its own substrate instance).
 		cs := newSettings()
 		if err := cs.apply(opts); err != nil {
 			return nil, err
-		}
-		cs.inOverride = true
-		for _, ov := range fs.overrides {
-			if ov.index != i {
-				continue
-			}
-			if err := cs.apply(ov.opts); err != nil {
-				return nil, fmt.Errorf("omegasm: fleet cluster %d: %w", i, err)
-			}
 		}
 		c, err := newCluster(cs)
 		if err != nil {
@@ -134,7 +108,7 @@ func (f *Fleet) Start() error {
 			return err
 		}
 	}
-	interval := int64(f.refreshInterval)
+	interval := int64(refreshInterval)
 	f.eng.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
 		for i := range f.clusters {
 			f.refresh(i)
@@ -165,22 +139,11 @@ func (f *Fleet) Stop() {
 	}
 }
 
-// Clusters returns the number of clusters in the fleet.
-func (f *Fleet) Clusters() int { return len(f.clusters) }
-
-// Cluster returns cluster i for direct access (Stats, Crash, Watch, ...),
-// or nil if out of range.
-func (f *Fleet) Cluster(i int) *Cluster {
-	if i < 0 || i >= len(f.clusters) {
-		return nil
-	}
-	return f.clusters[i]
-}
-
 // Leader returns cluster i's agreed leader from the cached view: a single
 // atomic load, safe to call at arbitrary rates from any number of
 // goroutines. ok is false while the cluster's live processes disagree (or
-// before the first refresh); the answer is at most RefreshInterval stale.
+// before the first refresh); the answer is at most refreshInterval
+// (200us) stale.
 func (f *Fleet) Leader(i int) (leader int, ok bool) {
 	if i < 0 || i >= len(f.clusters) {
 		return -1, false
@@ -188,12 +151,13 @@ func (f *Fleet) Leader(i int) (leader int, ok bool) {
 	return unpackView(f.view[i].Load())
 }
 
-// Crash crashes process p of cluster i, and refreshes that cluster's view
+// crash crashes process p of cluster i, and refreshes that cluster's view
 // immediately so queries stop naming a dead leader as soon as the
-// survivors re-elect. It errors on an out-of-range cluster or process
-// index, and on a fleet that has already been stopped (whose processes
-// are all down; crashing one would be meaningless).
-func (f *Fleet) Crash(i, p int) error {
+// survivors re-elect — the fault injection of the fleet and sharded-store
+// tests. It errors on an out-of-range cluster or process index, and on a
+// fleet that has already been stopped (whose processes are all down;
+// crashing one would be meaningless).
+func (f *Fleet) crash(i, p int) error {
 	f.mu.Lock()
 	stopped := f.stopped
 	f.mu.Unlock()

@@ -1,16 +1,14 @@
-package omegasm_test
+package omegasm
 
 import (
 	"sync"
 	"testing"
 	"time"
-
-	"omegasm"
 )
 
-func startFleet(t *testing.T, opts ...omegasm.Option) *omegasm.Fleet {
+func startFleet(t *testing.T, opts ...Option) *Fleet {
 	t.Helper()
-	f, err := omegasm.NewFleet(opts...)
+	f, err := NewFleet(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,80 +20,39 @@ func startFleet(t *testing.T, opts ...omegasm.Option) *omegasm.Fleet {
 }
 
 // fleetOpts is clusters-many fast-paced members of n processes each.
-func fleetOpts(clusters, n int) []omegasm.Option {
-	return append(fastOpts(n), omegasm.WithClusters(clusters))
+func fleetOpts(clusters, n int) []Option {
+	return append(fastOpts(n), WithClusters(clusters))
 }
 
 func TestFleetValidation(t *testing.T) {
-	if _, err := omegasm.NewFleet(omegasm.WithClusters(0), omegasm.WithN(3)); err == nil {
+	if _, err := NewFleet(WithClusters(0), WithN(3)); err == nil {
 		t.Error("0 clusters accepted")
 	}
-	if _, err := omegasm.NewFleet(omegasm.WithClusters(2)); err == nil {
+	if _, err := NewFleet(WithClusters(2)); err == nil {
 		t.Error("fleet without WithN accepted")
 	}
-	// Per-cluster overrides must target an existing member and cannot
-	// carry fleet-only options.
-	if _, err := omegasm.NewFleet(omegasm.WithClusters(2), omegasm.WithN(3),
-		omegasm.WithClusterOptions(2, omegasm.WithN(5))); err == nil {
-		t.Error("override index out of range accepted")
-	}
-	if _, err := omegasm.NewFleet(omegasm.WithClusters(2), omegasm.WithN(3),
-		omegasm.WithClusterOptions(0, omegasm.WithClusters(3))); err == nil {
-		t.Error("nested fleet-only option accepted")
-	}
-	if _, err := omegasm.NewFleet(omegasm.WithClusters(2), omegasm.WithN(3),
-		omegasm.WithClusterOptions(1, omegasm.WithAlgorithm(omegasm.Algorithm(99)))); err == nil {
-		t.Error("invalid override option accepted")
+	if _, err := NewFleet(WithClusters(2), WithN(3), WithAlgorithm(Algorithm(99))); err == nil {
+		t.Error("invalid member option accepted")
 	}
 }
 
-// TestFleetClusterOverrides builds a heterogeneous fleet: the base options
-// configure 3-process WriteEfficient members and one override swaps a
-// member to 5 processes running Bounded.
-func TestFleetClusterOverrides(t *testing.T) {
-	f, err := omegasm.NewFleet(append(fleetOpts(3, 3),
-		omegasm.WithClusterOptions(1, omegasm.WithN(5), omegasm.WithAlgorithm(omegasm.Bounded)),
-	)...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Stop()
-	if n := f.Cluster(0).N(); n != 3 {
-		t.Errorf("cluster 0 N = %d, want 3", n)
-	}
-	if n := f.Cluster(1).N(); n != 5 {
-		t.Errorf("cluster 1 N = %d, want 5 (override)", n)
-	}
-	if a := f.Cluster(1).Algorithm(); a != omegasm.Bounded {
-		t.Errorf("cluster 1 algorithm = %v, want Bounded (override)", a)
-	}
-	if a := f.Cluster(2).Algorithm(); a != omegasm.WriteEfficient {
-		t.Errorf("cluster 2 algorithm = %v, want the base default", a)
-	}
-	if err := f.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := f.WaitForAgreement(20 * time.Second); !ok {
-		t.Fatal("heterogeneous fleet did not agree")
-	}
-}
-
+// TestFleetClusterOutOfRange: Leader with an index outside the fleet
+// answers "no agreement" instead of indexing past the members.
 func TestFleetClusterOutOfRange(t *testing.T) {
-	f, err := omegasm.NewFleet(fleetOpts(2, 2)...)
+	f, err := NewFleet(fleetOpts(2, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer f.Stop()
-	if f.Cluster(-1) != nil || f.Cluster(2) != nil || f.Cluster(1<<20) != nil {
-		t.Error("out-of-range Cluster() returned non-nil")
-	}
-	if f.Cluster(0) == nil || f.Cluster(1) == nil {
-		t.Error("in-range Cluster() returned nil")
+	for _, i := range []int{-1, 2, 1 << 20} {
+		if _, ok := f.Leader(i); ok {
+			t.Errorf("Leader(%d) reported agreement", i)
+		}
 	}
 }
 
 func TestFleetStopBeforeStart(t *testing.T) {
-	f, err := omegasm.NewFleet(fleetOpts(2, 2)...)
+	f, err := NewFleet(fleetOpts(2, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,8 +66,8 @@ func TestFleetStopBeforeStart(t *testing.T) {
 func TestFleetElectsEverywhere(t *testing.T) {
 	const clusters = 4
 	f := startFleet(t, fleetOpts(clusters, 3)...)
-	if f.Clusters() != clusters {
-		t.Fatalf("Clusters() = %d", f.Clusters())
+	if len(f.clusters) != clusters {
+		t.Fatalf("%d clusters", len(f.clusters))
 	}
 	if _, ok := f.WaitForAgreement(20 * time.Second); !ok {
 		t.Fatal("fleet did not fully agree")
@@ -118,7 +75,7 @@ func TestFleetElectsEverywhere(t *testing.T) {
 	// Each cluster's cached view eventually reports a valid agreed leader.
 	// (The exact identity may still churn right after first agreement —
 	// Omega is only eventually stable — so only validity is asserted.)
-	n := f.Cluster(0).N()
+	n := f.clusters[0].N()
 	for i := 0; i < clusters; i++ {
 		deadline := time.Now().Add(20 * time.Second)
 		for {
@@ -131,9 +88,6 @@ func TestFleetElectsEverywhere(t *testing.T) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	if f.Cluster(0) == nil || f.Cluster(clusters) != nil || f.Cluster(-1) != nil {
-		t.Error("Cluster() bounds wrong")
-	}
 	if _, ok := f.Leader(clusters); ok {
 		t.Error("Leader() out of range reported agreement")
 	}
@@ -145,10 +99,10 @@ func TestFleetCrashReElection(t *testing.T) {
 	if !ok {
 		t.Fatal("no initial agreement")
 	}
-	if err := f.Crash(0, leaders[0]); err != nil {
+	if err := f.crash(0, leaders[0]); err != nil {
 		t.Fatal(err)
 	}
-	if err := f.Crash(99, 0); err == nil {
+	if err := f.crash(99, 0); err == nil {
 		t.Error("Crash on missing cluster accepted")
 	}
 	deadline := time.Now().Add(20 * time.Second)
@@ -202,7 +156,7 @@ func TestFleetConcurrentQueries(t *testing.T) {
 }
 
 func TestFleetStartStopIdempotent(t *testing.T) {
-	f, err := omegasm.NewFleet(fleetOpts(2, 2)...)
+	f, err := NewFleet(fleetOpts(2, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -17,7 +17,7 @@ import (
 func TestSteadyStateWriteZeroAllocs(t *testing.T) {
 	const n = 3
 	mem := shmem.NewAtomicMem(n, false)
-	log := NewLog(mem, n, 2048)
+	log := plainLog(t, mem, n, 2048)
 	kvs := make([]*KV, n)
 	for i := 0; i < n; i++ {
 		r, err := NewReplica(log, i, func() int { return 0 })

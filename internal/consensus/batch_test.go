@@ -11,7 +11,7 @@ import (
 func newBatchReplicas(t *testing.T, n, slots, maxBatch int, omega func(i int) func() int) []*Replica {
 	t.Helper()
 	mem := shmem.NewSimMem(n)
-	log, err := NewBatchLog(mem, n, slots, maxBatch)
+	log, err := NewCheckpointLog(mem, n, slots, maxBatch, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,13 +73,13 @@ func TestBatchDescEncoding(t *testing.T) {
 
 func TestNewBatchLogValidation(t *testing.T) {
 	mem := shmem.NewSimMem(2)
-	if _, err := NewBatchLog(mem, 2, 4, 0); err == nil {
+	if _, err := NewCheckpointLog(mem, 2, 4, 0, 0); err == nil {
 		t.Error("batch size 0 accepted")
 	}
-	if _, err := NewBatchLog(shmem.NewSimMem(17), 17, 4, 8); err == nil {
+	if _, err := NewCheckpointLog(shmem.NewSimMem(17), 17, 4, 8, 0); err == nil {
 		t.Error("17 processes accepted on a batched log")
 	}
-	if _, err := NewBatchLog(shmem.NewSimMem(17), 17, 4, 1); err != nil {
+	if _, err := NewCheckpointLog(shmem.NewSimMem(17), 17, 4, 1, 0); err != nil {
 		t.Errorf("unbatched log must not cap processes: %v", err)
 	}
 }
@@ -231,7 +231,7 @@ func TestBatchAreaCoversFullWidth(t *testing.T) {
 // applies flattened batches in order and converges on every replica.
 func TestBatchedKVStoreConverges(t *testing.T) {
 	mem := shmem.NewSimMem(3)
-	log, err := NewBatchLog(mem, 3, 64, 8)
+	log, err := NewCheckpointLog(mem, 3, 64, 8, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +290,7 @@ func TestBatchedKVStoreConverges(t *testing.T) {
 
 func TestDropGeneration(t *testing.T) {
 	mem := shmem.NewSimMem(2)
-	log := NewLog(mem, 2, 4)
+	log := plainLog(t, mem, 2, 4)
 	r, err := NewReplica(log, 0, func() int { return 0 })
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 func newKVs(t *testing.T, n, slots int, omega func(i int) func() int) []*KV {
 	t.Helper()
 	mem := shmem.NewSimMem(n)
-	log := NewLog(mem, n, slots)
+	log := plainLog(t, mem, n, slots)
 	kvs := make([]*KV, n)
 	for i := 0; i < n; i++ {
 		r, err := NewReplica(log, i, omega(i))

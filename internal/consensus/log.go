@@ -219,12 +219,12 @@ const (
 // sequence — the classic Omega/Paxos state-machine-replication
 // construction the paper's introduction motivates.
 //
-// A log built with NewBatchLog additionally carries per-process batch
+// A log built with maxBatch > 1 additionally carries per-process batch
 // areas, and a slot's decided value may then be a batch descriptor that
 // expands to up to MaxBatch commands, so the committed command stream can
 // be longer than the number of decided slots.
 //
-// A log built with NewCheckpointLog is additionally *recycling*: slot
+// A log built with ckptEvery > 0 is additionally *recycling*: slot
 // storage is a fixed-size window over an unbounded global slot sequence.
 // The leader periodically proposes a checkpoint command that seals the
 // log prefix before it into a snapshot published on the substrate; once a
@@ -279,25 +279,6 @@ type Log struct {
 	snaps     []map[int]*snapArea
 	snapFree  [][]*snapArea
 	snapPoolN []int
-}
-
-// NewLog allocates slots consensus instances for n processes in mem. The
-// log is unbatched and non-recycling: every slot decides exactly one
-// command and the log fills permanently after slots decisions.
-func NewLog(mem shmem.Mem, n, slots int) *Log {
-	l, err := NewCheckpointLog(mem, n, slots, 1, 0)
-	if err != nil {
-		// Unreachable: maxBatch 1 and ckptEvery 0 skip every validation.
-		panic(err)
-	}
-	return l
-}
-
-// NewBatchLog allocates a non-recycling replicated log whose slots may
-// decide batches of up to maxBatch commands; it is NewCheckpointLog with
-// checkpointing off. maxBatch 1 is exactly NewLog.
-func NewBatchLog(mem shmem.Mem, n, slots, maxBatch int) (*Log, error) {
-	return NewCheckpointLog(mem, n, slots, maxBatch, 0)
 }
 
 // NewCheckpointLog allocates a replicated log over a window of slots

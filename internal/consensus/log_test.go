@@ -8,10 +8,20 @@ import (
 	"omegasm/internal/shmem"
 )
 
+// plainLog is a non-recycling log of single-command slots.
+func plainLog(t testing.TB, mem shmem.Mem, n, slots int) *Log {
+	t.Helper()
+	log, err := NewCheckpointLog(mem, n, slots, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return log
+}
+
 func newLogReplicas(t *testing.T, n, slots int, omega func(i int) func() int) []*Replica {
 	t.Helper()
 	mem := shmem.NewSimMem(n)
-	log := NewLog(mem, n, slots)
+	log := plainLog(t, mem, n, slots)
 	reps := make([]*Replica, n)
 	for i := 0; i < n; i++ {
 		r, err := NewReplica(log, i, omega(i))
@@ -113,7 +123,7 @@ func TestLogFullStopsCleanly(t *testing.T) {
 
 func TestReplicaValidation(t *testing.T) {
 	mem := shmem.NewSimMem(2)
-	log := NewLog(mem, 2, 4)
+	log := plainLog(t, mem, 2, 4)
 	if _, err := NewReplica(log, 0, nil); err == nil {
 		t.Error("nil oracle accepted")
 	}

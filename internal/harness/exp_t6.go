@@ -44,7 +44,10 @@ func runT6(cfg Config) (*Outcome, error) {
 	var replicas []*consensus.Replica
 	submitted := make(map[uint32]bool)
 	p.Aux = func(mem shmem.Mem, procs []core.Proc, sim *engine.Sim) error {
-		log := consensus.NewLog(mem, n, slots)
+		log, err := consensus.NewCheckpointLog(mem, n, slots, 1, 0)
+		if err != nil {
+			return err
+		}
 		for i := 0; i < n; i++ {
 			i := i
 			oracle := func() int { return procs[i].Leader() }

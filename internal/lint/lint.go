@@ -24,6 +24,11 @@
 // golang.org/x/tools/go/analysis API shape so the suite can move to the
 // upstream multichecker if that dependency ever becomes available to
 // this module.
+//
+// One more invariant is about the docs rather than the code: DocCommands
+// extracts every command line the docs quote, and the binaries' tests
+// parse each against their real flag sets, so a stale line fails `go
+// test`.
 package lint
 
 import (

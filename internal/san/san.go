@@ -19,7 +19,7 @@
 // proofs only need that a read sees either the latest completed write or
 // the value of an overlapping one, both of which keep the PROGRESS /
 // handshake freshness arguments intact. Disk crashes below a majority are
-// masked; the substrate surfaces ErrNoQuorum if too many disks fail.
+// masked; if too many disks fail, register accesses panic ErrNoQuorum.
 //
 // DiskMem implements shmem.Mem, so the core algorithms run over the SAN
 // unchanged — this is the live-runtime (goroutine) substrate used by the
@@ -37,9 +37,11 @@ import (
 	"omegasm/internal/shmem"
 )
 
-// ErrNoQuorum is returned (via panic recovery in Reg, see below) when a
-// majority of disks is unreachable. The experiments keep disk failures
-// below a majority; breaching it is a configuration error.
+// ErrNoQuorum is the value a register access panics with when a majority
+// of disks is unreachable; nothing recovers it, so on a live scheduler
+// goroutine it kills the host program (ROADMAP item 8 would make the
+// access block instead). The experiments keep disk failures below a
+// majority; breaching it is a configuration error.
 var ErrNoQuorum = errors.New("san: majority of disks unreachable")
 
 // ErrCrashed is returned by operations on a crashed disk.

@@ -13,25 +13,25 @@ import (
 	"omegasm/internal/vclock"
 )
 
-// ErrLogFull is returned when a replicated log with checkpointing
-// disabled (KVCheckpointEvery(0)) has decided every slot; the store keeps
-// serving reads but accepts no further writes. Under default options the
-// log checkpoints and recycles slots, so writes never return ErrLogFull.
+// ErrLogFull is returned when a replicated log that cannot checkpoint has
+// decided every slot; the store keeps serving reads but accepts no
+// further writes. Logs checkpoint and recycle their slots on clusters of
+// up to 16 processes, so only a larger cluster's store (descriptors name
+// at most 16 processes) can return it.
 var ErrLogFull = errors.New("omegasm: replicated log is full")
 
 // ErrClosed is returned by Put, PutAll and the linearizable Read modes
-// when the store has been closed, and by Propose when the cluster has
-// been stopped — before the call or while it was blocked: the engine that
-// would finish the call is gone. A write in flight when Close lands may
-// or may not have committed.
+// when the store has been closed — before the call or while it was
+// blocked: the engine that would finish the call is gone. A write in
+// flight when Close lands may or may not have committed.
 var ErrClosed = errors.New("omegasm: closed")
 
 // ErrReadUnsupported is returned by Read in the linearizable modes
 // (ReadLease, ReadQuorum) on a store whose log reserves no descriptor
 // row: both modes fence through no-op barrier slots, which only batched
-// or checkpointing logs can carry. Default-options stores checkpoint and
-// support every mode; only KVCheckpointEvery(0) combined with KVBatch(1)
-// hits this.
+// or checkpointing logs can carry. Stores checkpoint on clusters of up to
+// 16 processes and support every mode; only a larger cluster's store
+// without KVBatch hits this.
 var ErrReadUnsupported = errors.New("omegasm: linearizable reads need batching or checkpointing enabled")
 
 // ReadMode selects the consistency/latency point of a KV.Read.
@@ -109,7 +109,7 @@ func defaultLeaseDur(c *Cluster) time.Duration {
 // on (see internal/lease). It guards against a stalled goroutine, whose
 // length follows the host and the medium, not the grant — so it is a
 // share of the timer unit, five quarters: 2.5ms on atomic registers and
-// 31.25ms on the SAN, and a shorter KVLease does not shrink it.
+// 31.25ms on the SAN, and a shorter kvLease does not shrink it.
 func acquireEps(c *Cluster) time.Duration {
 	return c.set.timerUnit + c.set.timerUnit/4
 }
@@ -117,7 +117,6 @@ func acquireEps(c *Cluster) time.Duration {
 type kvSettings struct {
 	slots    int
 	interval time.Duration
-	burst    int
 	batch    int
 	ckpt     int
 	lease    time.Duration
@@ -127,8 +126,8 @@ type kvSettings struct {
 // slot pre-allocates one consensus instance (3 registers per process) on
 // the cluster's substrate. With checkpointing on (the default) the slots
 // form a recycling window and bound only the in-flight portion of the
-// write stream; with KVCheckpointEvery(0) they are the store's total
-// write capacity.
+// write stream; on a log that cannot checkpoint (see ErrLogFull) they are
+// the store's total write capacity.
 func KVSlots(n int) KVOption {
 	return func(s *kvSettings) error {
 		if n < 1 {
@@ -139,25 +138,26 @@ func KVSlots(n int) KVOption {
 	}
 }
 
-// KVCheckpointEvery sets how many decided slots separate the leader's
-// checkpoint proposals (default: a quarter of the slot count). Every
-// checkpoint seals the log prefix into a snapshot of the store's state,
-// published to immutable per-epoch register areas on the cluster's
-// substrate; once a quorum of replicas has durably acknowledged passing
-// it, the sealed slots are recycled and reused for new proposals — so
-// the write stream is unbounded and Put/PutAll never return ErrLogFull.
-// A replica that falls behind the recycled window (a restarted or long-
-// parked laggard) installs the latest snapshot instead of replaying.
+// kvCheckpointEvery sets how many decided slots separate the leader's
+// checkpoint proposals (default: a quarter of the slot count; a
+// ShardedKV passes its shards' cadence through it). Every checkpoint
+// seals the log prefix into a snapshot of the store's state, published
+// to immutable per-epoch register areas on the cluster's substrate; once
+// a quorum of replicas has durably acknowledged passing it, the sealed
+// slots are recycled and reused for new proposals — so the write stream
+// is unbounded and Put/PutAll never return ErrLogFull. A replica that
+// falls behind the recycled window (a restarted or long-parked laggard)
+// installs the latest snapshot instead of replaying.
 //
-// KVCheckpointEvery(0) disables checkpointing: the log is a fixed array
-// that fills permanently after KVSlots writes, exactly the pre-recycling
-// behavior, and ErrLogFull returns. The price of checkpointing is the
-// reserved key row 0xFFFF (checkpoint descriptors claim the top row of
-// the command space, as batch descriptors do) and a cap of 16 processes;
-// clusters above 16 processes fall back to checkpointing off unless a
-// cadence is set explicitly. n must be below the slot count, so the
-// checkpoint command itself always fits the window.
-func KVCheckpointEvery(n int) KVOption {
+// kvCheckpointEvery(0) disables checkpointing: the log is a fixed array
+// that fills permanently after KVSlots writes, and ErrLogFull returns.
+// The price of checkpointing is the reserved key row 0xFFFF (checkpoint
+// descriptors claim the top row of the command space, as batch
+// descriptors do) and a cap of 16 processes; clusters above 16 processes
+// fall back to checkpointing off unless a cadence is set explicitly. n
+// must be below the slot count, so the checkpoint command itself always
+// fits the window.
+func kvCheckpointEvery(n int) KVOption {
 	return func(s *kvSettings) error {
 		if n < 0 {
 			return fmt.Errorf("omegasm: checkpoint interval must not be negative, got %d", n)
@@ -167,30 +167,15 @@ func KVCheckpointEvery(n int) KVOption {
 	}
 }
 
-// KVStepInterval sets the cadence of the store's replication driver
-// (default: the cluster's step interval). Each tick advances every live
-// replica by a burst of micro-steps.
-func KVStepInterval(d time.Duration) KVOption {
+// kvStepInterval sets the store's fallback poll cadence (default: the
+// cluster's step interval) apart from the election's pacing: the tests
+// slow it down to prove writes wake the replicas, or speed it up.
+func kvStepInterval(d time.Duration) KVOption {
 	return func(s *kvSettings) error {
 		if d <= 0 {
 			return fmt.Errorf("omegasm: KV step interval must be positive, got %v", d)
 		}
 		s.interval = d
-		return nil
-	}
-}
-
-// KVStepBurst sets how many replica micro-steps each driver tick runs
-// (default: 8 on the atomic substrate, 2 on the SAN). Paxos phases are
-// micro-steps, so one slot commit needs several; the burst decouples
-// commit rate from the host's timer resolution. On the SAN every step
-// costs real quorum I/O, so keep the burst small there.
-func KVStepBurst(n int) KVOption {
-	return func(s *kvSettings) error {
-		if n < 1 {
-			return fmt.Errorf("omegasm: KV step burst must be at least 1, got %d", n)
-		}
-		s.burst = n
 		return nil
 	}
 }
@@ -214,11 +199,11 @@ func KVBatch(n int) KVOption {
 	}
 }
 
-// KVLease sets the leader-lease duration behind ReadLease's local
+// kvLease sets the leader-lease duration behind ReadLease's local
 // linearizable reads (default: three timer units, 6ms, on atomic
-// registers and ten, 250ms, on the SAN — see below — whenever the log
-// reserves the descriptor row — batching or checkpointing on — which
-// default options do). The agreed leader claims the lease, commits one
+// registers and ten, 250ms, on the SAN — see defaultLeaseDur — whenever
+// the log reserves the descriptor row — batching or checkpointing on —
+// which default options do). The tests and the lease sweep set it. The agreed leader claims the lease, commits one
 // no-op barrier slot to prove its state covers every prior authority's
 // commits, and then serves linearizable reads from its own applied state
 // until the lease expires; it extends the lease while it leads. Every
@@ -226,7 +211,7 @@ func KVBatch(n int) KVOption {
 // straddle two leases — the price is that after a leader crash the
 // successor waits out the remainder of the dead leader's lease, plus a
 // margin of five quarters of a timer unit for the dead leader's last
-// extension to land, before it can commit. KVLease(0) disables leases:
+// extension to land, before it can commit. kvLease(0) disables leases:
 // ReadLease then degrades to quorum rounds, and proposers are gated only
 // by the Omega oracle, the pre-lease behavior.
 //
@@ -241,8 +226,8 @@ func KVBatch(n int) KVOption {
 // after the crash: a lease that has run out by then is free, a longer one
 // is what clients wait for. The atomic default sits under that bound; the
 // SAN default cannot (five timer units already lapse there), and
-// KVLease(d) means exactly d on either.
-func KVLease(d time.Duration) KVOption {
+// kvLease(d) means exactly d on either.
+func kvLease(d time.Duration) KVOption {
 	return func(s *kvSettings) error {
 		if d < 0 {
 			return fmt.Errorf("omegasm: lease duration must not be negative, got %v", d)
@@ -275,26 +260,24 @@ type Entry struct {
 // the survivors re-elect. Reads are served from the local applied state —
 // sequential consistency, not linearizability.
 //
-// Under default options the log checkpoints (KVCheckpointEvery): the
-// leader periodically seals the committed prefix into a published
-// snapshot, a quorum acknowledges it, and the sealed slots recycle — so
-// the write stream is unbounded and KVSlots bounds only the in-flight
-// window. Disable with KVCheckpointEvery(0) to restore the fixed-capacity
-// log and its ErrLogFull semantics.
+// The log checkpoints: the leader periodically seals the committed
+// prefix into a published snapshot, a quorum acknowledges it, and the
+// sealed slots recycle — so the write stream is unbounded and KVSlots
+// bounds only the in-flight window.
 //
 // Replication is wake-driven: each replica is an engine machine that
 // parks when idle, is woken the moment a write is enqueued for it (Put
 // notifies the leader's machine), and keeps stepping back-to-back
 // while work is draining, so commit latency is CPU-bound instead of
 // poll-interval-bound and an idle store costs no stepping at all. The
-// KVStepInterval cadence remains as the fallback poll for the cases no
+// cluster's step interval remains as the fallback poll for the cases no
 // notification covers (a demoted replica waiting to drop or re-propose
 // its queue).
 type KV struct {
 	c        *Cluster
 	interval time.Duration
 	// kvEnv carries the replicas' stores and the lease (nil: leases off;
-	// leaseDur/acquireEps are engine nanoseconds, see KVLease) — the
+	// leaseDur/acquireEps are engine nanoseconds, see kvLease) — the
 	// environment the shared driver, watcher and write tracker run in.
 	kvEnv
 
@@ -439,10 +422,14 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	if c == nil {
 		return nil, fmt.Errorf("omegasm: nil cluster")
 	}
-	set := &kvSettings{slots: 1024, interval: c.stepInterval(), burst: 8, batch: 1, ckpt: ckptAuto, lease: leaseAuto}
-	blocking := c.DiskCount() > 0 // a register access is quorum disk I/O
+	set := &kvSettings{slots: 1024, interval: c.stepInterval(), batch: 1, ckpt: ckptAuto, lease: leaseAuto}
+	// Each driver activation runs a burst of replica micro-steps: Paxos
+	// phases are micro-steps, so one slot commit needs several. Where a
+	// register access is quorum disk I/O, idle bursts are not free.
+	blocking := c.DiskCount() > 0
+	burst := 8
 	if blocking {
-		set.burst = 2 // idle bursts are not free
+		burst = 2
 	}
 	for _, o := range opts {
 		if o == nil {
@@ -461,13 +448,9 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	if err := checkLogShape("KV", c.N(), set.slots, set.batch, set.ckpt); err != nil {
 		return nil, err
 	}
-	c.svcMu.Lock()
-	if c.kvTaken {
-		c.svcMu.Unlock()
+	if !c.kvTaken.CompareAndSwap(false, true) {
 		return nil, fmt.Errorf("omegasm: cluster already serves a KV store")
 	}
-	c.kvTaken = true
-	c.svcMu.Unlock()
 
 	n := c.N()
 	log, err := consensus.NewCheckpointLog(c.mem, n, set.slots, set.batch, set.ckpt)
@@ -485,7 +468,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			leaseDur = defaultLeaseDur(c)
 		}
 	} else if leaseDur > 0 && !log.ReservesTopRow() {
-		return nil, fmt.Errorf("omegasm: KVLease needs batching or checkpointing enabled")
+		return nil, fmt.Errorf("omegasm: a lease needs batching or checkpointing enabled")
 	}
 	kv := &KV{
 		c:        c,
@@ -520,7 +503,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			}
 			kv.commits.signal()
 		},
-		burst: set.burst,
+		burst: burst,
 	}
 	if leaseDur > 0 {
 		kv.lease = &lease.Register{}
@@ -541,7 +524,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	watcher := leaderWatcher{env: &kv.kvEnv, last: -1}
 	shared.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
 		watcher.observe()
-		return engine.At(now + int64(set.interval))
+		return engine.At(now + int64(kv.interval))
 	}))
 	for _, eng := range kv.engs {
 		if err := eng.Start(); err != nil {
@@ -748,10 +731,6 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (val uint16, found boo
 	return val, found, err
 }
 
-// LeaseDuration returns the leader-lease duration behind ReadLease's
-// local linearizable reads (0: leases disabled; see KVLease).
-func (kv *KV) LeaseDuration() time.Duration { return time.Duration(kv.leaseDur) }
-
 // LeaseHolder returns the replica currently entitled to serve lease
 // reads — the holder of a valid, barrier-complete grant — or ok=false
 // when there is none (anarchy, expiry, barrier still in flight, or
@@ -773,30 +752,11 @@ func (kv *KV) Applied() int { return kv.readStore().Applied() }
 // Snapshot returns a copy of the applied state.
 func (kv *KV) Snapshot() map[uint16]uint16 { return kv.readStore().Snapshot() }
 
-// Capacity returns the slot count of the replicated log's window. With
-// checkpointing on (the default) this bounds only the in-flight portion
-// of the stream — total write capacity is unbounded; with
-// KVCheckpointEvery(0) it is the store's total capacity. On a batched
-// store one slot commits up to BatchSize writes.
-func (kv *KV) Capacity() int { return kv.stores[0].Capacity() }
-
 // SlotsUsed returns how many consensus slots the reading replica has
-// passed; on a checkpointing store it grows past Capacity as slots
+// passed; on a checkpointing store it grows past KVSlots as slots
 // recycle. On a batched store this lags Applied by the batching factor —
 // the ratio Applied()/SlotsUsed() is the measured average batch size.
 func (kv *KV) SlotsUsed() int { return kv.readStore().SlotsDecided() }
-
-// Batched reports whether the store packs multi-command batches into
-// consensus slots (KVBatch with a size above 1).
-func (kv *KV) Batched() bool { return kv.stores[0].Batched() }
-
-// BatchSize returns how many queued writes one consensus slot may commit
-// (1: batching off).
-func (kv *KV) BatchSize() int { return kv.stores[0].MaxBatch() }
-
-// CheckpointEvery returns how many decided slots separate checkpoint
-// seals (0: checkpointing off, the log fills permanently).
-func (kv *KV) CheckpointEvery() int { return kv.stores[0].CheckpointEvery() }
 
 // Checkpoints returns how many checkpoints the reading replica has
 // passed — the number of times a log prefix was sealed into a snapshot

@@ -122,7 +122,7 @@ func TestSANDefaultLeaseIsReadableAndIdleCommitsNothing(t *testing.T) {
 // TestDefaultLeaseFollowsTimerUnit pins the rule defaultLeaseDur states:
 // the auto lease is three timer units on atomic registers (inside the four
 // or so that re-agreement takes) and ten on the SAN (outliving a blocking
-// consensus round), an explicit KVLease still means exactly what it says,
+// consensus round), an explicit kvLease still means exactly what it says,
 // and the acquire margin is five quarters of a timer unit whatever the
 // lease — 2.5ms and 31.25ms on the substrates' default pacing.
 func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
@@ -138,9 +138,9 @@ func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
 		{"atomic-timer-unit", []Option{WithTimerUnit(4 * ms)}, nil, 12 * ms, 5 * ms},
 		{"san-default", []Option{san}, nil, 250 * ms, 31250 * time.Microsecond},
 		{"san-timer-unit", []Option{san, WithTimerUnit(10 * ms)}, nil, 100 * ms, 12500 * time.Microsecond},
-		{"explicit-san", []Option{san}, []KVOption{KVLease(7 * ms)}, 7 * ms, 31250 * time.Microsecond},
-		{"explicit-atomic", nil, []KVOption{KVLease(40 * ms)}, 40 * ms, 2500 * time.Microsecond},
-		{"off", nil, []KVOption{KVLease(0)}, 0, 0},
+		{"explicit-san", []Option{san}, []KVOption{kvLease(7 * ms)}, 7 * ms, 31250 * time.Microsecond},
+		{"explicit-atomic", nil, []KVOption{kvLease(40 * ms)}, 40 * ms, 2500 * time.Microsecond},
+		{"off", nil, []KVOption{kvLease(0)}, 0, 0},
 	} {
 		c, err := New(append([]Option{WithN(3)}, tc.opts...)...)
 		if err != nil {
@@ -150,8 +150,8 @@ func TestDefaultLeaseFollowsTimerUnit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := kv.LeaseDuration(); got != tc.lease {
-			t.Errorf("%s: LeaseDuration() = %v, want %v", tc.name, got, tc.lease)
+		if got := time.Duration(kv.leaseDur); got != tc.lease {
+			t.Errorf("%s: lease = %v, want %v", tc.name, got, tc.lease)
 		}
 		if got := time.Duration(kv.acquireEps); got != tc.eps {
 			t.Errorf("%s: acquireEps = %v, want %v", tc.name, got, tc.eps)

@@ -1,67 +1,24 @@
-package omegasm_test
+package omegasm
 
 import (
 	"context"
 	"errors"
 	"testing"
 	"time"
-
-	"omegasm"
 )
-
-func TestProposeDecides(t *testing.T) {
-	c := startCluster(t, fastOpts(3)...)
-	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
-		t.Fatal("no agreement")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	v, err := c.Propose(ctx, 42)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 42 {
-		t.Fatalf("decided %d, want 42", v)
-	}
-	// One-shot: a later proposal with a different value returns the
-	// already-decided one.
-	v2, err := c.Propose(ctx, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v2 != 42 {
-		t.Fatalf("second Propose decided %d, want the original 42", v2)
-	}
-}
-
-func TestProposeValidatesAndCancels(t *testing.T) {
-	c := startCluster(t, fastOpts(3)...)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if _, err := c.Propose(ctx, 0xFFFFFFFF); err == nil {
-		t.Error("reserved sentinel value accepted")
-	}
-	// A cancelled context must end the call promptly even before any
-	// decision is possible.
-	done, cancelNow := context.WithCancel(context.Background())
-	cancelNow()
-	if _, err := c.Propose(done, 5); err == nil {
-		t.Error("Propose returned nil error on a dead context")
-	}
-}
 
 func TestKVPutGet(t *testing.T) {
 	c := startCluster(t, fastOpts(3)...)
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c, omegasm.KVSlots(64))
+	kv, err := NewKV(c, KVSlots(64))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	if kv.Capacity() != 64 {
-		t.Errorf("Capacity() = %d", kv.Capacity())
+	if kv.stores[0].Capacity() != 64 {
+		t.Errorf("Capacity() = %d", kv.stores[0].Capacity())
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -118,7 +75,7 @@ func TestKVSurvivesLeaderCrash(t *testing.T) {
 	if !ok {
 		t.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c, omegasm.KVSlots(128))
+	kv, err := NewKV(c, KVSlots(128))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,13 +115,13 @@ func TestKVReadModes(t *testing.T) {
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c, omegasm.KVStepInterval(50*time.Microsecond))
+	kv, err := NewKV(c, kvStepInterval(50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	if kv.LeaseDuration() <= 0 {
-		t.Fatalf("LeaseDuration() = %v, want the default lease on", kv.LeaseDuration())
+	if kv.leaseDur <= 0 {
+		t.Fatalf("lease = %v, want the default lease on", time.Duration(kv.leaseDur))
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
@@ -182,8 +139,8 @@ func TestKVReadModes(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for _, mode := range []omegasm.ReadMode{
-		omegasm.ReadFreshest, omegasm.ReadLease, omegasm.ReadQuorum,
+	for _, mode := range []ReadMode{
+		ReadFreshest, ReadLease, ReadQuorum,
 	} {
 		v, ok, err := kv.Read(ctx, 7, mode)
 		if err != nil || !ok || v != 42 {
@@ -204,7 +161,7 @@ func TestLeaseReadZeroAllocs(t *testing.T) {
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c, omegasm.KVStepInterval(50*time.Microsecond))
+	kv, err := NewKV(c, kvStepInterval(50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +181,7 @@ func TestLeaseReadZeroAllocs(t *testing.T) {
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for _, mode := range []omegasm.ReadMode{omegasm.ReadLease, omegasm.ReadFreshest} {
+	for _, mode := range []ReadMode{ReadLease, ReadFreshest} {
 		mode := mode
 		avg := testing.AllocsPerRun(500, func() {
 			if v, ok, err := kv.Read(ctx, 7, mode); err != nil || !ok || v != 42 {
@@ -237,7 +194,7 @@ func TestLeaseReadZeroAllocs(t *testing.T) {
 	}
 }
 
-// TestKVReadModesLeaseOff covers the degraded configurations: KVLease(0)
+// TestKVReadModesLeaseOff covers the degraded configurations: kvLease(0)
 // keeps both linearizable modes working via the quorum fence, and a store
 // without a descriptor row rejects them with ErrReadUnsupported.
 func TestKVReadModesLeaseOff(t *testing.T) {
@@ -245,14 +202,14 @@ func TestKVReadModesLeaseOff(t *testing.T) {
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c,
-		omegasm.KVStepInterval(50*time.Microsecond), omegasm.KVLease(0))
+	kv, err := NewKV(c,
+		kvStepInterval(50*time.Microsecond), kvLease(0))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	if d := kv.LeaseDuration(); d != 0 {
-		t.Fatalf("LeaseDuration() = %v with KVLease(0)", d)
+	if d := time.Duration(kv.leaseDur); d != 0 {
+		t.Fatalf("lease = %v with kvLease(0)", d)
 	}
 	if _, ok := kv.LeaseHolder(); ok {
 		t.Error("LeaseHolder() ok with leases disabled")
@@ -263,7 +220,7 @@ func TestKVReadModesLeaseOff(t *testing.T) {
 		t.Fatal(err)
 	}
 	// ReadLease falls back to the quorum path; both stay linearizable.
-	for _, mode := range []omegasm.ReadMode{omegasm.ReadLease, omegasm.ReadQuorum} {
+	for _, mode := range []ReadMode{ReadLease, ReadQuorum} {
 		if v, ok, err := kv.Read(ctx, 3, mode); err != nil || !ok || v != 9 {
 			t.Errorf("Read(3, mode %d) = %d, %v, %v; want 9", mode, v, ok, err)
 		}
@@ -275,9 +232,9 @@ func TestKVReadModesLeaseOff(t *testing.T) {
 	if _, ok := c2.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement on second cluster")
 	}
-	plain, err := omegasm.NewKV(c2,
-		omegasm.KVCheckpointEvery(0), omegasm.KVBatch(1),
-		omegasm.KVStepInterval(50*time.Microsecond))
+	plain, err := NewKV(c2,
+		kvCheckpointEvery(0), KVBatch(1),
+		kvStepInterval(50*time.Microsecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,40 +242,40 @@ func TestKVReadModesLeaseOff(t *testing.T) {
 	if err := plain.Put(ctx, 1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := plain.Read(ctx, 1, omegasm.ReadQuorum); err != omegasm.ErrReadUnsupported {
+	if _, _, err := plain.Read(ctx, 1, ReadQuorum); err != ErrReadUnsupported {
 		t.Errorf("ReadQuorum on plain store: err = %v, want ErrReadUnsupported", err)
 	}
-	if v, ok, err := plain.Read(ctx, 1, omegasm.ReadFreshest); err != nil || !ok || v != 2 {
+	if v, ok, err := plain.Read(ctx, 1, ReadFreshest); err != nil || !ok || v != 2 {
 		t.Errorf("ReadFreshest on plain store = %d, %v, %v", v, ok, err)
 	}
 }
 
 func TestKVValidation(t *testing.T) {
-	if _, err := omegasm.NewKV(nil); err == nil {
+	if _, err := NewKV(nil); err == nil {
 		t.Error("nil cluster accepted")
 	}
 	c := startCluster(t, fastOpts(2)...)
-	if _, err := omegasm.NewKV(c, omegasm.KVSlots(0)); err == nil {
+	if _, err := NewKV(c, KVSlots(0)); err == nil {
 		t.Error("0 slots accepted")
 	}
-	if _, err := omegasm.NewKV(c, omegasm.KVStepInterval(0)); err == nil {
+	if _, err := NewKV(c, kvStepInterval(0)); err == nil {
 		t.Error("0 step interval accepted")
 	}
-	if _, err := omegasm.NewKV(c, nil); err == nil {
+	if _, err := NewKV(c, nil); err == nil {
 		t.Error("nil KVOption accepted")
 	}
-	kv, err := omegasm.NewKV(c, omegasm.KVSlots(8))
+	kv, err := NewKV(c, KVSlots(8))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	if _, err := omegasm.NewKV(c); err == nil {
+	if _, err := NewKV(c); err == nil {
 		t.Error("second KV on one cluster accepted")
 	}
 }
 
 // TestKVLogFull is the regression gate for disabled checkpointing: with
-// KVCheckpointEvery(0) the log is the old fixed array — it exhausts after
+// kvCheckpointEvery(0) the log is the old fixed array — it exhausts after
 // KVSlots writes and fails cleanly with ErrLogFull while reads keep
 // working, exactly the pre-recycling behavior.
 func TestKVLogFull(t *testing.T) {
@@ -326,7 +283,7 @@ func TestKVLogFull(t *testing.T) {
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement")
 	}
-	kv, err := omegasm.NewKV(c, omegasm.KVSlots(4), omegasm.KVCheckpointEvery(0))
+	kv, err := NewKV(c, KVSlots(4), kvCheckpointEvery(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,14 +295,14 @@ func TestKVLogFull(t *testing.T) {
 			t.Fatalf("put %d: %v", k, err)
 		}
 	}
-	if err := kv.Put(ctx, 9, 9); err != omegasm.ErrLogFull {
+	if err := kv.Put(ctx, 9, 9); err != ErrLogFull {
 		t.Errorf("Put on a full log: %v, want ErrLogFull", err)
 	}
 	if v, ok := kv.Get(2); !ok || v != 2 {
 		t.Errorf("read after log full: %d, %v", v, ok)
 	}
-	if kv.CheckpointEvery() != 0 || kv.Checkpoints() != 0 {
-		t.Error("checkpoint machinery engaged despite KVCheckpointEvery(0)")
+	if kv.stores[0].CheckpointEvery() != 0 || kv.Checkpoints() != 0 {
+		t.Error("checkpoint machinery engaged despite kvCheckpointEvery(0)")
 	}
 }
 
@@ -359,13 +316,13 @@ func TestKVSustainedStream(t *testing.T) {
 		t.Fatal("no agreement")
 	}
 	const slots = 32
-	kv, err := omegasm.NewKV(c, omegasm.KVSlots(slots))
+	kv, err := NewKV(c, KVSlots(slots))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer kv.Close()
-	if kv.CheckpointEvery() != slots/4 {
-		t.Fatalf("CheckpointEvery() = %d, want the %d default", kv.CheckpointEvery(), slots/4)
+	if kv.stores[0].CheckpointEvery() != slots/4 {
+		t.Fatalf("CheckpointEvery() = %d, want the %d default", kv.stores[0].CheckpointEvery(), slots/4)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
@@ -401,7 +358,7 @@ func TestKVPutWakesParkedReplicas(t *testing.T) {
 		t.Fatal("no agreement")
 	}
 	const interval = time.Second
-	kv, err := omegasm.NewKV(c, omegasm.KVSlots(32), omegasm.KVStepInterval(interval))
+	kv, err := NewKV(c, KVSlots(32), kvStepInterval(interval))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -434,7 +391,7 @@ func TestKVPutWakesParkedReplicas(t *testing.T) {
 // TestKVCloseIdempotent checks Close twice and freezes the state.
 func TestKVCloseIdempotent(t *testing.T) {
 	c := startCluster(t, fastOpts(2)...)
-	kv, err := omegasm.NewKV(c)
+	kv, err := NewKV(c)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -454,29 +411,29 @@ func TestKVCloseIdempotent(t *testing.T) {
 // when Close arrives.
 func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
 	ctx := context.Background() // no deadline: only Close can end the call
-	putAll := func(kv *omegasm.KV) error {
-		return kv.PutAll(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 2, Val: 2})
+	putAll := func(kv *KV) error {
+		return kv.PutAll(ctx, Entry{Key: 1, Val: 1}, Entry{Key: 2, Val: 2})
 	}
 	for _, tc := range []struct {
 		name     string
 		inFlight bool
 		san      bool // one scheduler per replica: Close joins them all
-		call     func(kv *omegasm.KV) error
+		call     func(kv *KV) error
 	}{
-		{"put-after-close", false, false, func(kv *omegasm.KV) error { return kv.Put(ctx, 1, 1) }},
-		{"put-after-close-on-SAN", false, true, func(kv *omegasm.KV) error { return kv.Put(ctx, 1, 1) }},
-		{"read-quorum-after-close", false, false, func(kv *omegasm.KV) error {
-			_, _, err := kv.Read(ctx, 1, omegasm.ReadQuorum)
+		{"put-after-close", false, false, func(kv *KV) error { return kv.Put(ctx, 1, 1) }},
+		{"put-after-close-on-SAN", false, true, func(kv *KV) error { return kv.Put(ctx, 1, 1) }},
+		{"read-quorum-after-close", false, false, func(kv *KV) error {
+			_, _, err := kv.Read(ctx, 1, ReadQuorum)
 			return err
 		}},
 		{"close-during-PutAll", true, false, putAll},
 		{"close-during-PutAll-on-SAN", true, true, putAll},
-		{"close-during-ReadQuorum", true, false, func(kv *omegasm.KV) error {
-			_, _, err := kv.Read(ctx, 1, omegasm.ReadQuorum)
+		{"close-during-ReadQuorum", true, false, func(kv *KV) error {
+			_, _, err := kv.Read(ctx, 1, ReadQuorum)
 			return err
 		}},
-		{"close-during-ReadLease-fallback", true, false, func(kv *omegasm.KV) error {
-			_, _, err := kv.Read(ctx, 1, omegasm.ReadLease)
+		{"close-during-ReadLease-fallback", true, false, func(kv *KV) error {
+			_, _, err := kv.Read(ctx, 1, ReadLease)
 			return err
 		}},
 	} {
@@ -485,16 +442,16 @@ func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
 			t.Parallel()
 			opts := fastOpts(3)
 			if tc.san {
-				opts = []omegasm.Option{
-					omegasm.WithN(3), omegasm.WithSAN(omegasm.SANConfig{Disks: 3}),
-					omegasm.WithStepInterval(500 * time.Microsecond), omegasm.WithTimerUnit(10 * time.Millisecond),
+				opts = []Option{
+					WithN(3), WithSAN(SANConfig{Disks: 3}),
+					WithStepInterval(500 * time.Microsecond), WithTimerUnit(10 * time.Millisecond),
 				}
 			}
 			c := startCluster(t, opts...)
 			if _, ok := c.WaitForAgreement(30 * time.Second); !ok {
 				t.Fatal("no agreement")
 			}
-			kv, err := omegasm.NewKV(c, omegasm.KVLease(2*time.Millisecond))
+			kv, err := NewKV(c, kvLease(2*time.Millisecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -519,7 +476,7 @@ func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
 			}
 			select {
 			case err := <-result:
-				if !errors.Is(err, omegasm.ErrClosed) {
+				if !errors.Is(err, ErrClosed) {
 					t.Fatalf("got %v, want ErrClosed", err)
 				}
 			case <-time.After(2 * time.Second):
@@ -527,36 +484,5 @@ func TestKVClosedStoreReturnsErrClosed(t *testing.T) {
 			}
 			kv.Close() // a further Close stays a no-op
 		})
-	}
-}
-
-// TestProposeReturnsWhenClusterStops: the same edge one layer down — a
-// Propose blocked on an election that will never converge (every process
-// crashed) ends with ErrClosed when the cluster is stopped.
-func TestProposeReturnsWhenClusterStops(t *testing.T) {
-	c := startCluster(t, fastOpts(3)...)
-	for p := 0; p < c.N(); p++ {
-		if err := c.Crash(p); err != nil {
-			t.Fatal(err)
-		}
-	}
-	result := make(chan error, 1)
-	go func() {
-		_, err := c.Propose(context.Background(), 9)
-		result <- err
-	}()
-	select {
-	case err := <-result:
-		t.Fatalf("Propose returned %v with every process crashed", err)
-	case <-time.After(30 * time.Millisecond):
-	}
-	c.Stop()
-	select {
-	case err := <-result:
-		if !errors.Is(err, omegasm.ErrClosed) {
-			t.Fatalf("got %v, want ErrClosed", err)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Propose still blocked 2s after Stop")
 	}
 }

@@ -1,10 +1,9 @@
-package omegasm_test
+package omegasm
 
 import (
 	"reflect"
 	"testing"
 
-	"omegasm"
 	"omegasm/check"
 )
 
@@ -13,8 +12,8 @@ import (
 // thousand ticks long, and a crash schedule aimed at the processes the
 // oracle elects — so leaders die mid-lease and their grants must hand
 // over without a stale or time-travelling read.
-func leaseCampaignConfig(seed int64, crashes map[int]int64) omegasm.SimKVConfig {
-	cfg := omegasm.SimKVConfig{
+func leaseCampaignConfig(seed int64, crashes map[int]int64) SimKVConfig {
+	cfg := SimKVConfig{
 		N:       4,
 		Seed:    seed,
 		Horizon: 300_000,
@@ -22,7 +21,7 @@ func leaseCampaignConfig(seed int64, crashes map[int]int64) omegasm.SimKVConfig 
 		Crashes: crashes,
 	}
 	for i := int64(0); i < 400; i++ {
-		cfg.Writes = append(cfg.Writes, omegasm.SimWrite{
+		cfg.Writes = append(cfg.Writes, SimWrite{
 			At:  1_000 + i*600,
 			Key: uint16(i % 8),
 			Val: uint16(1 + i),
@@ -33,7 +32,7 @@ func leaseCampaignConfig(seed int64, crashes map[int]int64) omegasm.SimKVConfig 
 
 // holders returns the distinct holders of a run's grant history, in
 // first-appearance order.
-func holders(grants []omegasm.SimLeaseGrant) []int {
+func holders(grants []SimLeaseGrant) []int {
 	seen := map[int]bool{}
 	var out []int
 	for _, g := range grants {
@@ -48,9 +47,9 @@ func holders(grants []omegasm.SimLeaseGrant) []int {
 // checkLeasedRun runs one leased config and asserts the campaign
 // invariants: no lease violation, lease reads actually served, writes
 // actually delivered. It returns the result for campaign-level checks.
-func checkLeasedRun(t *testing.T, name string, cfg omegasm.SimKVConfig) *omegasm.SimKVResult {
+func checkLeasedRun(t *testing.T, name string, cfg SimKVConfig) *SimKVResult {
 	t.Helper()
-	res, err := omegasm.SimKV(cfg)
+	res, err := SimKV(cfg)
 	if err != nil {
 		t.Fatalf("%s: %v", name, err)
 	}
@@ -112,7 +111,7 @@ func TestSimLeaseReplayByteIdentical(t *testing.T) {
 		cfg1 := leaseCampaignConfig(tc.seed, tc.crashes)
 		cfg2 := leaseCampaignConfig(tc.seed, tc.crashes)
 		r1 := checkLeasedRun(t, tc.name, cfg1)
-		r2, err := omegasm.SimKV(cfg2)
+		r2, err := SimKV(cfg2)
 		if err != nil {
 			t.Fatalf("%s: replay: %v", tc.name, err)
 		}
@@ -124,15 +123,15 @@ func TestSimLeaseReplayByteIdentical(t *testing.T) {
 
 // leasedCrashP0 returns the stock campaign grid's leased point that
 // crashes p0.
-func leasedCrashP0(t *testing.T) omegasm.CampaignPoint {
+func leasedCrashP0(t *testing.T) CampaignPoint {
 	t.Helper()
-	for _, pt := range omegasm.DefaultCampaignGrid() {
+	for _, pt := range DefaultCampaignGrid() {
 		if _, crashes := pt.Config.Crashes[0]; pt.Name == "leased-crash-p0" && crashes && pt.Config.Lease > 0 {
 			return pt
 		}
 	}
 	t.Fatal("grid point leased-crash-p0 is gone, or no longer crashes p0 under a lease")
-	return omegasm.CampaignPoint{}
+	return CampaignPoint{}
 }
 
 // TestSimDemotedHolderReleasesAuthority pins the live-vs-sim drift the
@@ -149,7 +148,7 @@ func TestSimDemotedHolderReleasesAuthority(t *testing.T) {
 		cfg := point.Config
 		cfg.Seed = seed
 		cfg.Record = true
-		res, err := omegasm.SimKV(cfg)
+		res, err := SimKV(cfg)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -181,15 +180,15 @@ func TestSimDemotedHolderReleasesAuthority(t *testing.T) {
 // the knee sits at the lease itself.
 func TestSimLeaseHidesInsideReagreement(t *testing.T) {
 	point := leasedCrashP0(t)
-	run := func(seed, lease int64, mut omegasm.SimMutation) *omegasm.SimKVResult {
+	run := func(seed, lease int64, mut SimMutation) *SimKVResult {
 		t.Helper()
 		cfg := point.Config
 		cfg.Seed, cfg.Lease, cfg.Mutation, cfg.Record = seed, lease, mut, true
 		cfg.Writes = nil
 		for i := 0; i < 320; i++ {
-			cfg.Writes = append(cfg.Writes, omegasm.SimWrite{At: int64(100 + 50*i), Key: uint16(1 + i%10), Val: uint16(100 + i)})
+			cfg.Writes = append(cfg.Writes, SimWrite{At: int64(100 + 50*i), Key: uint16(1 + i%10), Val: uint16(100 + i)})
 		}
-		res, err := omegasm.SimKV(cfg)
+		res, err := SimKV(cfg)
 		if err != nil {
 			t.Fatalf("seed %d lease %d: %v", seed, lease, err)
 		}
@@ -207,7 +206,7 @@ func TestSimLeaseHidesInsideReagreement(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		stall := make([]int64, len(leases))
 		for i, lease := range leases {
-			res := run(seed, lease, omegasm.MutNone)
+			res := run(seed, lease, MutNone)
 			for _, v := range res.LeaseViolations {
 				t.Errorf("seed %d lease %d: lease violation: %s", seed, lease, v)
 			}
@@ -240,7 +239,7 @@ func TestSimLeaseHidesInsideReagreement(t *testing.T) {
 		t.Logf("seed %d: re-agreement %d ticks, stalls %v at leases %v", seed, reagree, stall, leases)
 
 		// The checker keeps its teeth where the grant is shortest.
-		res := run(seed, leases[0], omegasm.MutPrematureLeaseExtend)
+		res := run(seed, leases[0], MutPrematureLeaseExtend)
 		if len(res.LeaseViolations) == 0 && res.Verify(check.Options{}).OK() {
 			t.Errorf("seed %d: MutPrematureLeaseExtend went unnoticed at lease %d", seed, leases[0])
 		}

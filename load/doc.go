@@ -11,10 +11,10 @@
 // rate (Rate) shaped by a renewal Process (Poisson, Gamma or Weibull
 // interarrivals), a key space with optional Zipf skew (Keys, ZipfS), a
 // read/write mix (ReadFraction) and a set of SLO Classes with weights
-// and latency targets. Schedule expands the spec into a concrete,
-// seed-reproducible []Request: the same Spec (including Seed) always
-// yields the byte-identical schedule, so the sim and live runners
-// replay exactly the same arrival sequence.
+// and latency targets. Both runners expand the spec into one concrete,
+// seed-reproducible schedule: the same Spec (including Seed) always
+// yields the byte-identical arrival sequence, so the sim and live
+// runners replay exactly the same requests.
 //
 // # Open loop
 //

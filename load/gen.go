@@ -7,13 +7,13 @@ import (
 	"time"
 )
 
-// Schedule expands the spec into its concrete arrival sequence, sorted
+// schedule expands the spec into its concrete arrival sequence, sorted
 // by arrival time. The expansion is a pure function of the spec: the
 // same spec (Seed included) yields the byte-identical schedule, which
 // is what lets the simulated and live runners replay the exact same
 // workload.
-func (s *Spec) Schedule() ([]Request, error) {
-	if err := s.Validate(); err != nil {
+func (s *Spec) schedule() ([]request, error) {
+	if err := s.validate(); err != nil {
 		return nil, err
 	}
 	rng := rand.New(rand.NewSource(s.Seed))
@@ -28,7 +28,7 @@ func (s *Spec) Schedule() ([]Request, error) {
 		cum[i] = total
 	}
 	perClient := s.Rate / float64(s.Clients)
-	var reqs []Request
+	var reqs []request
 	var val uint16
 	// One renewal process per client, expanded in fixed client order
 	// from the single seeded rng; the stable sort below merges them
@@ -57,7 +57,7 @@ func (s *Spec) Schedule() ([]Request, error) {
 			}
 			read := rng.Float64() < s.ReadFraction
 			val++
-			reqs = append(reqs, Request{At: at, Key: key, Val: val, Read: read, Class: class, Client: client})
+			reqs = append(reqs, request{At: at, Key: key, Val: val, Read: read, Class: class, Client: client})
 		}
 	}
 	sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].At < reqs[j].At })

@@ -47,12 +47,12 @@ func TestSpecValidate(t *testing.T) {
 	for _, tc := range cases {
 		s := baseSpec()
 		tc.mut(&s)
-		if err := s.Validate(); err == nil {
+		if err := s.validate(); err == nil {
 			t.Errorf("%s: Validate accepted %+v", tc.name, s)
 		}
 	}
 	s := baseSpec()
-	if err := s.Validate(); err != nil {
+	if err := s.validate(); err != nil {
 		t.Fatalf("base spec rejected: %v", err)
 	}
 }
@@ -66,11 +66,11 @@ func TestScheduleDeterministic(t *testing.T) {
 		s.Process = proc
 		s.Shape = 0.8
 		s.ZipfS = 1.2
-		a, err := s.Schedule()
+		a, err := s.schedule()
 		if err != nil {
 			t.Fatalf("%v: %v", proc, err)
 		}
-		b, err := s.Schedule()
+		b, err := s.schedule()
 		if err != nil {
 			t.Fatalf("%v: %v", proc, err)
 		}
@@ -81,7 +81,7 @@ func TestScheduleDeterministic(t *testing.T) {
 			t.Fatalf("%v: empty schedule", proc)
 		}
 		s.Seed++
-		c, err := s.Schedule()
+		c, err := s.schedule()
 		if err != nil {
 			t.Fatalf("%v: %v", proc, err)
 		}
@@ -93,7 +93,7 @@ func TestScheduleDeterministic(t *testing.T) {
 
 func TestScheduleShape(t *testing.T) {
 	s := baseSpec()
-	reqs, err := s.Schedule()
+	reqs, err := s.schedule()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +139,7 @@ func TestScheduleArrivalRate(t *testing.T) {
 		s.Process = tc.proc
 		s.Shape = tc.shape
 		s.Duration = 10 * time.Second
-		reqs, err := s.Schedule()
+		reqs, err := s.schedule()
 		if err != nil {
 			t.Fatalf("%v(%v): %v", tc.proc, tc.shape, err)
 		}
@@ -162,7 +162,7 @@ func TestScheduleBurstiness(t *testing.T) {
 		s.Duration = 20 * time.Second
 		s.Process = proc
 		s.Shape = shape
-		reqs, err := s.Schedule()
+		reqs, err := s.schedule()
 		if err != nil {
 			t.Fatalf("%v(%v): %v", proc, shape, err)
 		}
@@ -204,7 +204,7 @@ func TestScheduleZipfSkew(t *testing.T) {
 		s := baseSpec()
 		s.ZipfS = zipfS
 		s.Duration = 10 * time.Second
-		reqs, err := s.Schedule()
+		reqs, err := s.schedule()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -41,7 +41,7 @@ func RunLive(spec *Spec, target Target, opt LiveOptions) (Report, error) {
 // pre-compute (time-windowed percentiles around a fault, per-key
 // breakdowns).
 func RunLiveResults(spec *Spec, target Target, opt LiveOptions) (Report, []Result, error) {
-	schedule, err := spec.Schedule()
+	schedule, err := spec.schedule()
 	if err != nil {
 		return Report{}, nil, err
 	}
@@ -60,7 +60,7 @@ func RunLiveResults(spec *Spec, target Target, opt LiveOptions) (Report, []Resul
 			time.Sleep(d)
 		}
 		wg.Add(1)
-		go func(i int, r Request) {
+		go func(i int, r request) {
 			defer wg.Done()
 			arrival := start.Add(r.At)
 			lat := time.Duration(-1)
@@ -74,5 +74,5 @@ func RunLiveResults(spec *Spec, target Target, opt LiveOptions) (Report, []Resul
 		}(i, r)
 	}
 	wg.Wait()
-	return BuildReport("live", spec, results), results, nil
+	return buildReport("live", spec, results), results, nil
 }

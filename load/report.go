@@ -66,10 +66,10 @@ type Report struct {
 	Classes []ClassReport
 }
 
-// BuildReport aggregates per-request results into per-class histograms
+// buildReport aggregates per-request results into per-class histograms
 // and SLO accounting. The results slice must use class indexes valid
 // for the spec.
-func BuildReport(mode string, spec *Spec, results []Result) Report {
+func buildReport(mode string, spec *Spec, results []Result) Report {
 	rep := Report{
 		Mode:     mode,
 		Spec:     spec.Name,

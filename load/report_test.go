@@ -17,7 +17,7 @@ func TestBuildReport(t *testing.T) {
 		{Latency: 100 * time.Millisecond, Class: 1}, // within class 1's 200ms SLO
 		{Latency: -1, Class: 1},                     // never completed
 	}
-	rep := BuildReport("sim", &spec, results)
+	rep := buildReport("sim", &spec, results)
 	if rep.Requests != 4 || rep.Completed != 3 {
 		t.Fatalf("requests/completed = %d/%d", rep.Requests, rep.Completed)
 	}

@@ -7,10 +7,10 @@ import (
 	"omegasm"
 )
 
-// TickDuration is the wall-clock meaning of one virtual tick: the sim
+// tickDuration is the wall-clock meaning of one virtual tick: the sim
 // engine's convention throughout the repo is 1 tick = 1µs, so simulated
 // latencies convert to durations by this factor.
-const TickDuration = time.Microsecond
+const tickDuration = time.Microsecond
 
 // SimOptions parameterizes the simulated substrate a workload runs
 // against. The zero value is a 1-shard, 3-process cluster with the
@@ -40,10 +40,10 @@ type SimOptions struct {
 // RunSim executes the spec open-loop against a simulated sharded store
 // under virtual time. The run is deterministic: the same spec and
 // options produce the byte-identical report, and host speed never leaks
-// into the measured latencies. Arrivals map to virtual ticks at
-// TickDuration resolution.
+// into the measured latencies. Arrivals map to virtual ticks of one
+// microsecond.
 func RunSim(spec *Spec, opt SimOptions) (Report, error) {
-	schedule, err := spec.Schedule()
+	schedule, err := spec.schedule()
 	if err != nil {
 		return Report{}, err
 	}
@@ -62,7 +62,7 @@ func RunSim(spec *Spec, opt SimOptions) (Report, error) {
 	reqs := make([]omegasm.SimRequest, len(schedule))
 	for i, r := range schedule {
 		reqs[i] = omegasm.SimRequest{
-			At:     int64(r.At / TickDuration),
+			At:     int64(r.At / tickDuration),
 			Key:    r.Key,
 			Val:    r.Val,
 			Read:   r.Read,
@@ -74,7 +74,7 @@ func RunSim(spec *Spec, opt SimOptions) (Report, error) {
 		Shards:          shards,
 		N:               n,
 		Seed:            spec.Seed,
-		Horizon:         int64(spec.Duration/TickDuration) + drain,
+		Horizon:         int64(spec.Duration/tickDuration) + drain,
 		Slots:           opt.Slots,
 		BatchSize:       opt.BatchSize,
 		CheckpointEvery: opt.CheckpointEvery,
@@ -88,14 +88,14 @@ func RunSim(spec *Spec, opt SimOptions) (Report, error) {
 	for i, rr := range res.Requests {
 		lat := time.Duration(-1)
 		if rr.Done >= 0 {
-			lat = time.Duration(rr.Done-rr.At) * TickDuration
+			lat = time.Duration(rr.Done-rr.At) * tickDuration
 		}
 		results[i] = Result{
-			At:      time.Duration(rr.At) * TickDuration,
+			At:      time.Duration(rr.At) * tickDuration,
 			Latency: lat,
 			Read:    rr.Read,
 			Class:   rr.Class,
 		}
 	}
-	return BuildReport("sim", spec, results), nil
+	return buildReport("sim", spec, results), nil
 }

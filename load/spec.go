@@ -85,8 +85,8 @@ type Spec struct {
 	Classes []Class
 }
 
-// Request is one scheduled arrival of an expanded workload.
-type Request struct {
+// request is one scheduled arrival of an expanded workload.
+type request struct {
 	// At is the arrival offset from the run's start.
 	At time.Duration
 	// Key and Val form the command for a write; reads use Key only.
@@ -100,8 +100,8 @@ type Request struct {
 	Client int
 }
 
-// Validate reports the first problem with the spec, or nil.
-func (s *Spec) Validate() error {
+// validate reports the first problem with the spec, or nil.
+func (s *Spec) validate() error {
 	if s.Clients < 1 {
 		return fmt.Errorf("load: Clients = %d, need >= 1", s.Clients)
 	}

@@ -1,9 +1,9 @@
 package omegasm
 
 import (
-	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"omegasm/internal/core"
@@ -77,14 +77,9 @@ type Cluster struct {
 	disks []*san.Disk
 	rt    *rt.Runtime
 
-	// arena is the lazily created one-shot consensus instance Propose
-	// drives; kvTaken marks the register namespace of the replicated log
-	// as claimed; svcStopped refuses new service engines after Stop. All
-	// under svcMu.
-	svcMu      sync.Mutex
-	arena      *proposeArena
-	kvTaken    bool
-	svcStopped bool
+	// kvTaken marks the register namespace of the replicated log as
+	// claimed.
+	kvTaken atomic.Bool
 }
 
 // New validates the options and builds a stopped Cluster; call Start to
@@ -131,16 +126,14 @@ func newCluster(s *settings) (*Cluster, error) {
 // Start launches the cluster's processes. It may be called once.
 func (c *Cluster) Start() error { return c.rt.Start() }
 
-// Stop halts every process and joins all goroutines, including the
-// engines of lazily started services (the Propose arena). Idempotent. A
-// KV store's engine has its own lifecycle: call KV.Close.
+// Stop halts every process and joins all goroutines. Idempotent. A KV
+// store's engine has its own lifecycle: call KV.Close.
 func (c *Cluster) Stop() {
 	c.rt.Stop()
-	c.stopServices()
-	// Retire the SAN disks' pipeline pumps last: services and processes
-	// are joined, so no quorum traffic is left to submit. Stragglers
-	// after this point (a KV closed out of order) degrade to the
-	// synchronous disk path instead of deadlocking.
+	// Retire the SAN disks' pipeline pumps last: the processes are
+	// joined, so no quorum traffic is left to submit. Stragglers after
+	// this point (a KV closed out of order) degrade to the synchronous
+	// disk path instead of deadlocking.
 	for _, d := range c.disks {
 		d.Close()
 	}
@@ -149,24 +142,20 @@ func (c *Cluster) Stop() {
 // N returns the number of processes.
 func (c *Cluster) N() int { return c.rt.N() }
 
-// Algorithm returns the election algorithm the cluster runs.
-func (c *Cluster) Algorithm() Algorithm { return c.set.algorithm }
-
-// Substrate returns the name of the shared-memory substrate the cluster
-// runs over ("atomic", "san").
-func (c *Cluster) Substrate() string { return c.set.substrate.Name() }
-
 // DiskCount returns the number of simulated disks backing a SAN cluster,
 // or 0 on the atomic substrate.
 func (c *Cluster) DiskCount() int { return len(c.disks) }
 
 // CrashDisk permanently fails disk d of a SAN-backed cluster. Crashes of
-// a minority of disks are masked by the quorum discipline; crashing a
-// majority wedges the cluster (a configuration breach, as in the paper's
-// model). It errors on the atomic substrate or an out-of-range index.
+// a minority of disks are masked by the quorum discipline. Crashing a
+// majority is outside the model, and today it kills the host program:
+// the next quorum access panics with san.ErrNoQuorum on a scheduler
+// goroutine, where nothing recovers it (ROADMAP item 8 would make it a
+// stall instead). It errors on the atomic substrate or an out-of-range
+// index.
 func (c *Cluster) CrashDisk(d int) error {
 	if len(c.disks) == 0 {
-		return fmt.Errorf("omegasm: substrate %q has no disks", c.Substrate())
+		return fmt.Errorf("omegasm: CrashDisk needs a SAN-backed cluster (WithSAN)")
 	}
 	if d < 0 || d >= len(c.disks) {
 		return fmt.Errorf("omegasm: no disk %d (have %d)", d, len(c.disks))
@@ -188,12 +177,6 @@ func (c *Cluster) WaitForAgreement(timeout time.Duration) (int, bool) {
 	return c.rt.WaitForAgreement(timeout)
 }
 
-// WaitForAgreementContext blocks until every live process agrees on a
-// live leader, or ctx is done.
-func (c *Cluster) WaitForAgreementContext(ctx context.Context) (int, bool) {
-	return c.rt.WaitForAgreementContext(ctx)
-}
-
 // Crash stops process i, simulating a crash-stop failure. The survivors
 // re-elect; crashed processes never recover.
 func (c *Cluster) Crash(i int) error { return c.rt.Crash(i) }
@@ -201,8 +184,8 @@ func (c *Cluster) Crash(i int) error { return c.rt.Crash(i) }
 // Crashed reports whether process i has been crashed.
 func (c *Cluster) Crashed(i int) bool { return c.rt.Crashed(i) }
 
-// stepInterval is the cluster's resolved pacing, reused by the service
-// layer (Propose, KV) as its default driving cadence.
+// stepInterval is the cluster's resolved pacing, reused by the KV store
+// as its fallback driving cadence.
 func (c *Cluster) stepInterval() time.Duration { return c.set.stepInterval }
 
 // oracle returns process i's leader oracle for the consensus layer.

@@ -1,43 +1,41 @@
-package omegasm_test
+package omegasm
 
 import (
 	"testing"
 	"time"
-
-	"omegasm"
 )
 
 func TestAlgorithmString(t *testing.T) {
-	if omegasm.WriteEfficient.String() != "WriteEfficient" {
-		t.Error(omegasm.WriteEfficient.String())
+	if WriteEfficient.String() != "WriteEfficient" {
+		t.Error(WriteEfficient.String())
 	}
-	if omegasm.Bounded.String() != "Bounded" {
-		t.Error(omegasm.Bounded.String())
+	if Bounded.String() != "Bounded" {
+		t.Error(Bounded.String())
 	}
-	if omegasm.NWnR.String() != "NWnR" {
-		t.Error(omegasm.NWnR.String())
+	if NWnR.String() != "NWnR" {
+		t.Error(NWnR.String())
 	}
-	if omegasm.TimerFree.String() != "TimerFree" {
-		t.Error(omegasm.TimerFree.String())
+	if TimerFree.String() != "TimerFree" {
+		t.Error(TimerFree.String())
 	}
-	if omegasm.Algorithm(9).String() != "Algorithm(9)" {
-		t.Error(omegasm.Algorithm(9).String())
+	if Algorithm(9).String() != "Algorithm(9)" {
+		t.Error(Algorithm(9).String())
 	}
 }
 
 // fastOpts is the fast-paced atomic-substrate configuration most tests
 // run with.
-func fastOpts(n int) []omegasm.Option {
-	return []omegasm.Option{
-		omegasm.WithN(n),
-		omegasm.WithStepInterval(100 * time.Microsecond),
-		omegasm.WithTimerUnit(time.Millisecond),
+func fastOpts(n int) []Option {
+	return []Option{
+		WithN(n),
+		WithStepInterval(100 * time.Microsecond),
+		WithTimerUnit(time.Millisecond),
 	}
 }
 
-func startCluster(t *testing.T, opts ...omegasm.Option) *omegasm.Cluster {
+func startCluster(t *testing.T, opts ...Option) *Cluster {
 	t.Helper()
-	c, err := omegasm.New(opts...)
+	c, err := New(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,13 +50,13 @@ func startCluster(t *testing.T, opts ...omegasm.Option) *omegasm.Cluster {
 // -race this doubles as the data-race check for all four on the live
 // runtime.
 func TestClusterElection(t *testing.T) {
-	for _, algo := range []omegasm.Algorithm{
-		omegasm.WriteEfficient, omegasm.Bounded, omegasm.NWnR, omegasm.TimerFree,
+	for _, algo := range []Algorithm{
+		WriteEfficient, Bounded, NWnR, TimerFree,
 	} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			t.Parallel()
-			c := startCluster(t, append(fastOpts(4), omegasm.WithAlgorithm(algo))...)
+			c := startCluster(t, append(fastOpts(4), WithAlgorithm(algo))...)
 			leader, ok := c.WaitForAgreement(10 * time.Second)
 			if !ok {
 				t.Fatal("no agreement")
@@ -69,11 +67,8 @@ func TestClusterElection(t *testing.T) {
 			if c.N() != 4 {
 				t.Errorf("N() = %d", c.N())
 			}
-			if c.Algorithm() != algo {
-				t.Errorf("Algorithm() = %v", c.Algorithm())
-			}
-			if c.Substrate() != "atomic" {
-				t.Errorf("Substrate() = %q", c.Substrate())
+			if c.set.algorithm != algo || c.DiskCount() != 0 {
+				t.Errorf("runs %v over %d disks", c.set.algorithm, c.DiskCount())
 			}
 		})
 	}
@@ -101,7 +96,7 @@ func TestClusterCrashReElection(t *testing.T) {
 }
 
 func TestStatsRequiresInstrumentation(t *testing.T) {
-	c := startCluster(t, omegasm.WithN(2))
+	c := startCluster(t, WithN(2))
 	if c.Stats() != nil {
 		t.Error("Stats() non-nil without Instrument")
 	}
@@ -113,7 +108,7 @@ func TestStatsRequiresInstrumentation(t *testing.T) {
 }
 
 func TestStatsShape(t *testing.T) {
-	c := startCluster(t, append(fastOpts(3), omegasm.WithInstrumentation())...)
+	c := startCluster(t, append(fastOpts(3), WithInstrumentation())...)
 	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
 		t.Fatal("no agreement")
 	}
@@ -153,31 +148,31 @@ func TestWatchObservesFailover(t *testing.T) {
 	events, cancel := c.Watch(200 * time.Microsecond)
 	defer cancel()
 
-	waitEvent := func(match func(omegasm.LeadershipEvent) bool) (omegasm.LeadershipEvent, bool) {
+	waitEvent := func(match func(LeadershipEvent) bool) (LeadershipEvent, bool) {
 		deadline := time.After(15 * time.Second)
 		for {
 			select {
 			case ev, ok := <-events:
 				if !ok {
-					return omegasm.LeadershipEvent{}, false
+					return LeadershipEvent{}, false
 				}
 				if match(ev) {
 					return ev, true
 				}
 			case <-deadline:
-				return omegasm.LeadershipEvent{}, false
+				return LeadershipEvent{}, false
 			}
 		}
 	}
 
-	first, ok := waitEvent(func(e omegasm.LeadershipEvent) bool { return e.Agreed })
+	first, ok := waitEvent(func(e LeadershipEvent) bool { return e.Agreed })
 	if !ok {
 		t.Fatal("never observed agreement")
 	}
 	if err := c.Crash(first.Leader); err != nil {
 		t.Fatal(err)
 	}
-	next, ok := waitEvent(func(e omegasm.LeadershipEvent) bool {
+	next, ok := waitEvent(func(e LeadershipEvent) bool {
 		return e.Agreed && e.Leader != first.Leader
 	})
 	if !ok {
@@ -227,7 +222,7 @@ func TestWatchCoalescesForSlowReceiver(t *testing.T) {
 	// and replaced the stale initial agreement with a later change:
 	// receiving once, without waiting, must yield an event from after the
 	// crash.
-	var ev omegasm.LeadershipEvent
+	var ev LeadershipEvent
 	select {
 	case ev = <-events:
 	default:
@@ -251,7 +246,7 @@ func TestWatchCoalescesForSlowReceiver(t *testing.T) {
 }
 
 func TestWatchCancelAfterStop(t *testing.T) {
-	c, err := omegasm.New(omegasm.WithN(2))
+	c, err := New(WithN(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -269,7 +264,7 @@ func TestWatchCancelAfterStop(t *testing.T) {
 }
 
 func TestWatchCancelClosesChannel(t *testing.T) {
-	c := startCluster(t, omegasm.WithN(2))
+	c := startCluster(t, WithN(2))
 	events, cancel := c.Watch(0) // default interval
 	cancel()
 	cancel() // idempotent

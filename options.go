@@ -6,14 +6,13 @@ import (
 )
 
 // Option configures New (cluster options), NewFleet (cluster options
-// applied to every member, plus the fleet-only options WithClusters,
-// WithRefreshInterval and WithClusterOptions) or NewShardedKV (fleet
-// options plus the sharded-only WithShards, WithBatchSize and
-// WithShardSlots). Options are applied in order; later options override
+// applied to every member, plus the fleet-only WithClusters) or
+// NewShardedKV (cluster options plus the sharded-only WithShards and
+// WithBatchSize). Options are applied in order; later options override
 // earlier ones. An option that is invalid on its own (WithN(1),
 // WithAlgorithm(99)) fails the constructor with a descriptive error, as
-// do conflicting combinations (two substrates) and options passed to a
-// constructor they do not apply to (fleet-only options to New,
+// do conflicting combinations (two WithSAN) and options passed to a
+// constructor they do not apply to (WithClusters to New or NewShardedKV,
 // sharded-only options to New or NewFleet).
 type Option func(*settings) error
 
@@ -29,31 +28,20 @@ type settings struct {
 	timerUnit    time.Duration
 	timerSet     bool
 	instrument   bool
-	substrate    Substrate
+	substrate    substrate
 	substrateSet bool
 
 	// Fleet-level.
-	clusters        int
-	refreshInterval time.Duration
-	overrides       []clusterOverride
-	fleetOpts       []string // fleet-only options seen; New rejects them
+	clusters    int
+	clustersSet bool // WithClusters seen; New and NewShardedKV reject it
 
 	// Sharded-store-level (NewShardedKV only). checkpointEvery keeps the
-	// ckptAuto sentinel until WithCheckpointEvery chooses a cadence.
+	// ckptAuto sentinel until withCheckpointEvery chooses a cadence.
 	shards          int
 	batchSize       int
 	shardSlots      int
 	checkpointEvery int
 	shardedOpts     []string // sharded-only options seen; New and NewFleet reject them
-
-	// inOverride is true while a WithClusterOptions list is applied, so
-	// fleet-only options can reject nesting.
-	inOverride bool
-}
-
-type clusterOverride struct {
-	index int
-	opts  []Option
 }
 
 // newSettings returns the defaults an empty option list denotes. N has no
@@ -61,7 +49,7 @@ type clusterOverride struct {
 func newSettings() *settings {
 	return &settings{
 		algorithm:       WriteEfficient,
-		substrate:       Atomic(),
+		substrate:       atomicSubstrate{},
 		clusters:        1,
 		shards:          1,
 		checkpointEvery: ckptAuto,
@@ -101,11 +89,11 @@ func (s *settings) finalizeCluster() error {
 	return nil
 }
 
-// rejectFleetOptions errors if any fleet-only option was used; New calls
-// it so WithClusters et al. cannot silently vanish into a single cluster.
+// rejectFleetOptions errors if the fleet-only WithClusters was used; New
+// calls it so the option cannot silently vanish into a single cluster.
 func (s *settings) rejectFleetOptions() error {
-	if len(s.fleetOpts) > 0 {
-		return fmt.Errorf("omegasm: option %s only applies to NewFleet", s.fleetOpts[0])
+	if s.clustersSet {
+		return fmt.Errorf("omegasm: option WithClusters only applies to NewFleet")
 	}
 	return nil
 }
@@ -116,16 +104,6 @@ func (s *settings) rejectShardedOptions() error {
 	if len(s.shardedOpts) > 0 {
 		return fmt.Errorf("omegasm: option %s only applies to NewShardedKV", s.shardedOpts[0])
 	}
-	return nil
-}
-
-// setSubstrate installs sub, rejecting a second substrate choice.
-func (s *settings) setSubstrate(sub Substrate, option string) error {
-	if s.substrateSet {
-		return fmt.Errorf("omegasm: conflicting substrate options (%s after the substrate was already chosen)", option)
-	}
-	s.substrate = sub
-	s.substrateSet = true
 	return nil
 }
 
@@ -193,29 +171,21 @@ func WithInstrumentation() Option {
 	}
 }
 
-// WithSubstrate selects the shared-memory substrate the cluster's
-// processes communicate through: Atomic() (the default) or SAN(cfg).
-// Conflicts with WithSAN and with a second WithSubstrate.
-func WithSubstrate(sub Substrate) Option {
-	return func(s *settings) error {
-		if sub == nil {
-			return fmt.Errorf("omegasm: nil substrate")
-		}
-		return s.setSubstrate(sub, "WithSubstrate")
-	}
-}
-
-// WithSAN is shorthand for WithSubstrate(SAN(cfg)): run the cluster over
-// quorum-replicated simulated network-attached disks, the paper's
-// motivating deployment. Conflicts with WithSubstrate and with a second
-// WithSAN.
+// WithSAN runs the cluster over quorum-replicated simulated
+// network-attached disks, the paper's motivating deployment, instead of
+// the default sync/atomic registers in process memory. A second WithSAN
+// is a conflict.
 func WithSAN(cfg SANConfig) Option {
 	return func(s *settings) error {
-		sub, err := newSANSubstrate(cfg)
-		if err != nil {
+		if _, err := cfg.normalize(); err != nil {
 			return err
 		}
-		return s.setSubstrate(sub, "WithSAN")
+		if s.substrateSet {
+			return fmt.Errorf("omegasm: conflicting substrate options (WithSAN after the substrate was already chosen)")
+		}
+		s.substrate = sanSubstrate{cfg: cfg}
+		s.substrateSet = true
+		return nil
 	}
 }
 
@@ -223,31 +193,11 @@ func WithSAN(cfg SANConfig) Option {
 // (default 1). Fleet-only.
 func WithClusters(k int) Option {
 	return func(s *settings) error {
-		if s.inOverride {
-			return fmt.Errorf("omegasm: WithClusters is not allowed inside WithClusterOptions")
-		}
 		if k < 1 {
 			return fmt.Errorf("omegasm: need at least 1 cluster, got %d", k)
 		}
 		s.clusters = k
-		s.fleetOpts = append(s.fleetOpts, "WithClusters")
-		return nil
-	}
-}
-
-// WithRefreshInterval sets how often a Fleet refreshes its cached
-// per-cluster agreement view; default 200us. Leader answers are at most
-// this stale. Fleet-only.
-func WithRefreshInterval(d time.Duration) Option {
-	return func(s *settings) error {
-		if s.inOverride {
-			return fmt.Errorf("omegasm: WithRefreshInterval is not allowed inside WithClusterOptions")
-		}
-		if d <= 0 {
-			return fmt.Errorf("omegasm: refresh interval must be positive, got %v", d)
-		}
-		s.refreshInterval = d
-		s.fleetOpts = append(s.fleetOpts, "WithRefreshInterval")
+		s.clustersSet = true
 		return nil
 	}
 }
@@ -259,9 +209,6 @@ func WithRefreshInterval(d time.Duration) Option {
 // NewShardedKV-only.
 func WithShards(s int) Option {
 	return func(set *settings) error {
-		if set.inOverride {
-			return fmt.Errorf("omegasm: WithShards is not allowed inside WithClusterOptions")
-		}
 		if s < 1 {
 			return fmt.Errorf("omegasm: need at least 1 shard, got %d", s)
 		}
@@ -272,16 +219,13 @@ func WithShards(s int) Option {
 }
 
 // WithBatchSize sets how many queued writes one consensus slot of a
-// ShardedKV shard may commit (default DefaultBatchSize; 1 turns batching
-// off). Larger batches amortize one Disk-Paxos round — and its quorum
-// I/O on the SAN — across more writes at the price of the reserved key
-// 0xFFFF (see KVBatch). NewShardedKV-only; for a standalone KV pass
-// KVBatch to NewKV instead.
+// ShardedKV shard may commit (default 32; 1 turns batching off). Larger
+// batches amortize one Disk-Paxos round — and its quorum I/O on the SAN —
+// across more writes at the price of the reserved key 0xFFFF (see
+// KVBatch). NewShardedKV-only; for a standalone KV pass KVBatch to NewKV
+// instead.
 func WithBatchSize(b int) Option {
 	return func(set *settings) error {
-		if set.inOverride {
-			return fmt.Errorf("omegasm: WithBatchSize is not allowed inside WithClusterOptions")
-		}
 		if b < 1 {
 			return fmt.Errorf("omegasm: batch size must be at least 1, got %d", b)
 		}
@@ -291,64 +235,31 @@ func WithBatchSize(b int) Option {
 	}
 }
 
-// WithShardSlots sets the replicated-log capacity, in consensus slots, of
-// each shard of a ShardedKV (default 1024, as NewKV). With batching one
-// slot commits up to WithBatchSize writes, so a shard's write capacity is
-// up to slots * batch commands. NewShardedKV-only; for a standalone KV
-// pass KVSlots to NewKV instead.
-func WithShardSlots(n int) Option {
+// withShardSlots sets the replicated-log window, in consensus slots, of
+// each shard of a ShardedKV (default 1024, as NewKV): the tests shrink it
+// to stream through many checkpoints. NewShardedKV-only.
+func withShardSlots(n int) Option {
 	return func(set *settings) error {
-		if set.inOverride {
-			return fmt.Errorf("omegasm: WithShardSlots is not allowed inside WithClusterOptions")
-		}
 		if n < 1 {
 			return fmt.Errorf("omegasm: need at least 1 log slot per shard, got %d", n)
 		}
 		set.shardSlots = n
-		set.shardedOpts = append(set.shardedOpts, "WithShardSlots")
+		set.shardedOpts = append(set.shardedOpts, "withShardSlots")
 		return nil
 	}
 }
 
-// WithCheckpointEvery sets each shard's checkpoint cadence: every n
-// decided slots the shard's leader seals the log prefix into a published
-// snapshot, and once a quorum acknowledges it the sealed slots recycle —
-// so the shard's write stream is unbounded (the default cadence is a
-// quarter of the shard's slot window). WithCheckpointEvery(0) disables
-// checkpointing: each shard's log is then a fixed array that fills
-// permanently after WithShardSlots slots, restoring ErrLogFull. n must
-// be below the shard slot count. NewShardedKV-only; for a standalone KV
-// pass KVCheckpointEvery to NewKV instead.
-func WithCheckpointEvery(n int) Option {
+// withCheckpointEvery sets each shard's checkpoint cadence, as
+// kvCheckpointEvery does for one store (default: a quarter of the
+// shard's slot window; 0 disables checkpointing). n must be below the
+// shard slot count. NewShardedKV-only.
+func withCheckpointEvery(n int) Option {
 	return func(set *settings) error {
-		if set.inOverride {
-			return fmt.Errorf("omegasm: WithCheckpointEvery is not allowed inside WithClusterOptions")
-		}
 		if n < 0 {
 			return fmt.Errorf("omegasm: checkpoint interval must not be negative, got %d", n)
 		}
 		set.checkpointEvery = n
-		set.shardedOpts = append(set.shardedOpts, "WithCheckpointEvery")
-		return nil
-	}
-}
-
-// WithClusterOptions overrides options for one member cluster of a Fleet:
-// the fleet's cluster-level options are applied first, then opts, so a
-// heterogeneous fleet (one SAN-backed cluster among atomic ones, one
-// instrumented canary, a different algorithm per tenant) is a list of
-// overrides away. index is zero-based; fleet-only options cannot nest.
-// Fleet-only.
-func WithClusterOptions(index int, opts ...Option) Option {
-	return func(s *settings) error {
-		if s.inOverride {
-			return fmt.Errorf("omegasm: WithClusterOptions does not nest")
-		}
-		if index < 0 {
-			return fmt.Errorf("omegasm: cluster override index %d is negative", index)
-		}
-		s.overrides = append(s.overrides, clusterOverride{index: index, opts: opts})
-		s.fleetOpts = append(s.fleetOpts, "WithClusterOptions")
+		set.shardedOpts = append(set.shardedOpts, "withCheckpointEvery")
 		return nil
 	}
 }

@@ -1,50 +1,40 @@
-package omegasm_test
+package omegasm
 
 import (
 	"strings"
 	"testing"
 	"time"
-
-	"omegasm"
 )
 
 func TestNewOptionValidation(t *testing.T) {
 	cases := []struct {
 		name string
-		opts []omegasm.Option
+		opts []Option
 		want string // substring of the expected error
 	}{
 		{"no options", nil, "at least 2 processes"},
-		{"N=1", []omegasm.Option{omegasm.WithN(1)}, "at least 2 processes"},
-		{"N=0", []omegasm.Option{omegasm.WithN(0)}, "at least 2 processes"},
-		{"negative N", []omegasm.Option{omegasm.WithN(-3)}, "at least 2 processes"},
-		{"unknown algorithm", []omegasm.Option{omegasm.WithN(3), omegasm.WithAlgorithm(omegasm.Algorithm(99))}, "unknown algorithm"},
-		{"zero algorithm", []omegasm.Option{omegasm.WithN(3), omegasm.WithAlgorithm(0)}, "unknown algorithm"},
-		{"bad step interval", []omegasm.Option{omegasm.WithN(3), omegasm.WithStepInterval(0)}, "step interval"},
-		{"bad timer unit", []omegasm.Option{omegasm.WithN(3), omegasm.WithTimerUnit(-time.Second)}, "timer unit"},
-		{"nil option", []omegasm.Option{omegasm.WithN(3), nil}, "nil Option"},
-		{"nil substrate", []omegasm.Option{omegasm.WithN(3), omegasm.WithSubstrate(nil)}, "nil substrate"},
-		{"conflicting substrates", []omegasm.Option{
-			omegasm.WithN(3),
-			omegasm.WithSAN(omegasm.SANConfig{}),
-			omegasm.WithSubstrate(omegasm.Atomic()),
+		{"N=1", []Option{WithN(1)}, "at least 2 processes"},
+		{"N=0", []Option{WithN(0)}, "at least 2 processes"},
+		{"negative N", []Option{WithN(-3)}, "at least 2 processes"},
+		{"unknown algorithm", []Option{WithN(3), WithAlgorithm(Algorithm(99))}, "unknown algorithm"},
+		{"zero algorithm", []Option{WithN(3), WithAlgorithm(0)}, "unknown algorithm"},
+		{"bad step interval", []Option{WithN(3), WithStepInterval(0)}, "step interval"},
+		{"bad timer unit", []Option{WithN(3), WithTimerUnit(-time.Second)}, "timer unit"},
+		{"nil option", []Option{WithN(3), nil}, "nil Option"},
+		{"double SAN", []Option{
+			WithN(3),
+			WithSAN(SANConfig{}),
+			WithSAN(SANConfig{}),
 		}, "conflicting substrate"},
-		{"double SAN", []omegasm.Option{
-			omegasm.WithN(3),
-			omegasm.WithSAN(omegasm.SANConfig{}),
-			omegasm.WithSAN(omegasm.SANConfig{}),
-		}, "conflicting substrate"},
-		{"negative disks", []omegasm.Option{omegasm.WithN(3), omegasm.WithSAN(omegasm.SANConfig{Disks: -1})}, "disk"},
-		{"bad spike probability", []omegasm.Option{omegasm.WithN(3), omegasm.WithSAN(omegasm.SANConfig{SpikeP: 1.5})}, "spike probability"},
-		{"spike probability without magnitude", []omegasm.Option{omegasm.WithN(3), omegasm.WithSAN(omegasm.SANConfig{SpikeP: 0.1})}, "spike"},
-		{"fleet option in New", []omegasm.Option{omegasm.WithN(3), omegasm.WithClusters(2)}, "only applies to NewFleet"},
-		{"refresh interval in New", []omegasm.Option{omegasm.WithN(3), omegasm.WithRefreshInterval(time.Millisecond)}, "only applies to NewFleet"},
-		{"override in New", []omegasm.Option{omegasm.WithN(3), omegasm.WithClusterOptions(0, omegasm.WithN(5))}, "only applies to NewFleet"},
+		{"negative disks", []Option{WithN(3), WithSAN(SANConfig{Disks: -1})}, "disk"},
+		{"bad spike probability", []Option{WithN(3), WithSAN(SANConfig{SpikeP: 1.5})}, "spike probability"},
+		{"spike probability without magnitude", []Option{WithN(3), WithSAN(SANConfig{SpikeP: 0.1})}, "spike"},
+		{"fleet option in New", []Option{WithN(3), WithClusters(2)}, "only applies to NewFleet"},
 	}
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := omegasm.New(tc.opts...)
+			_, err := New(tc.opts...)
 			if err == nil {
 				t.Fatalf("New(%s) accepted", tc.name)
 			}
@@ -54,12 +44,12 @@ func TestNewOptionValidation(t *testing.T) {
 		})
 	}
 	// The minimal valid option list: WithN alone.
-	c, err := omegasm.New(omegasm.WithN(2))
+	c, err := New(WithN(2))
 	if err != nil {
 		t.Fatalf("WithN(2) alone rejected: %v", err)
 	}
-	if c.Substrate() != "atomic" || c.Algorithm() != omegasm.WriteEfficient {
-		t.Errorf("defaults: substrate %q algorithm %v", c.Substrate(), c.Algorithm())
+	if c.set.substrate != (atomicSubstrate{}) || c.set.algorithm != WriteEfficient {
+		t.Errorf("defaults: substrate %v algorithm %v", c.set.substrate, c.set.algorithm)
 	}
 }
 
@@ -70,21 +60,21 @@ func TestSANSubstrateElection(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live SAN election takes seconds")
 	}
-	for _, algo := range []omegasm.Algorithm{
-		omegasm.WriteEfficient, omegasm.Bounded, omegasm.NWnR, omegasm.TimerFree,
+	for _, algo := range []Algorithm{
+		WriteEfficient, Bounded, NWnR, TimerFree,
 	} {
 		algo := algo
 		t.Run(algo.String(), func(t *testing.T) {
 			t.Parallel()
 			c := startCluster(t,
-				omegasm.WithN(3),
-				omegasm.WithAlgorithm(algo),
-				omegasm.WithSAN(omegasm.SANConfig{Disks: 3}),
-				omegasm.WithStepInterval(500*time.Microsecond),
-				omegasm.WithTimerUnit(10*time.Millisecond),
+				WithN(3),
+				WithAlgorithm(algo),
+				WithSAN(SANConfig{Disks: 3}),
+				WithStepInterval(500*time.Microsecond),
+				WithTimerUnit(10*time.Millisecond),
 			)
-			if c.Substrate() != "san" || c.DiskCount() != 3 {
-				t.Fatalf("substrate %q with %d disks", c.Substrate(), c.DiskCount())
+			if c.DiskCount() != 3 {
+				t.Fatalf("SAN with %d disks", c.DiskCount())
 			}
 			if _, ok := c.WaitForAgreement(30 * time.Second); !ok {
 				t.Fatal("no agreement over the SAN")
@@ -100,14 +90,14 @@ func TestSANSubstrateElection(t *testing.T) {
 }
 
 func TestCrashDiskValidation(t *testing.T) {
-	atomic := startCluster(t, omegasm.WithN(2))
+	atomic := startCluster(t, WithN(2))
 	if atomic.DiskCount() != 0 {
 		t.Errorf("atomic substrate has %d disks", atomic.DiskCount())
 	}
 	if err := atomic.CrashDisk(0); err == nil {
 		t.Error("CrashDisk accepted on the atomic substrate")
 	}
-	san, err := omegasm.New(omegasm.WithN(2), omegasm.WithSAN(omegasm.SANConfig{Disks: 3}))
+	san, err := New(WithN(2), WithSAN(SANConfig{Disks: 3}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,7 +120,7 @@ func TestSANPacingDefaults(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SAN defaults pace in milliseconds")
 	}
-	c := startCluster(t, omegasm.WithN(2), omegasm.WithSAN(omegasm.SANConfig{Disks: 3}))
+	c := startCluster(t, WithN(2), WithSAN(SANConfig{Disks: 3}))
 	if _, ok := c.WaitForAgreement(time.Minute); !ok {
 		t.Fatal("no agreement with substrate-default pacing")
 	}

@@ -1,11 +1,9 @@
-package omegasm_test
+package omegasm
 
 import (
 	"context"
 	"testing"
 	"time"
-
-	"omegasm"
 )
 
 // TestReadLadderUnderLeaderCrash drives the ReadLease degrade ladder
@@ -34,7 +32,7 @@ func TestReadLadderUnderLeaderCrash(t *testing.T) {
 			if !ok {
 				t.Fatal("no agreement")
 			}
-			kv, err := omegasm.NewKV(c, omegasm.KVStepInterval(50*time.Microsecond))
+			kv, err := NewKV(c, kvStepInterval(50*time.Microsecond))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -68,7 +66,7 @@ func TestReadLadderUnderLeaderCrash(t *testing.T) {
 			// the lease lifecycle, a ReadLease issued right now — possibly
 			// mid-anarchy — completes without error and observes the
 			// completed Put, never anything older.
-			v, found, err := kv.Read(ctx, 7, omegasm.ReadLease)
+			v, found, err := kv.Read(ctx, 7, ReadLease)
 			if err != nil {
 				t.Fatalf("ReadLease during anarchy: %v", err)
 			}
@@ -80,7 +78,7 @@ func TestReadLadderUnderLeaderCrash(t *testing.T) {
 			if err := kv.Put(ctx, 7, 42); err != nil {
 				t.Fatalf("Put after crash: %v", err)
 			}
-			for _, mode := range []omegasm.ReadMode{omegasm.ReadLease, omegasm.ReadQuorum} {
+			for _, mode := range []ReadMode{ReadLease, ReadQuorum} {
 				v, found, err := kv.Read(ctx, 7, mode)
 				if err != nil || !found || v != 42 {
 					t.Fatalf("Read(mode %d) after recovery = %d, %v, %v; want 42", mode, v, found, err)

@@ -8,10 +8,10 @@ import (
 	"time"
 )
 
-// DefaultBatchSize is the per-shard proposal batch size a ShardedKV uses
+// defaultBatchSize is the per-shard proposal batch size a ShardedKV uses
 // unless WithBatchSize overrides it: up to this many queued writes are
 // packed into one consensus slot (one Disk-Paxos round).
-const DefaultBatchSize = 32
+const defaultBatchSize = 32
 
 // ShardedKV is a hash-partitioned replicated key-value service: every key
 // is routed to one of S shards, each shard a consensus-backed KV store
@@ -29,50 +29,42 @@ const DefaultBatchSize = 32
 //     round — and its quorum I/O on the SAN substrate — is amortized
 //     across the whole batch.
 //
-// Shard logs checkpoint by default (WithCheckpointEvery): each shard's
-// leader periodically seals its log prefix into a published snapshot and
-// the sealed slots recycle, so every shard's write stream — and therefore
-// the store's — is unbounded; WithShardSlots bounds only the in-flight
-// window per shard.
+// Shard logs checkpoint: each shard's leader periodically seals its log
+// prefix into a published snapshot and the sealed slots recycle, so
+// every shard's write stream — and therefore the store's — is unbounded;
+// a 1024-slot window per shard bounds only what is in flight.
 //
-// Routing is static: ShardFor hashes the key, so no directory service and
-// no cross-shard coordination exist. The price is the consistency scope —
+// Routing is static: a fixed hash of the key picks its shard, so no
+// directory service and no cross-shard coordination exist. The price is the consistency scope —
 // each shard is sequentially consistent on its own log, and a cross-shard
 // MultiPut is not atomic: it fans out per shard in parallel and some
 // shards may commit before others (each shard's group, though, commits
-// through its log like any Put). Keys on batched or checkpointing shards
-// exclude 0xFFFF (the descriptor row; see KVBatch and KVCheckpointEvery);
-// WithBatchSize(1) plus WithCheckpointEvery(0) restores the full key
-// space.
+// through its log like any Put). Keys exclude 0xFFFF, the row batch and
+// checkpoint descriptors claim (see KVBatch).
 //
 // A ShardedKV owns its Fleet: build with NewShardedKV, run with Start,
-// free with Close. The Fleet accessor exposes the underlying clusters for
-// fault injection and inspection.
+// free with Close.
 type ShardedKV struct {
 	fleet *Fleet
 	kvs   []*KV
-	batch int
 }
 
 // NewShardedKV validates the options and builds a stopped sharded store;
 // call Start to run it. WithShards picks the partition count and
 // WithBatchSize the per-shard proposal batch size; WithN is required, and
 // every cluster option (WithAlgorithm, WithSAN, ...) applies to all shard
-// clusters, with WithClusterOptions overriding single shards — a fleet of
-// mostly atomic shards with one SAN-backed shard is a one-option change.
-// WithClusters does not apply (the fleet size is the shard count).
+// clusters. WithClusters does not apply (the fleet size is the shard
+// count).
 func NewShardedKV(opts ...Option) (*ShardedKV, error) {
 	s := newSettings()
 	if err := s.apply(opts); err != nil {
 		return nil, err
 	}
-	for _, name := range s.fleetOpts {
-		if name == "WithClusters" {
-			return nil, fmt.Errorf("omegasm: WithClusters does not apply to NewShardedKV; use WithShards")
-		}
+	if s.clustersSet {
+		return nil, fmt.Errorf("omegasm: WithClusters does not apply to NewShardedKV; use WithShards")
 	}
 	if s.batchSize == 0 {
-		s.batchSize = DefaultBatchSize
+		s.batchSize = defaultBatchSize
 	}
 	if s.shardSlots == 0 {
 		s.shardSlots = 1024
@@ -82,13 +74,13 @@ func NewShardedKV(opts ...Option) (*ShardedKV, error) {
 	if err != nil {
 		return nil, err
 	}
-	skv := &ShardedKV{fleet: f, batch: s.batchSize}
-	for i := 0; i < f.Clusters(); i++ {
+	skv := &ShardedKV{fleet: f}
+	for i, c := range f.clusters {
 		kvOpts := []KVOption{KVSlots(s.shardSlots), KVBatch(s.batchSize)}
 		if s.checkpointEvery != ckptAuto {
-			kvOpts = append(kvOpts, KVCheckpointEvery(s.checkpointEvery))
+			kvOpts = append(kvOpts, kvCheckpointEvery(s.checkpointEvery))
 		}
-		kv, err := NewKV(f.Cluster(i), kvOpts...)
+		kv, err := NewKV(c, kvOpts...)
 		if err != nil {
 			skv.Close()
 			return nil, fmt.Errorf("omegasm: shard %d: %w", i, err)
@@ -121,53 +113,15 @@ func (s *ShardedKV) WaitForAgreement(timeout time.Duration) bool {
 	return ok
 }
 
-// Shards returns the number of hash partitions.
-func (s *ShardedKV) Shards() int { return len(s.kvs) }
-
-// BatchSize returns the per-shard proposal batch size (1: batching off).
-func (s *ShardedKV) BatchSize() int { return s.batch }
-
-// CheckpointEvery returns the per-shard checkpoint cadence in slots (0:
-// checkpointing off, shard logs fill permanently).
-func (s *ShardedKV) CheckpointEvery() int { return s.kvs[0].CheckpointEvery() }
-
-// Checkpoints returns the total number of checkpoints passed across the
-// shards' reading replicas — how many times shard log prefixes have been
-// sealed and their slots recycled.
-func (s *ShardedKV) Checkpoints() int { return s.total((*KV).Checkpoints) }
-
-// total sums one of the shard stores' counters across the shards.
-func (s *ShardedKV) total(count func(*KV) int) (sum int) {
-	for _, kv := range s.kvs {
-		sum += count(kv)
-	}
-	return sum
-}
-
-// Fleet returns the underlying fleet, for fault injection (Crash,
-// CrashDisk via Cluster) and inspection (Leader, Stats). The fleet is
-// owned by the store: do not Stop it directly; Close the store.
-func (s *ShardedKV) Fleet() *Fleet { return s.fleet }
-
-// Shard returns shard i's replicated store for direct access, or nil if
-// out of range.
-func (s *ShardedKV) Shard(i int) *KV {
-	if i < 0 || i >= len(s.kvs) {
-		return nil
-	}
-	return s.kvs[i]
-}
-
-// ShardFor returns the shard index key routes to. The hash is a fixed
-// Fibonacci multiplier over the key — deterministic across runs and
-// processes, so routing needs no shared state.
-func (s *ShardedKV) ShardFor(key uint16) int {
+// shardFor returns the shard index key routes to.
+func (s *ShardedKV) shardFor(key uint16) int {
 	return shardIndex(key, len(s.kvs))
 }
 
 // shardIndex is the routing hash: multiplicative (Fibonacci) hashing
 // spreads adjacent keys across shards, and the fixed constant keeps the
-// partition map a pure function of (key, shards).
+// partition map a pure function of (key, shards) — deterministic across
+// runs and processes, so routing needs no shared state.
 func shardIndex(key uint16, shards int) int {
 	return int(((uint32(key) * 0x9E3779B1) >> 16) % uint32(shards))
 }
@@ -176,13 +130,13 @@ func shardIndex(key uint16, shards int) int {
 // committed, retrying across that shard's leader changes (the semantics
 // of KV.Put on the routed shard).
 func (s *ShardedKV) Put(ctx context.Context, key, val uint16) error {
-	return s.kvs[s.ShardFor(key)].Put(ctx, key, val)
+	return s.kvs[s.shardFor(key)].Put(ctx, key, val)
 }
 
 // Get returns the value of key in the applied state of its shard's
 // freshest readable replica. Reads are sequentially consistent per shard.
 func (s *ShardedKV) Get(key uint16) (uint16, bool) {
-	return s.kvs[s.ShardFor(key)].Get(key)
+	return s.kvs[s.shardFor(key)].Get(key)
 }
 
 // MultiPut replicates a group of writes and returns once all of them are
@@ -200,7 +154,7 @@ func (s *ShardedKV) MultiPut(ctx context.Context, entries ...Entry) error {
 	}
 	groups := make(map[int][]Entry)
 	for _, e := range entries {
-		sh := s.ShardFor(e.Key)
+		sh := s.shardFor(e.Key)
 		groups[sh] = append(groups[sh], e)
 	}
 	errs := make([]error, len(s.kvs))
@@ -231,7 +185,7 @@ func (s *ShardedKV) MultiGet(keys ...uint16) (vals []uint16, ok []bool) {
 	}
 	groups := make(map[int][]int) // shard -> indices into keys
 	for i, k := range keys {
-		sh := s.ShardFor(k)
+		sh := s.shardFor(k)
 		groups[sh] = append(groups[sh], i)
 	}
 	var wg sync.WaitGroup
@@ -250,29 +204,9 @@ func (s *ShardedKV) MultiGet(keys ...uint16) (vals []uint16, ok []bool) {
 
 // Len returns the total number of keys in the applied states of all
 // shards (hash partitioning makes the key sets disjoint).
-func (s *ShardedKV) Len() int { return s.total((*KV).Len) }
-
-// Applied returns the total number of log entries applied across all
-// shards' reading replicas — the store-wide committed-write odometer the
-// benchmarks sample.
-func (s *ShardedKV) Applied() int { return s.total((*KV).Applied) }
-
-// Capacity returns the total consensus-slot window capacity across
-// shards. With checkpointing on (the default) this bounds only the
-// in-flight portion of each shard's stream — total write capacity is
-// unbounded; with WithCheckpointEvery(0) it is the store's total
-// capacity (times BatchSize with batching).
-func (s *ShardedKV) Capacity() int { return s.total((*KV).Capacity) }
-
-// Snapshot returns a copy of the merged applied state of all shards.
-// Shard snapshots are taken one after another: the result is a union of
-// per-shard sequentially consistent states, not a cross-shard atomic cut.
-func (s *ShardedKV) Snapshot() map[uint16]uint16 {
-	out := make(map[uint16]uint16)
+func (s *ShardedKV) Len() (n int) {
 	for _, kv := range s.kvs {
-		for k, v := range kv.Snapshot() {
-			out[k] = v
-		}
+		n += kv.Len()
 	}
-	return out
+	return n
 }

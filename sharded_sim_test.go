@@ -1,50 +1,48 @@
-package omegasm_test
+package omegasm
 
 import (
 	"reflect"
 	"testing"
-
-	"omegasm"
 )
 
 func TestSimShardedKVValidation(t *testing.T) {
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{Shards: 0, N: 3}); err == nil {
+	if _, err := SimShardedKV(SimShardedKVConfig{Shards: 0, N: 3}); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{Shards: 2, N: 1}); err == nil {
+	if _, err := SimShardedKV(SimShardedKVConfig{Shards: 2, N: 1}); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
-		Shards: 2, N: 3, Crashes: []omegasm.SimShardCrash{{Shard: 5, Proc: 0, At: 1}},
+	if _, err := SimShardedKV(SimShardedKVConfig{
+		Shards: 2, N: 3, Crashes: []SimShardCrash{{Shard: 5, Proc: 0, At: 1}},
 	}); err == nil {
 		t.Error("out-of-range crash shard accepted")
 	}
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
+	if _, err := SimShardedKV(SimShardedKVConfig{
 		Shards: 2, N: 2,
-		Crashes: []omegasm.SimShardCrash{{Shard: 0, Proc: 0, At: 1}, {Shard: 0, Proc: 1, At: 2}},
+		Crashes: []SimShardCrash{{Shard: 0, Proc: 0, At: 1}, {Shard: 0, Proc: 1, At: 2}},
 	}); err == nil {
 		t.Error("crashing a whole shard accepted")
 	}
 	// Batched or checkpointing runs reserve the key 0xFFFF row; only a run
 	// with both off accepts it.
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
-		Shards: 2, N: 3, Writes: []omegasm.SimWrite{{At: 1, Key: 0xFFFF, Val: 1}},
+	if _, err := SimShardedKV(SimShardedKVConfig{
+		Shards: 2, N: 3, Writes: []SimWrite{{At: 1, Key: 0xFFFF, Val: 1}},
 	}); err == nil {
 		t.Error("reserved key accepted on a batched run")
 	}
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
+	if _, err := SimShardedKV(SimShardedKVConfig{
 		Shards: 2, N: 3, BatchSize: 1, Horizon: 1000,
-		Writes: []omegasm.SimWrite{{At: 1, Key: 0xFFFF, Val: 1}},
+		Writes: []SimWrite{{At: 1, Key: 0xFFFF, Val: 1}},
 	}); err == nil {
 		t.Error("reserved key accepted on a checkpointing run")
 	}
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
+	if _, err := SimShardedKV(SimShardedKVConfig{
 		Shards: 2, N: 3, BatchSize: 1, CheckpointEvery: -1, Horizon: 1000,
-		Writes: []omegasm.SimWrite{{At: 1, Key: 0xFFFF, Val: 1}},
+		Writes: []SimWrite{{At: 1, Key: 0xFFFF, Val: 1}},
 	}); err != nil {
 		t.Errorf("key 0xFFFF rejected on a plain fixed-capacity run: %v", err)
 	}
-	if _, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
+	if _, err := SimShardedKV(SimShardedKVConfig{
 		Shards: 1, N: 17,
 	}); err == nil {
 		t.Error("17 processes accepted on a batched run")
@@ -56,7 +54,7 @@ func TestSimShardedKVValidation(t *testing.T) {
 // traffic actually spreads over the shards.
 func TestSimShardedKVDeliversAcrossShards(t *testing.T) {
 	writes := simWorkload(40, 2_000, 600)
-	res, err := omegasm.SimShardedKV(omegasm.SimShardedKVConfig{
+	res, err := SimShardedKV(SimShardedKVConfig{
 		Shards: 4, N: 3, Seed: 11, Writes: writes,
 	})
 	if err != nil {
@@ -93,19 +91,19 @@ func TestSimShardedKVDeliversAcrossShards(t *testing.T) {
 // seeds give byte-identical per-shard commit histories, even with crashes
 // mid-workload.
 func TestSimShardedKVDeterministicReplay(t *testing.T) {
-	cfg := omegasm.SimShardedKVConfig{
+	cfg := SimShardedKVConfig{
 		Shards: 3, N: 4, Seed: 42, Horizon: 300_000,
 		Writes: simWorkload(30, 2_000, 800),
-		Crashes: []omegasm.SimShardCrash{
+		Crashes: []SimShardCrash{
 			{Shard: 1, Proc: 0, At: 60_000},
 			{Shard: 2, Proc: 3, At: 120_000},
 		},
 	}
-	a, err := omegasm.SimShardedKV(cfg)
+	a, err := SimShardedKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := omegasm.SimShardedKV(cfg)
+	b, err := SimShardedKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +126,9 @@ func TestSimShardedKVDeterministicReplay(t *testing.T) {
 // under the closed-loop saturation workload aggregate commits must scale
 // with the shard count, and batching must multiply them again.
 func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
-	run := func(cfg omegasm.SimShardedKVConfig) *omegasm.SimShardedKVResult {
+	run := func(cfg SimShardedKVConfig) *SimShardedKVResult {
 		cfg.N, cfg.Horizon, cfg.SaturateWindow = 3, 30_000, 256
-		res, err := omegasm.SimShardedKV(cfg)
+		res, err := SimShardedKV(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -149,8 +147,8 @@ func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 	// Default options (checkpointing log, default batch): 4 shards commit
 	// at least 3x one shard, with margin to spare for adversary variance,
 	// and batching engages — far fewer slots than commands.
-	one := run(omegasm.SimShardedKVConfig{Shards: 1, Seed: 7, Slots: 4096})
-	four := run(omegasm.SimShardedKVConfig{Shards: 4, Seed: 7, Slots: 4096})
+	one := run(SimShardedKVConfig{Shards: 1, Seed: 7, Slots: 4096})
+	four := run(SimShardedKVConfig{Shards: 4, Seed: 7, Slots: 4096})
 	if ratio := float64(four.TotalCommitted) / float64(one.TotalCommitted); ratio < 3 {
 		t.Fatalf("4 shards committed only %.2fx of 1 shard (%d vs %d)",
 			ratio, four.TotalCommitted, one.TotalCommitted)
@@ -164,12 +162,12 @@ func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 	// (CheckpointEvery -1) so that only sharding and batching vary; each
 	// log is sized so that no shard can fill it within the horizon.
 	// Measured: 7.94x at 8 shards, 32.0x from a batch of 32.
-	corner := func(batch, shards int) *omegasm.SimShardedKVResult {
+	corner := func(batch, shards int) *SimShardedKVResult {
 		slots := 4096
 		if batch == 1 {
 			slots = 8192
 		}
-		return run(omegasm.SimShardedKVConfig{
+		return run(SimShardedKVConfig{
 			Shards: shards, Seed: 1, Slots: slots, CheckpointEvery: -1, BatchSize: batch,
 		})
 	}
@@ -178,7 +176,7 @@ func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 		shardCounts = []int{1}
 	}
 	type at struct{ batch, shards int }
-	got := map[at]*omegasm.SimShardedKVResult{}
+	got := map[at]*SimShardedKVResult{}
 	for _, batch := range []int{1, 32} {
 		for _, shards := range shardCounts {
 			got[at{batch, shards}] = corner(batch, shards)
@@ -208,9 +206,9 @@ func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 // TestSimShardedKVOpenLoopReplay routes an open-loop request stream
 // across shards and checks both completion and byte-identical replay.
 func TestSimShardedKVOpenLoopReplay(t *testing.T) {
-	reqs := make([]omegasm.SimRequest, 48)
+	reqs := make([]SimRequest, 48)
 	for i := range reqs {
-		reqs[i] = omegasm.SimRequest{
+		reqs[i] = SimRequest{
 			At:    2_000 + int64(i)*2_500,
 			Key:   uint16(i * 37 % 97),
 			Val:   uint16(300 + i),
@@ -218,10 +216,10 @@ func TestSimShardedKVOpenLoopReplay(t *testing.T) {
 			Class: i % 3,
 		}
 	}
-	cfg := omegasm.SimShardedKVConfig{
+	cfg := SimShardedKVConfig{
 		Shards: 4, N: 3, Seed: 31, Horizon: 600_000, Requests: reqs,
 	}
-	a, err := omegasm.SimShardedKV(cfg)
+	a, err := SimShardedKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +237,7 @@ func TestSimShardedKVOpenLoopReplay(t *testing.T) {
 			t.Fatalf("request %d completed at %d before arrival %d", i, rr.Done, rr.At)
 		}
 	}
-	b, err := omegasm.SimShardedKV(cfg)
+	b, err := SimShardedKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

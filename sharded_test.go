@@ -1,22 +1,20 @@
-package omegasm_test
+package omegasm
 
 import (
 	"context"
 	"testing"
 	"time"
-
-	"omegasm"
 )
 
 // shardedOpts is the fast-paced sharded-store configuration the tests run
 // with.
-func shardedOpts(shards, n int) []omegasm.Option {
-	return append(fastOpts(n), omegasm.WithShards(shards))
+func shardedOpts(shards, n int) []Option {
+	return append(fastOpts(n), WithShards(shards))
 }
 
-func startSharded(t *testing.T, opts ...omegasm.Option) *omegasm.ShardedKV {
+func startSharded(t *testing.T, opts ...Option) *ShardedKV {
 	t.Helper()
-	s, err := omegasm.NewShardedKV(opts...)
+	s, err := NewShardedKV(opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,52 +29,52 @@ func startSharded(t *testing.T, opts ...omegasm.Option) *omegasm.ShardedKV {
 }
 
 func TestShardedKVValidation(t *testing.T) {
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(0), omegasm.WithN(3)); err == nil {
+	if _, err := NewShardedKV(WithShards(0), WithN(3)); err == nil {
 		t.Error("0 shards accepted")
 	}
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(2)); err == nil {
+	if _, err := NewShardedKV(WithShards(2)); err == nil {
 		t.Error("sharded store without WithN accepted")
 	}
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(2), omegasm.WithN(3),
-		omegasm.WithBatchSize(0)); err == nil {
+	if _, err := NewShardedKV(WithShards(2), WithN(3),
+		WithBatchSize(0)); err == nil {
 		t.Error("batch size 0 accepted")
 	}
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(2), omegasm.WithN(3),
-		omegasm.WithShardSlots(0)); err == nil {
+	if _, err := NewShardedKV(WithShards(2), WithN(3),
+		withShardSlots(0)); err == nil {
 		t.Error("0 shard slots accepted")
 	}
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(2), omegasm.WithN(3),
-		omegasm.WithCheckpointEvery(-1)); err == nil {
+	if _, err := NewShardedKV(WithShards(2), WithN(3),
+		withCheckpointEvery(-1)); err == nil {
 		t.Error("negative checkpoint interval accepted")
 	}
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(2), omegasm.WithN(3),
-		omegasm.WithShardSlots(16), omegasm.WithCheckpointEvery(16)); err == nil {
+	if _, err := NewShardedKV(WithShards(2), WithN(3),
+		withShardSlots(16), withCheckpointEvery(16)); err == nil {
 		t.Error("checkpoint interval equal to the shard window accepted")
 	}
-	if _, err := omegasm.New(omegasm.WithN(3), omegasm.WithCheckpointEvery(8)); err == nil {
-		t.Error("WithCheckpointEvery accepted by New")
+	if _, err := New(WithN(3), withCheckpointEvery(8)); err == nil {
+		t.Error("withCheckpointEvery accepted by New")
 	}
-	if _, err := omegasm.NewShardedKV(omegasm.WithClusters(2), omegasm.WithN(3)); err == nil {
+	if _, err := NewShardedKV(WithClusters(2), WithN(3)); err == nil {
 		t.Error("WithClusters accepted by NewShardedKV")
 	}
 	// Sharded-only options must not leak into the other constructors.
-	if _, err := omegasm.New(omegasm.WithN(3), omegasm.WithShards(2)); err == nil {
+	if _, err := New(WithN(3), WithShards(2)); err == nil {
 		t.Error("WithShards accepted by New")
 	}
-	if _, err := omegasm.NewFleet(omegasm.WithClusters(2), omegasm.WithN(3),
-		omegasm.WithBatchSize(8)); err == nil {
+	if _, err := NewFleet(WithClusters(2), WithN(3),
+		WithBatchSize(8)); err == nil {
 		t.Error("WithBatchSize accepted by NewFleet")
 	}
-	if _, err := omegasm.New(omegasm.WithN(3), omegasm.WithShardSlots(64)); err == nil {
-		t.Error("WithShardSlots accepted by New")
+	if _, err := New(WithN(3), withShardSlots(64)); err == nil {
+		t.Error("withShardSlots accepted by New")
 	}
 	// Batching packs the proposer id into four bits: 17 processes must be
 	// rejected up front, and be accepted with batching off.
-	if _, err := omegasm.NewShardedKV(omegasm.WithShards(1), omegasm.WithN(17)); err == nil {
+	if _, err := NewShardedKV(WithShards(1), WithN(17)); err == nil {
 		t.Error("17 processes accepted on a batched shard")
 	}
-	s, err := omegasm.NewShardedKV(omegasm.WithShards(1), omegasm.WithN(17),
-		omegasm.WithBatchSize(1))
+	s, err := NewShardedKV(WithShards(1), WithN(17),
+		WithBatchSize(1))
 	if err != nil {
 		t.Errorf("17 processes rejected with batching off: %v", err)
 	} else {
@@ -94,23 +92,23 @@ func TestShardedKVSustainedStream(t *testing.T) {
 		slots  = 32
 	)
 	s := startSharded(t, append(shardedOpts(shards, 3),
-		omegasm.WithShardSlots(slots), omegasm.WithBatchSize(4))...)
-	if s.CheckpointEvery() != slots/4 {
-		t.Fatalf("CheckpointEvery() = %d, want the %d default", s.CheckpointEvery(), slots/4)
+		withShardSlots(slots), WithBatchSize(4))...)
+	if every := s.kvs[0].stores[0].CheckpointEvery(); every != slots/4 {
+		t.Fatalf("checkpoint cadence %d, want the %d default", every, slots/4)
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	writes := 10 * s.Capacity()
+	writes := 10 * shards * slots
 	if testing.Short() {
-		writes = 4 * s.Capacity()
+		writes = 4 * shards * slots
 	}
 	const group = 64
 	for done := 0; done < writes; {
 		n := min(group, writes-done)
-		entries := make([]omegasm.Entry, n)
+		entries := make([]Entry, n)
 		for j := range entries {
 			k := done + j
-			entries[j] = omegasm.Entry{Key: uint16(k % 100), Val: uint16(k)}
+			entries[j] = Entry{Key: uint16(k % 100), Val: uint16(k)}
 		}
 		if err := s.MultiPut(ctx, entries...); err != nil {
 			t.Fatalf("write %d of a sustained stream: %v", done, err)
@@ -123,27 +121,31 @@ func TestShardedKVSustainedStream(t *testing.T) {
 			t.Errorf("Get(%d) = (%d, %v), want %d", k, v, ok, want)
 		}
 	}
-	if s.Checkpoints() < 2 {
-		t.Fatalf("only %d checkpoints across %d shards over a sustained stream", s.Checkpoints(), shards)
+	checkpoints := 0
+	for _, kv := range s.kvs {
+		checkpoints += kv.Checkpoints()
+	}
+	if checkpoints < 2 {
+		t.Fatalf("only %d checkpoints across %d shards over a sustained stream", checkpoints, shards)
 	}
 }
 
 func TestShardedKVRoutingIsTotalAndDeterministic(t *testing.T) {
-	s, err := omegasm.NewShardedKV(shardedOpts(4, 2)...)
+	s, err := NewShardedKV(shardedOpts(4, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if s.Shards() != 4 || s.BatchSize() != omegasm.DefaultBatchSize {
-		t.Fatalf("Shards=%d BatchSize=%d", s.Shards(), s.BatchSize())
+	if batch := s.kvs[0].stores[0].MaxBatch(); len(s.kvs) != 4 || batch != defaultBatchSize {
+		t.Fatalf("%d shards, batch size %d", len(s.kvs), batch)
 	}
 	hit := make([]int, 4)
 	for k := 0; k <= 0xFFFF; k++ {
-		sh := s.ShardFor(uint16(k))
+		sh := s.shardFor(uint16(k))
 		if sh < 0 || sh >= 4 {
 			t.Fatalf("key %d routed to shard %d", k, sh)
 		}
-		if sh != s.ShardFor(uint16(k)) {
+		if sh != s.shardFor(uint16(k)) {
 			t.Fatalf("key %d routing not deterministic", k)
 		}
 		hit[sh]++
@@ -155,12 +157,6 @@ func TestShardedKVRoutingIsTotalAndDeterministic(t *testing.T) {
 			t.Fatalf("shard %d owns %d of 65536 keys; hash is not spreading", sh, n)
 		}
 	}
-	if s.Shard(-1) != nil || s.Shard(4) != nil {
-		t.Error("out-of-range Shard() must be nil")
-	}
-	if s.Shard(2) == nil {
-		t.Error("in-range Shard() must not be nil")
-	}
 }
 
 // TestShardedKVPutGetAcrossShards is the basic end-to-end flow: writes
@@ -171,9 +167,9 @@ func TestShardedKVPutGetAcrossShards(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 
-	var entries []omegasm.Entry
+	var entries []Entry
 	for k := uint16(0); k < 24; k++ {
-		entries = append(entries, omegasm.Entry{Key: k, Val: 100 + k})
+		entries = append(entries, Entry{Key: k, Val: 100 + k})
 	}
 	if err := s.MultiPut(ctx, entries...); err != nil {
 		t.Fatal(err)
@@ -199,8 +195,8 @@ func TestShardedKVPutGetAcrossShards(t *testing.T) {
 	if s.Len() != 24 {
 		t.Errorf("Len() = %d, want 24", s.Len())
 	}
-	if got := s.Snapshot(); len(got) != 24 || got[3] != 103 {
-		t.Errorf("Snapshot() = %v", got)
+	if v, ok := s.Get(3); !ok || v != 103 {
+		t.Errorf("Get(3) = %d, %v", v, ok)
 	}
 	// A single Put routes and commits like any KV write.
 	if err := s.Put(ctx, 1000, 7); err != nil {
@@ -212,8 +208,8 @@ func TestShardedKVPutGetAcrossShards(t *testing.T) {
 	// Writes actually spread: at least two shards must have applied
 	// something.
 	busy := 0
-	for i := 0; i < s.Shards(); i++ {
-		if s.Shard(i).Applied() > 0 {
+	for _, kv := range s.kvs {
+		if kv.Applied() > 0 {
 			busy++
 		}
 	}
@@ -226,19 +222,18 @@ func TestShardedKVPutGetAcrossShards(t *testing.T) {
 // consensus slots than commands on a batched store — the proposal
 // batching the scaling benchmark quantifies.
 func TestShardedKVBatchingPacksSlots(t *testing.T) {
-	s := startSharded(t, append(shardedOpts(2, 3), omegasm.WithBatchSize(16))...)
+	s := startSharded(t, append(shardedOpts(2, 3), WithBatchSize(16))...)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	var entries []omegasm.Entry
+	var entries []Entry
 	for k := uint16(0); k < 64; k++ {
-		entries = append(entries, omegasm.Entry{Key: k, Val: k})
+		entries = append(entries, Entry{Key: k, Val: k})
 	}
 	if err := s.MultiPut(ctx, entries...); err != nil {
 		t.Fatal(err)
 	}
 	applied, slots := 0, 0
-	for i := 0; i < s.Shards(); i++ {
-		sh := s.Shard(i)
+	for _, sh := range s.kvs {
 		applied += sh.Applied()
 		slots += sh.SlotsUsed()
 	}
@@ -255,7 +250,7 @@ func TestShardedKVBatchingPacksSlots(t *testing.T) {
 	if err := s.Put(ctx, 0xFFFF, 1); err == nil {
 		t.Error("reserved key accepted on a batched shard")
 	}
-	if err := s.MultiPut(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 0xFFFF, Val: 1}); err == nil {
+	if err := s.MultiPut(ctx, Entry{Key: 1, Val: 1}, Entry{Key: 0xFFFF, Val: 1}); err == nil {
 		t.Error("MultiPut with a reserved key reported full success")
 	}
 }
@@ -267,18 +262,18 @@ func TestShardedKVSurvivesShardLeaderCrash(t *testing.T) {
 	s := startSharded(t, shardedOpts(2, 4)...)
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	var entries []omegasm.Entry
+	var entries []Entry
 	for k := uint16(0); k < 16; k++ {
-		entries = append(entries, omegasm.Entry{Key: k, Val: 10 + k})
+		entries = append(entries, Entry{Key: k, Val: 10 + k})
 	}
 	if err := s.MultiPut(ctx, entries...); err != nil {
 		t.Fatal(err)
 	}
-	leader, ok := s.Fleet().Leader(0)
+	leader, ok := s.fleet.Leader(0)
 	if !ok {
 		t.Fatal("shard 0 lost agreement")
 	}
-	if err := s.Fleet().Crash(0, leader); err != nil {
+	if err := s.fleet.crash(0, leader); err != nil {
 		t.Fatal(err)
 	}
 	// Reads keep answering everywhere; the crashed shard's survivors may
@@ -319,19 +314,19 @@ func TestFleetCrashOutOfRange(t *testing.T) {
 	if _, ok := f.Leader(-1); ok {
 		t.Error("out-of-range Leader() reported ok")
 	}
-	if err := f.Crash(2, 0); err == nil {
+	if err := f.crash(2, 0); err == nil {
 		t.Error("out-of-range cluster Crash() accepted")
 	}
-	if err := f.Crash(-1, 0); err == nil {
+	if err := f.crash(-1, 0); err == nil {
 		t.Error("negative cluster Crash() accepted")
 	}
-	if err := f.Crash(0, 5); err == nil {
+	if err := f.crash(0, 5); err == nil {
 		t.Error("out-of-range process Crash() accepted")
 	}
 }
 
 func TestFleetCrashOnStoppedFleet(t *testing.T) {
-	f, err := omegasm.NewFleet(fleetOpts(2, 2)...)
+	f, err := NewFleet(fleetOpts(2, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,16 +334,16 @@ func TestFleetCrashOnStoppedFleet(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Stop()
-	if err := f.Crash(0, 0); err == nil {
+	if err := f.crash(0, 0); err == nil {
 		t.Error("Crash on a stopped fleet accepted")
 	}
 	// Never-started fleets stop (and then refuse crashes) cleanly too.
-	f2, err := omegasm.NewFleet(fleetOpts(1, 2)...)
+	f2, err := NewFleet(fleetOpts(1, 2)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	f2.Stop()
-	if err := f2.Crash(0, 0); err == nil {
+	if err := f2.crash(0, 0); err == nil {
 		t.Error("Crash on a stopped never-started fleet accepted")
 	}
 }
@@ -357,7 +352,7 @@ func TestFleetCrashOnStoppedFleet(t *testing.T) {
 // the fleet stops must return within its timeout (not hang, not panic);
 // once the fleet is down it reports no agreement.
 func TestFleetWaitForAgreementRacesStop(t *testing.T) {
-	f, err := omegasm.NewFleet(fleetOpts(3, 3)...)
+	f, err := NewFleet(fleetOpts(3, 3)...)
 	if err != nil {
 		t.Fatal(err)
 	}

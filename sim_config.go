@@ -64,10 +64,9 @@ type SimKVConfig struct {
 	// checkpointing (the default) it bounds only the in-flight portion of
 	// the stream; with checkpointing disabled it is the total capacity.
 	Slots int
-	// CheckpointEvery is the sealing cadence in slots, mirroring
-	// KVCheckpointEvery: 0 picks the default (a quarter of Slots), a
-	// negative value disables checkpointing and restores the
-	// fixed-capacity log.
+	// CheckpointEvery is the sealing cadence in slots, as a live KV's: 0
+	// picks the default (a quarter of Slots), a negative value disables
+	// checkpointing and restores the fixed-capacity log.
 	CheckpointEvery int
 	// Crashes maps pid -> virtual crash time: the process (its election
 	// tasks and its replica) is permanently descheduled at that time, the
@@ -84,8 +83,8 @@ type SimKVConfig struct {
 	Requests []SimRequest
 	// Lease, when positive, turns on leader leases of that many virtual
 	// ticks: replicas may only arm proposals while holding the lease
-	// (KVLease's authority gate under the deterministic engine, with
-	// eps 0 — a machine's clock read and its effects are one atomic
+	// (the live KV's lease authority gate under the deterministic engine,
+	// with eps 0 — a machine's clock read and its effects are one atomic
 	// activation), and a monitor machine performs a lease read every few
 	// ticks, recording the grant history and checking the linearizability
 	// invariants into the result's LeaseGrants / LeaseViolations. Requires
@@ -292,19 +291,19 @@ type SimShardedKVConfig struct {
 	Algorithm Algorithm
 	// Slots is each shard's replicated-log capacity; default 256.
 	Slots int
-	// BatchSize is each shard's proposal batch size; default
-	// DefaultBatchSize, 1 turns batching off. Batched runs reserve the
+	// BatchSize is each shard's proposal batch size; default 32, as
+	// ShardedKV's; 1 turns batching off. Batched runs reserve the
 	// key 0xFFFF row, as ShardedKV does.
 	BatchSize int
-	// CheckpointEvery is each shard's sealing cadence in slots, mirroring
-	// WithCheckpointEvery: 0 picks the default (a quarter of Slots), a
-	// negative value disables checkpointing (fixed-capacity shard logs).
+	// CheckpointEvery is each shard's sealing cadence in slots, as a live
+	// KV's: 0 picks the default (a quarter of Slots), a negative value
+	// disables checkpointing (fixed-capacity shard logs).
 	CheckpointEvery int
 	// Crashes is the cross-shard crash schedule. At least one process per
 	// shard must survive.
 	Crashes []SimShardCrash
 	// Writes is the tracked workload: each write routes to its key's
-	// shard (the ShardFor hash) and is retried across that shard's
+	// shard (ShardedKV's routing hash) and is retried across that shard's
 	// leadership changes until committed.
 	Writes []SimWrite
 	// Requests is the open-loop workload: each request routes to its
@@ -330,7 +329,7 @@ func (cfg *SimShardedKVConfig) normalize() ([]simShardConfig, error) {
 		return nil, fmt.Errorf("omegasm: sim needs at least 1 shard, got %d", cfg.Shards)
 	}
 	if cfg.BatchSize == 0 {
-		cfg.BatchSize = DefaultBatchSize
+		cfg.BatchSize = defaultBatchSize
 	}
 	base := simShardConfig{
 		n:      cfg.N,

@@ -1,17 +1,15 @@
-package omegasm_test
+package omegasm
 
 import (
 	"reflect"
 	"testing"
-
-	"omegasm"
 )
 
 // simWorkload builds a small write set spanning the run.
-func simWorkload(count int, from, spacing int64) []omegasm.SimWrite {
-	writes := make([]omegasm.SimWrite, count)
+func simWorkload(count int, from, spacing int64) []SimWrite {
+	writes := make([]SimWrite, count)
 	for i := range writes {
-		writes[i] = omegasm.SimWrite{
+		writes[i] = SimWrite{
 			At:  from + int64(i)*spacing,
 			Key: uint16(i % 7),
 			Val: uint16(100 + i),
@@ -21,26 +19,26 @@ func simWorkload(count int, from, spacing int64) []omegasm.SimWrite {
 }
 
 func TestSimKVValidation(t *testing.T) {
-	if _, err := omegasm.SimKV(omegasm.SimKVConfig{N: 1}); err == nil {
+	if _, err := SimKV(SimKVConfig{N: 1}); err == nil {
 		t.Error("n=1 accepted")
 	}
-	if _, err := omegasm.SimKV(omegasm.SimKVConfig{N: 3, Slots: -1}); err == nil {
+	if _, err := SimKV(SimKVConfig{N: 3, Slots: -1}); err == nil {
 		t.Error("negative slots accepted")
 	}
-	if _, err := omegasm.SimKV(omegasm.SimKVConfig{N: 3, Crashes: map[int]int64{7: 10}}); err == nil {
+	if _, err := SimKV(SimKVConfig{N: 3, Crashes: map[int]int64{7: 10}}); err == nil {
 		t.Error("out-of-range crash pid accepted")
 	}
-	if _, err := omegasm.SimKV(omegasm.SimKVConfig{
+	if _, err := SimKV(SimKVConfig{
 		N: 2, Crashes: map[int]int64{0: 1, 1: 2},
 	}); err == nil {
 		t.Error("crashing every process accepted")
 	}
-	if _, err := omegasm.SimKV(omegasm.SimKVConfig{
-		N: 3, Writes: []omegasm.SimWrite{{At: 1, Key: 0xFFFF, Val: 0xFFFF}},
+	if _, err := SimKV(SimKVConfig{
+		N: 3, Writes: []SimWrite{{At: 1, Key: 0xFFFF, Val: 0xFFFF}},
 	}); err == nil {
 		t.Error("reserved key/value pair accepted")
 	}
-	if _, err := omegasm.SimKV(omegasm.SimKVConfig{N: 3, Algorithm: omegasm.Algorithm(99)}); err == nil {
+	if _, err := SimKV(SimKVConfig{N: 3, Algorithm: Algorithm(99)}); err == nil {
 		t.Error("unknown algorithm accepted")
 	}
 }
@@ -51,11 +49,11 @@ func TestSimKVValidation(t *testing.T) {
 // differed run to run; it now checks pids in sorted order and must always
 // blame the lowest one.
 func TestSimKVValidationDeterministic(t *testing.T) {
-	cfg := omegasm.SimKVConfig{
+	cfg := SimKVConfig{
 		N:       4,
 		Crashes: map[int]int64{9: 10, 7: -5, 3: -1, 11: 20},
 	}
-	_, err := omegasm.SimKV(cfg)
+	_, err := SimKV(cfg)
 	if err == nil {
 		t.Fatal("invalid crash schedule accepted")
 	}
@@ -64,7 +62,7 @@ func TestSimKVValidationDeterministic(t *testing.T) {
 		t.Fatalf("validation blamed %q, not the lowest bad pid", want)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := omegasm.SimKV(cfg); err == nil || err.Error() != want {
+		if _, err := SimKV(cfg); err == nil || err.Error() != want {
 			t.Fatalf("run %d: error changed: %v (want %q)", i, err, want)
 		}
 	}
@@ -74,7 +72,7 @@ func TestSimKVValidationDeterministic(t *testing.T) {
 // and converges every replica's state.
 func TestSimKVDeliversWorkload(t *testing.T) {
 	writes := simWorkload(12, 2_000, 500)
-	res, err := omegasm.SimKV(omegasm.SimKVConfig{
+	res, err := SimKV(SimKVConfig{
 		N: 3, Seed: 11, Horizon: 300_000, Writes: writes,
 	})
 	if err != nil {
@@ -101,18 +99,18 @@ func TestSimKVDeliversWorkload(t *testing.T) {
 // same crash schedule => byte-identical committed log (and full result)
 // across two simulated runs.
 func TestSimKVDeterministicReplay(t *testing.T) {
-	cfg := omegasm.SimKVConfig{
+	cfg := SimKVConfig{
 		N:       4,
 		Seed:    1729,
 		Horizon: 400_000,
 		Crashes: map[int]int64{1: 60_000, 2: 120_000},
 		Writes:  simWorkload(16, 2_000, 4_000),
 	}
-	a, err := omegasm.SimKV(cfg)
+	a, err := SimKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := omegasm.SimKV(cfg)
+	b, err := SimKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +131,7 @@ func TestSimKVDeterministicReplay(t *testing.T) {
 // crash schedule that kills processes while checkpoints are in flight.
 func TestSimKVCheckpointedReplay(t *testing.T) {
 	const slots = 24 // window 24, default cadence 6: a 150-write stream recycles many times
-	base := omegasm.SimKVConfig{
+	base := SimKVConfig{
 		N:       3,
 		Seed:    99,
 		Horizon: 2_000_000,
@@ -150,11 +148,11 @@ func TestSimKVCheckpointedReplay(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := base
 			cfg.Crashes = crashes
-			a, err := omegasm.SimKV(cfg)
+			a, err := SimKV(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := omegasm.SimKV(cfg)
+			b, err := SimKV(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -186,8 +184,8 @@ func TestSimKVCheckpointedReplay(t *testing.T) {
 // exactly that leader mid-workload and check the survivors finish the
 // job — reproducibly.
 func TestSimKVLeaderCrashFailover(t *testing.T) {
-	base := omegasm.SimKVConfig{N: 4, Seed: 7, Horizon: 600_000}
-	probe, err := omegasm.SimKV(base)
+	base := SimKVConfig{N: 4, Seed: 7, Horizon: 600_000}
+	probe, err := SimKV(base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +202,7 @@ func TestSimKVLeaderCrashFailover(t *testing.T) {
 	cfg := base
 	cfg.Crashes = map[int]int64{leader: 100_000}
 	cfg.Writes = simWorkload(10, 2_000, 30_000) // spans the crash
-	res, err := omegasm.SimKV(cfg)
+	res, err := SimKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +222,7 @@ func TestSimKVLeaderCrashFailover(t *testing.T) {
 		}
 	}
 	// And the failover run replays identically.
-	again, err := omegasm.SimKV(cfg)
+	again, err := SimKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,10 +234,10 @@ func TestSimKVLeaderCrashFailover(t *testing.T) {
 // simRequests builds a mixed open-loop request stream: every third
 // request is a read, keys cycle a small space, arrivals are evenly
 // spaced starting at from.
-func simRequests(count int, from, spacing int64) []omegasm.SimRequest {
-	reqs := make([]omegasm.SimRequest, count)
+func simRequests(count int, from, spacing int64) []SimRequest {
+	reqs := make([]SimRequest, count)
 	for i := range reqs {
-		reqs[i] = omegasm.SimRequest{
+		reqs[i] = SimRequest{
 			At:    from + int64(i)*spacing,
 			Key:   uint16(i % 5),
 			Val:   uint16(200 + i),
@@ -255,7 +253,7 @@ func simRequests(count int, from, spacing int64) []omegasm.SimRequest {
 // arrival times, and results echo the submitted order.
 func TestSimKVOpenLoopRequests(t *testing.T) {
 	reqs := simRequests(30, 2_000, 2_000)
-	res, err := omegasm.SimKV(omegasm.SimKVConfig{
+	res, err := SimKV(SimKVConfig{
 		N: 3, Seed: 5, Horizon: 500_000, Requests: reqs,
 	})
 	if err != nil {
@@ -296,18 +294,18 @@ func TestSimKVOpenLoopRequests(t *testing.T) {
 // the same seeded config with an open-loop request stream (crossing a
 // leader crash) produces byte-identical per-request completion times.
 func TestSimKVOpenLoopReplay(t *testing.T) {
-	cfg := omegasm.SimKVConfig{
+	cfg := SimKVConfig{
 		N:        3,
 		Seed:     23,
 		Horizon:  600_000,
 		Crashes:  map[int]int64{0: 90_000},
 		Requests: simRequests(40, 2_000, 3_000),
 	}
-	a, err := omegasm.SimKV(cfg)
+	a, err := SimKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := omegasm.SimKV(cfg)
+	b, err := SimKV(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

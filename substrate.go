@@ -9,25 +9,16 @@ import (
 	"omegasm/internal/shmem"
 )
 
-// Substrate is the shared-memory medium a cluster's processes communicate
-// through. Two substrates ship: Atomic (sync/atomic registers in process
-// memory — the default) and SAN (registers replicated over simulated
-// network-attached disks with quorum reads and writes — the deployment
-// the paper's introduction motivates). The same algorithms run over
-// either; only pacing defaults differ.
-//
-// The interface is sealed: its contract is in terms of the internal
-// register substrate, so implementations outside this package are not
-// possible. Choose with WithSubstrate, or the WithSAN shorthand.
-type Substrate interface {
-	// Name identifies the substrate ("atomic", "san") in logs and Stats.
-	Name() string
-
+// substrate is the shared-memory medium a cluster's processes
+// communicate through: sync/atomic registers in process memory (the
+// default) or registers replicated over simulated network-attached disks
+// with quorum reads and writes (WithSAN — the deployment the paper's
+// introduction motivates). The same algorithms run over either; only
+// pacing defaults differ.
+type substrate interface {
 	// open allocates a fresh shared memory for an n-process cluster.
-	// Sealed.
 	open(n int, instrument bool) (*openedMem, error)
 	// pacing returns the substrate's default (StepInterval, TimerUnit).
-	// Sealed.
 	pacing() (step, timer time.Duration)
 }
 
@@ -39,14 +30,10 @@ type openedMem struct {
 	disks []*san.Disk
 }
 
-// Atomic returns the default substrate: each register is a sync/atomic
-// word, giving exactly the paper's 1WnR atomic-register semantics from
-// the Go memory model's sequentially consistent atomics.
-func Atomic() Substrate { return atomicSubstrate{} }
-
+// atomicSubstrate is the default substrate: each register is a
+// sync/atomic word, giving exactly the paper's 1WnR atomic-register
+// semantics from the Go memory model's sequentially consistent atomics.
 type atomicSubstrate struct{}
-
-func (atomicSubstrate) Name() string { return "atomic" }
 
 func (atomicSubstrate) pacing() (time.Duration, time.Duration) {
 	// The shared engine defaults: one source for the live engine and the
@@ -58,8 +45,8 @@ func (atomicSubstrate) open(n int, instrument bool) (*openedMem, error) {
 	return &openedMem{mem: shmem.NewAtomicMem(n, instrument)}, nil
 }
 
-// SANConfig parameterizes the SAN substrate's simulated disk farm. The
-// zero value is a usable default: five ideal (zero-latency) disks.
+// SANConfig parameterizes WithSAN's simulated disk farm. The zero value
+// is a usable default: five ideal (zero-latency) disks.
 type SANConfig struct {
 	// Disks is the number of simulated disks (default 5). A majority must
 	// stay alive for the cluster to make progress; prefer an odd count.
@@ -101,25 +88,12 @@ func (cfg SANConfig) normalize() (SANConfig, error) {
 	return cfg, nil
 }
 
-// SAN returns a substrate of cfg.Disks simulated network-attached disks.
-// Every register is replicated across all disks and accessed with the
+// sanSubstrate is cfg.Disks simulated network-attached disks. Every
+// register is replicated across all disks and accessed with the
 // single-writer quorum discipline (write all / ack majority, read
 // majority / highest sequence wins), so disk crashes below a majority are
 // masked. Crash disks with Cluster.CrashDisk.
-func SAN(cfg SANConfig) Substrate {
-	return sanSubstrate{cfg: cfg}
-}
-
-func newSANSubstrate(cfg SANConfig) (Substrate, error) {
-	if _, err := cfg.normalize(); err != nil {
-		return nil, err
-	}
-	return sanSubstrate{cfg: cfg}, nil
-}
-
 type sanSubstrate struct{ cfg SANConfig }
-
-func (s sanSubstrate) Name() string { return "san" }
 
 func (s sanSubstrate) pacing() (time.Duration, time.Duration) {
 	return engine.DefaultSANStepInterval, engine.DefaultSANTimerUnit
