@@ -81,22 +81,7 @@ func (p *NoStop) ID() int { return p.id }
 func (p *NoStop) Leader() int { return p.cachedLeader }
 
 func (p *NoStop) computeLeader() int {
-	susp := make([]uint64, p.n)
-	for k := 0; k < p.n; k++ {
-		if !p.candidates[k] {
-			continue
-		}
-		var s uint64
-		for j := 0; j < p.n; j++ {
-			if j == p.id {
-				s += p.mySusp[k]
-			} else {
-				s += p.sh.Suspicions[j][k].Read(p.id)
-			}
-		}
-		susp[k] = s
-	}
-	p.cachedLeader = lexMin(susp, p.candidates, p.id)
+	p.cachedLeader = t1Leader(p.sh.Suspicions, p.mySusp, p.candidates, p.id)
 	return p.cachedLeader
 }
 

@@ -111,24 +111,9 @@ func (p *Algo1) Leader() int { return p.cachedLeader }
 
 // computeLeader is the body of task T1 (paper lines 2-5): for every
 // candidate k, sum column k of SUSPICIONS, then take the lexicographic
-// minimum of (suspicions, id).
+// minimum of (suspicions, id). The own row comes from the local copy.
 func (p *Algo1) computeLeader() int {
-	susp := make([]uint64, p.n)
-	for k := 0; k < p.n; k++ {
-		if !p.candidates[k] {
-			continue
-		}
-		var s uint64
-		for j := 0; j < p.n; j++ {
-			if j == p.id {
-				s += p.mySusp[k] // own row from the local copy
-			} else {
-				s += p.sh.Suspicions[j][k].Read(p.id)
-			}
-		}
-		susp[k] = s
-	}
-	p.cachedLeader = lexMin(susp, p.candidates, p.id)
+	p.cachedLeader = t1Leader(p.sh.Suspicions, p.mySusp, p.candidates, p.id)
 	return p.cachedLeader
 }
 

@@ -26,7 +26,10 @@
 // (package rt).
 package core
 
-import "omegasm/internal/vclock"
+import (
+	"omegasm/internal/shmem"
+	"omegasm/internal/vclock"
+)
 
 // Proc is one algorithm process as every host sees it — the run host of
 // the experiments, the public simulator and the live runtime. The three
@@ -62,20 +65,31 @@ func lexLess(susp1 uint64, id1 int, susp2 uint64, id2 int) bool {
 	return id1 < id2
 }
 
-// lexMin returns the id minimizing (susp[k], k) over the candidate set
-// (candidates[k] == true). It returns self if the set would otherwise be
-// empty — the paper guarantees i is always in candidates_i, so this is
-// only a defensive default for arbitrary initial states.
-func lexMin(susp []uint64, candidates []bool, self int) int {
+// t1Leader is the body of task T1 (paper lines 2-5) over a
+// SUSPICIONS-shaped matrix susp[j][k]: for every candidate k it sums
+// column k — row self from the local copy own, every other row read by
+// process self — and returns the candidate minimizing (sum, k). Registers
+// are read k outer, j inner, and a running minimum replaces the vector of
+// sums, so T1 allocates nothing. It returns self if there is no candidate
+// — the paper guarantees i is always in candidates_i, so this is only a
+// defensive default for arbitrary initial states.
+func t1Leader(susp [][]shmem.Reg, own []uint64, candidates []bool, self int) int {
 	best := -1
-	var bestSusp uint64
-	for k := range candidates {
-		if !candidates[k] {
+	var bestSum uint64
+	for k, isCand := range candidates {
+		if !isCand {
 			continue
 		}
-		if best == -1 || lexLess(susp[k], k, bestSusp, best) {
-			best = k
-			bestSusp = susp[k]
+		var s uint64
+		for j, row := range susp {
+			if j == self {
+				s += own[k]
+			} else {
+				s += row[k].Read(self)
+			}
+		}
+		if best == -1 || lexLess(s, k, bestSum, best) {
+			best, bestSum = k, s
 		}
 	}
 	if best == -1 {

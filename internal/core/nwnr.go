@@ -91,16 +91,25 @@ func (p *NWNR) ID() int { return p.id }
 // Leader implements task T1's externally observable value.
 func (p *NWNR) Leader() int { return p.cachedLeader }
 
+// computeLeader is task T1 with each column sum already collapsed into
+// NSUSP[k]: the same running lexicographic minimum as t1Leader, one read
+// per candidate.
 func (p *NWNR) computeLeader() int {
-	susp := make([]uint64, p.n)
-	for k := 0; k < p.n; k++ {
-		if !p.candidates[k] {
+	best := -1
+	var bestSum uint64
+	for k, isCand := range p.candidates {
+		if !isCand {
 			continue
 		}
-		susp[k] = p.sh.NSusp[k].Read(p.id)
+		if s := p.sh.NSusp[k].Read(p.id); best == -1 || lexLess(s, k, bestSum, best) {
+			best, bestSum = k, s
+		}
 	}
-	p.cachedLeader = lexMin(susp, p.candidates, p.id)
-	return p.cachedLeader
+	if best == -1 {
+		best = p.id
+	}
+	p.cachedLeader = best
+	return best
 }
 
 // Step is task T2, identical to Algorithm 1's.

@@ -113,23 +113,59 @@ type event struct {
 	gen  uint64
 }
 
+// eventQueue is a binary min-heap of events ordered by (at, seq). Each
+// engine stamps seq from its own counter, so the order is strict and total
+// and the pop sequence is a pure function of the pushes.
 type eventQueue []event
 
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
+func (q eventQueue) less(i, j int) bool {
 	if q[i].at != q[j].at {
 		return q[i].at < q[j].at
 	}
 	return q[i].seq < q[j].seq
 }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x interface{}) { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() interface{} {
-	old := *q
-	n := len(old)
-	e := old[n-1]
-	*q = old[:n-1]
-	return e
+
+// push enqueues ev. The sift-up is hand-rolled (not container/heap) so
+// neither engine's hot path ever boxes an event into an interface
+// allocation: once the backing array has grown to the run's peak queue
+// length, push and popMin allocate nothing.
+func (q *eventQueue) push(ev event) {
+	h := append(*q, ev)
+	for i := len(h) - 1; i > 0; {
+		parent := (i - 1) / 2
+		if !h.less(i, parent) {
+			break
+		}
+		h[i], h[parent] = h[parent], h[i]
+		i = parent
+	}
+	*q = h
+}
+
+// popMin removes and returns the earliest event; the caller has checked
+// the queue is non-empty.
+func (q *eventQueue) popMin() event {
+	h := *q
+	min := h[0]
+	n := len(h) - 1
+	h[0] = h[n]
+	h = h[:n]
+	for i := 0; ; {
+		small := i
+		if l := 2*i + 1; l < n && h.less(l, small) {
+			small = l
+		}
+		if r := 2*i + 2; r < n && h.less(r, small) {
+			small = r
+		}
+		if small == i {
+			break
+		}
+		h[i], h[small] = h[small], h[i]
+		i = small
+	}
+	*q = h
+	return min
 }
 
 // NewLive builds a stopped live engine; Add machines, then Start.
@@ -300,50 +336,12 @@ func (e *Live) Notify(id int) {
 	}
 }
 
-// push enqueues ev; caller holds e.mu. The sift-up is hand-rolled (not
-// container/heap) so the scheduler's hot path never boxes an event into
-// an interface allocation.
+// push stamps ev with the engine's next sequence number and enqueues it;
+// caller holds e.mu.
 func (e *Live) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
-	q := append(e.queue, ev)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.Less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	e.queue = q
-}
-
-// popMin removes and returns the earliest event; caller holds e.mu and
-// has checked the queue is non-empty. Allocation-free for the same
-// reason as push.
-func (e *Live) popMin() event {
-	q := e.queue
-	min := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	for i := 0; ; {
-		small := i
-		if l := 2*i + 1; l < n && q.Less(l, small) {
-			small = l
-		}
-		if r := 2*i + 2; r < n && q.Less(r, small) {
-			small = r
-		}
-		if small == i {
-			break
-		}
-		q[i], q[small] = q[small], q[i]
-		i = small
-	}
-	e.queue = q
-	return min
+	e.queue.push(ev)
 }
 
 // loop is the scheduler: pop due events, dispatch, sleep until the next
@@ -362,8 +360,8 @@ func (e *Live) loop() {
 		}
 		now := e.now()
 		due := e.due[:0]
-		for e.queue.Len() > 0 && e.queue[0].at <= now {
-			ev := e.popMin()
+		for len(e.queue) > 0 && e.queue[0].at <= now {
+			ev := e.queue.popMin()
 			m := e.machines[ev.id]
 			if m.crashed.Load() {
 				continue
@@ -378,7 +376,7 @@ func (e *Live) loop() {
 		}
 		e.due = due
 		var wait time.Duration = -1
-		if len(due) == 0 && e.queue.Len() > 0 {
+		if len(due) == 0 && len(e.queue) > 0 {
 			wait = time.Duration(e.queue[0].at - now)
 		}
 		e.mu.Unlock()

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -82,9 +81,7 @@ func NewSim(cfg SimConfig) (*Sim, error) {
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("engine: horizon must be positive, got %d", cfg.Horizon)
 	}
-	s := &Sim{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
-	heap.Init(&s.queue)
-	return s, nil
+	return &Sim{cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}, nil
 }
 
 // SimOpt configures one machine added to a simulation.
@@ -155,10 +152,11 @@ func (s *Sim) Add(m Machine, opts ...SimOpt) int {
 	return id
 }
 
+// push stamps ev with the run's next sequence number and enqueues it.
 func (s *Sim) push(ev event) {
 	s.seq++
 	ev.seq = s.seq
-	heap.Push(&s.queue, ev)
+	s.queue.push(ev)
 }
 
 // stepDelay draws the machine's next inter-step delay from its pacing,
@@ -236,8 +234,8 @@ func (s *Sim) Notify(id int) {
 // early Stop, and returns the end time.
 func (s *Sim) Run() vclock.Time {
 	s.running = true
-	for s.queue.Len() > 0 && !s.stopped {
-		e := heap.Pop(&s.queue).(event)
+	for len(s.queue) > 0 && !s.stopped {
+		e := s.queue.popMin()
 		if e.at > s.cfg.Horizon {
 			break
 		}

@@ -1,7 +1,10 @@
 package engine
 
 import (
+	"cmp"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"omegasm/internal/vclock"
@@ -337,5 +340,83 @@ func TestAuxStepper(t *testing.T) {
 		if auxTimes[i]-auxTimes[i-1] != 50 {
 			t.Fatalf("aux pacing not honored: gap %d", auxTimes[i]-auxTimes[i-1])
 		}
+	}
+}
+
+// TestEventQueueOrder: over a seeded random interleaving of pushes and
+// pops, with many events sharing a deadline, popMin always returns the
+// pending event a sort by (at, seq) puts first.
+func TestEventQueueOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	byAtSeq := func(a, b event) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	}
+	var q eventQueue
+	var pending []event
+	var seq uint64
+	pop := func() {
+		slices.SortFunc(pending, byAtSeq)
+		if got := q.popMin(); got != pending[0] {
+			t.Fatalf("popMin = %+v, want %+v", got, pending[0])
+		}
+		pending = pending[1:]
+	}
+	for i := 0; i < 5_000; i++ {
+		if len(pending) > 0 && rng.Intn(5) < 2 {
+			pop()
+			continue
+		}
+		seq++
+		ev := event{at: vclock.Time(rng.Intn(16)), seq: seq, kind: evStep, id: rng.Intn(4)}
+		q.push(ev)
+		pending = append(pending, ev)
+	}
+	for len(pending) > 0 {
+		pop()
+	}
+	if len(q) != 0 {
+		t.Fatalf("%d events left after draining", len(q))
+	}
+}
+
+// quietTimer is an always-ready machine with a task T3 that allocates
+// nothing of its own.
+type quietTimer struct{}
+
+func (quietTimer) Step(vclock.Time) Hint      { return Now() }
+func (quietTimer) OnTimer(vclock.Time) uint64 { return 1 }
+
+// TestSimAllocsDoNotScaleWithEvents: a run's allocations are its setup
+// (machines, rng, the queue's peak backing array), not a cost per event —
+// ten times the horizon allocates exactly as much.
+func TestSimAllocsDoNotScaleWithEvents(t *testing.T) {
+	allocs := func(horizon vclock.Time) float64 {
+		return testing.AllocsPerRun(5, func() {
+			s, err := NewSim(SimConfig{Seed: 1, Horizon: horizon})
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Add(quietTimer{}, WithTimer(vclock.Exact{Scale: 4, Floor: 1}, 1))
+			parked := s.Add(MachineFunc(func(vclock.Time) Hint { return Park() }))
+			notified := false
+			s.Add(MachineFunc(func(now vclock.Time) Hint {
+				if !notified && now >= 5_000 {
+					notified = true
+					s.Notify(parked)
+				}
+				return At(now + 7)
+			}))
+			s.Run()
+			if s.Steps(parked) != 2 {
+				t.Fatalf("parked machine stepped %d times, want 2 (initial + notified)", s.Steps(parked))
+			}
+		})
+	}
+	short, long := allocs(10_000), allocs(100_000)
+	if short != long {
+		t.Fatalf("allocations grow with the run: %.0f at horizon 10k, %.0f at 100k", short, long)
 	}
 }

@@ -4,9 +4,9 @@
 //
 //   - atomicfield: a struct field accessed through sync/atomic anywhere
 //     must be accessed through sync/atomic everywhere, and 64-bit
-//     atomic fields must be 8-byte aligned on 32-bit layouts (the mmap
-//     cross-process substrate of ROADMAP item 4 makes misalignment a
-//     real fault, not a style nit).
+//     atomic fields must be 8-byte aligned on 32-bit layouts (an mmap
+//     cross-process substrate, parked in the ROADMAP, would make
+//     misalignment a real fault, not a style nit).
 //   - puborder: publication areas are written data -> meta -> header,
 //     so a published descriptor can never name a half-written area
 //     (the Disk-Paxos pointer-to-value indirection of internal/
