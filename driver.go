@@ -30,8 +30,9 @@ type kvEnv struct {
 	// callers. The simulator leaves it nil — its machines never park, and
 	// an extra wake would perturb the adversary's schedule.
 	progressed func(from int, origin bool)
-	// burst is how many replica micro-steps one activation runs (live: 8,
-	// 2 on the SAN; simulator: 1, the pacing is the asynchrony model).
+	// burst is how many replica micro-steps one activation runs at most
+	// (live: 8, 2 on the SAN; simulator: 1, the pacing is the asynchrony
+	// model); a burst ends at its first idle step.
 	burst int
 	// lease is the leader-lease register (nil: leases off), leaseDur the
 	// grant length in engine time, and acquireEps how long past the
@@ -98,9 +99,11 @@ type replicaDriver struct {
 // stepReport is what one driver activation tells the engine adapter,
 // which turns it into a wake hint.
 type stepReport struct {
-	// progress and pending are the burst's StepBurst results: how far the
-	// store advanced, and how many submitted commands remain unproposed.
+	// progress, pending and idle are the burst's StepBurst results: how
+	// far the store advanced, how many submitted commands remain
+	// unproposed, and whether the burst ended at an idle step.
 	progress, pending int
+	idle              bool
 	// leading: this replica is the agreed leader. holder: it also holds a
 	// valid lease. barrier: it just queued a no-op catch-up barrier.
 	leading, holder, barrier bool
@@ -139,7 +142,7 @@ func (d *replicaDriver) step(now vclock.Time) stepReport {
 			d.barrierDone = false
 		}
 	}
-	rep.progress, rep.pending = store.StepBurst(now, env.burst)
+	rep.progress, rep.pending, rep.idle = store.StepBurst(now, env.burst)
 	if rep.holder && !d.barrierDone {
 		// The catch-up barrier: once a proposal armed after the
 		// acquisition wins its ballot, this replica provably holds (and

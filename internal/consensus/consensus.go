@@ -221,11 +221,22 @@ func (p *Proposer) Step(vclock.Time) {
 		return
 	}
 	// Adopt any published decision first: followers terminate this way,
-	// and a demoted proposer abandons its ballot.
+	// and a demoted proposer abandons its ballot. A Replica has already
+	// polled the row in the same micro-step, so it calls advance directly.
 	if v, ok := p.inst.readDecision(p.id, p.row); ok {
 		p.decide(v)
 		return
 	}
+	p.advance()
+}
+
+// advance is Step's phase action without the adoption poll, for a caller
+// whose own poll found the decision row empty in the same micro-step. The
+// proposer must be undecided: a Replica commits a decided proposer's slot
+// and re-arms it for the next one.
+// Safety never reads DEC: the poll only lets a follower or a demoted
+// proposer stop early.
+func (p *Proposer) advance() {
 	switch p.phase {
 	case phaseFollow:
 		if p.omega() != p.id {

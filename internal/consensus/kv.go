@@ -307,23 +307,26 @@ func (kv *KV) StepN(now vclock.Time, n int) { kv.StepBurst(now, n) }
 // returns how much the burst advanced the store — newly committed
 // entries plus newly decided slots, so command-free slots (checkpoints,
 // no-op barriers) still count; snapshot installs count their whole
-// skipped prefix — and how many submitted commands remain unproposed.
+// skipped prefix — how many submitted commands remain unproposed, and
+// whether the burst ended idle. A burst is at most n micro-steps and ends
+// at its first idle one: the slot was undecided and the replica had
+// nothing to propose, so another step would only poll the same row.
 // A driver decides between stepping again immediately (work is
 // draining), polling later (idle), or signalling waiters (progress
 // landed: committed writes, or a barrier some fence waiter needs).
-func (kv *KV) StepBurst(now vclock.Time, n int) (progress, pending int) {
+func (kv *KV) StepBurst(now vclock.Time, n int) (progress, pending int, idle bool) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	kv.drainStagedLocked()
 	before := kv.replica.CommittedLen()
 	beforeSlots := kv.replica.SlotsDecided()
-	for i := 0; i < n; i++ {
-		kv.replica.Step(now)
+	for i := 0; i < n && !idle; i++ {
+		idle = kv.replica.step(now)
 	}
 	kv.applyCommittedLocked()
 	progress = kv.replica.CommittedLen() - before +
 		kv.replica.SlotsDecided() - beforeSlots
-	return progress, kv.replica.pendingLen()
+	return progress, kv.replica.pendingLen(), idle
 }
 
 // Committed returns a copy of the replica's retained committed tail, in

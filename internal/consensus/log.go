@@ -804,7 +804,12 @@ func (r *Replica) checkpointDue() bool {
 // pending command or a batch. A replica whose next slot was recycled
 // installs the latest snapshot instead; one that has caught up to the end
 // of the window tries to slide it forward.
-func (r *Replica) Step(now vclock.Time) {
+func (r *Replica) Step(now vclock.Time) { r.step(now) }
+
+// step is Step reporting whether the micro-step was idle: its learn poll
+// found the slot undecided and it had nothing to propose. The next step
+// would only poll the same row again, so a burst ends there.
+func (r *Replica) step(now vclock.Time) (idle bool) {
 	slot := r.slotsDecided
 	inst := r.cachedInst
 	if inst == nil || r.cachedSlot != slot {
@@ -814,7 +819,7 @@ func (r *Replica) Step(now vclock.Time) {
 		case slotRecycled:
 			r.cachedInst, r.cachedSlot = nil, -1
 			r.installLatestSnapshot()
-			return
+			return false
 		case slotAhead:
 			// Non-recycling: the log is permanently full. Recycling: the
 			// window is exhausted until a checkpoint gathers its quorum of
@@ -824,17 +829,17 @@ func (r *Replica) Step(now vclock.Time) {
 			if r.log.Recycling() {
 				r.maybeAdvanceWindow()
 			}
-			return
+			return false
 		}
 		r.cachedInst, r.cachedSlot = inst, slot
 	}
 	// Learn: any replica's decision register settles the slot.
 	if v, ok := inst.readDecision(r.id, r.decRow); ok {
 		r.commitSlot(v)
-		return
+		return false
 	}
 	if r.omega() != r.id || (r.pendingLen() == 0 && !r.checkpointDue()) {
-		return
+		return true
 	}
 	if r.prop == nil || r.propSlot != slot {
 		// The authority gate sits exactly at arming: an in-flight proposal
@@ -843,23 +848,23 @@ func (r *Replica) Step(now vclock.Time) {
 		// it. This is what bounds a deposed leader to at most one straggler
 		// commit, which the successor's catch-up barrier fences.
 		if r.authority != nil && !r.authority(now) {
-			return
+			return true
 		}
 		input, ok := r.proposal()
 		if !ok {
-			return
+			return true
 		}
 		if input == NoValue {
 			// Only reachable with a NoValue command, which Submit's
 			// contract excludes; drop it rather than wedge the log.
 			r.popPending()
-			return
+			return false
 		}
 		if r.prop == nil {
 			p, err := NewProposer(inst, r.id, input, r.omega)
 			if err != nil {
 				r.popPending()
-				return
+				return false
 			}
 			r.prop = p
 		} else {
@@ -869,13 +874,15 @@ func (r *Replica) Step(now vclock.Time) {
 		r.armGen++
 		r.curArmGen = r.armGen
 	}
-	r.prop.Step(now)
+	// The learn poll above found the row empty: act without re-polling.
+	r.prop.advance()
 	if v, ok := r.prop.Decided(); ok {
 		if r.prop.WonBallot() {
 			r.lastWinArmGen = r.curArmGen
 		}
 		r.commitSlot(v)
 	}
+	return false
 }
 
 // proposal picks what to run consensus on for the next slot: a freshly

@@ -152,3 +152,51 @@ func TestReplicaLearnsForeignCommits(t *testing.T) {
 		t.Fatalf("follower learned %v", got)
 	}
 }
+
+// TestReplicaPollsDecisionOncePerMicroStep: a replica's learn poll is the
+// only read of the DEC row in its micro-step — the proposer acts on what
+// that poll found instead of polling again — while a standalone Proposer
+// still polls before acting, so it adopts a decision published before its
+// ballot without starting one.
+func TestReplicaPollsDecisionOncePerMicroStep(t *testing.T) {
+	const n = 3
+	mem := shmem.NewAtomicMem(n, true)
+	log := plainLog(t, mem, n, 4)
+	r, err := NewReplica(log, 0, func() int { return 0 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	decRowsReadBy := func(pid int) (reads uint64) {
+		for _, reg := range mem.Census().Snapshot().Regs {
+			if reg.Class == ClassDec {
+				reads += reg.ReadsBy[pid]
+			}
+		}
+		return reads / n
+	}
+	r.Submit(7)
+	steps := 0
+	for r.SlotsDecided() == 0 {
+		if steps == 16 {
+			t.Fatal("uncontended slot undecided after 16 micro-steps")
+		}
+		r.Step(0)
+		steps++
+	}
+	if got := decRowsReadBy(0); got != uint64(steps) {
+		t.Errorf("replica read the DEC row %d times in the slot's %d micro-steps, want once per step", got, steps)
+	}
+
+	inst, _ := log.instance(0)
+	p, err := NewProposer(inst, 1, 9, func() int { return 1 })
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Step(0)
+	if v, ok := p.Decided(); !ok || v != 7 || p.Rounds() != 0 {
+		t.Errorf("standalone proposer after one step: decided (%d, %v) after %d ballots, want to adopt 7 without one", v, ok, p.Rounds())
+	}
+	if got := decRowsReadBy(1); got != 1 {
+		t.Errorf("standalone proposer read the DEC row %d times in one step, want 1", got)
+	}
+}

@@ -150,22 +150,27 @@ func (q *eventQueue) popMin() event {
 	n := len(h) - 1
 	h[0] = h[n]
 	h = h[:n]
-	for i := 0; ; {
+	h.down(0)
+	*q = h
+	return min
+}
+
+// down sifts the event at i toward the leaves until the heap order holds.
+func (q eventQueue) down(i int) {
+	for n := len(q); ; {
 		small := i
-		if l := 2*i + 1; l < n && h.less(l, small) {
+		if l := 2*i + 1; l < n && q.less(l, small) {
 			small = l
 		}
-		if r := 2*i + 2; r < n && h.less(r, small) {
+		if r := 2*i + 2; r < n && q.less(r, small) {
 			small = r
 		}
 		if small == i {
-			break
+			return
 		}
-		h[i], h[small] = h[small], h[i]
+		q[i], q[small] = q[small], q[i]
 		i = small
 	}
-	*q = h
-	return min
 }
 
 // NewLive builds a stopped live engine; Add machines, then Start.
@@ -324,11 +329,17 @@ func (e *Live) Notify(id int) {
 	m.stepGen++ // invalidate the outstanding (later) step entry, if any
 	if e.started {
 		e.push(event{at: e.now(), kind: evStep, id: id, gen: m.stepGen})
+		e.dropSuperseded()
 	} else {
 		// Before Start the initial entries have not been seeded yet; just
 		// make the first step immediate.
 		m.firstAt = 0
 	}
+	// The step just scheduled starts after this point, so it observes the
+	// work of every nudge stored so far: left set, the flag would buy one
+	// more step when that one sleeps — on the SAN, a quorum round trip
+	// that finds nothing to do.
+	m.nudge.Store(false)
 	e.mu.Unlock()
 	select {
 	case e.kick <- struct{}{}:
@@ -342,6 +353,29 @@ func (e *Live) push(ev event) {
 	e.seq++
 	ev.seq = e.seq
 	e.queue.push(ev)
+}
+
+// dropSuperseded filters the step entries a Notify superseded out of the
+// queue once the queue holds more than twice the live ones (a machine owns
+// at most one step and one timer entry). Left in, a superseded entry sits
+// in the heap until its old deadline and then wakes the loop for nothing;
+// a machine notified faster than its sleep runs out piles them up. Pop
+// order is (at, seq), so rebuilding the heap cannot reorder live entries.
+// Caller holds e.mu.
+func (e *Live) dropSuperseded() {
+	if len(e.queue) <= 4*len(e.machines) {
+		return
+	}
+	live := e.queue[:0]
+	for _, ev := range e.queue {
+		if ev.kind != evStep || ev.gen == e.machines[ev.id].stepGen {
+			live = append(live, ev)
+		}
+	}
+	for i := len(live)/2 - 1; i >= 0; i-- {
+		live.down(i)
+	}
+	e.queue = live
 }
 
 // loop is the scheduler: pop due events, dispatch, sleep until the next

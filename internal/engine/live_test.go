@@ -53,6 +53,45 @@ func TestLiveParkAndNotify(t *testing.T) {
 	if waited := time.Since(start); waited > 500*time.Millisecond {
 		t.Errorf("wakeup took %v", waited)
 	}
+	// One Notify is one step: the wake it scheduled consumed its flag.
+	time.Sleep(20 * time.Millisecond)
+	if got := m.steps.Load(); got != 2 {
+		t.Errorf("one Notify of a parked machine ran %d steps, want 1", got-1)
+	}
+}
+
+// TestLiveNotifyDropsSupersededSleeps: a machine that sleeps toward a far
+// deadline and is notified over and over must not pile its superseded
+// entries into the queue until those deadlines pass.
+func TestLiveNotifyDropsSupersededSleeps(t *testing.T) {
+	const notifies = 200
+	stepped := make(chan struct{}, 1)
+	m := &stepRecorder{hint: func(now vclock.Time, steps int64) Hint {
+		stepped <- struct{}{}
+		return At(now + int64(time.Hour))
+	}}
+	e := NewLive(LiveConfig{})
+	id := e.Add(m)
+	if err := e.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer e.Stop()
+	for i := 0; i <= notifies; i++ {
+		select {
+		case <-stepped:
+		case <-time.After(2 * time.Second):
+			t.Fatalf("step %d never ran", i+1)
+		}
+		if i < notifies {
+			e.Notify(id)
+		}
+	}
+	e.mu.Lock()
+	queued := len(e.queue)
+	e.mu.Unlock()
+	if queued > 4*len(e.machines) {
+		t.Errorf("%d notified sleeps left %d entries queued, want at most %d", notifies, queued, 4*len(e.machines))
+	}
 }
 
 func TestLiveWakeNowDrainsBursts(t *testing.T) {

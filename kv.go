@@ -345,7 +345,11 @@ type kvMachine struct {
 // move to it, or the watcher may drop its queue), an idle leader sets one
 // timer — to its grant's next refresh, or to the end of the predecessor's
 // grant it is waiting out — and an idle caught-up replica parks until a
-// write or a commit notification arrives.
+// write or a commit notification arrives. Progress counts as draining
+// only when the burst did not end idle: a follower learning a backlog and
+// a successor catching up keep the CPU, while a replica that committed
+// and then found the next slot undecided with nothing to propose falls
+// to the rules after it, so the next write does not queue behind a poll.
 func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	kv := m.kv
 	if !kv.alive(m.idx) {
@@ -353,7 +357,7 @@ func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	}
 	rep := m.step(now)
 	switch {
-	case rep.barrier || rep.progress > 0:
+	case rep.barrier || (rep.progress > 0 && !rep.idle):
 		return engine.Now()
 	case rep.pending > 0:
 		// A leader with queued work drains at CPU speed — unless the log
@@ -615,8 +619,11 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 		if kv.readStore().LogFull() {
 			return false, ErrLogFull
 		}
-		l, _, err := t.submit(now)
-		if l >= 0 {
+		// Wake the leader only for a fresh hand-over: a replica never
+		// parks with queued work, and a wake of a busy one buys it an
+		// extra step — a quorum round trip on the SAN.
+		l, queued, err := t.submit(now)
+		if queued {
 			kv.wake(l)
 		}
 		return t.outstanding == 0, err

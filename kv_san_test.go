@@ -4,8 +4,13 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
+
+	"omegasm/internal/consensus"
+	"omegasm/internal/engine"
+	"omegasm/internal/vclock"
 )
 
 // startSANCluster starts an n=3 cluster over five simulated disks of the
@@ -117,6 +122,116 @@ func TestSANDefaultLeaseIsReadableAndIdleCommitsNothing(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestSANCommitRunsNoEmptyBurst pins the decision polls a serial Put on
+// the SAN no longer pays, each a quorum round trip: the proposer's second
+// poll of the DEC row in the micro-step whose learn poll already found it
+// empty, and the burst of polls of the next, undecided slot that a
+// replica used to run right after committing. A follower behind by a
+// backlog must still learn all of it at CPU speed.
+func TestSANCommitRunsNoEmptyBurst(t *testing.T) {
+	t.Run("serial-puts", func(t *testing.T) {
+		c, err := New(WithN(3), WithInstrumentation(),
+			WithSAN(SANConfig{Disks: 5, BaseLatency: 200 * time.Microsecond, Jitter: 100 * time.Microsecond}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Start(); err != nil {
+			t.Fatal(err)
+		}
+		defer c.Stop()
+		if _, ok := c.WaitForAgreement(30 * time.Second); !ok {
+			t.Fatal("no agreement over the SAN")
+		}
+		kv, err := NewKV(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		decReads := func() (n uint64) {
+			for _, r := range c.Stats().Registers {
+				if strings.HasPrefix(r.Name, consensus.ClassDec+"[") {
+					n += r.Reads
+				}
+			}
+			return n
+		}
+		for i := uint16(0); i < 5; i++ { // warm up: lease, fence, followers
+			if err := kv.Put(ctx, i, i); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Per Put, the leader polls DEC once per micro-step of its slot
+		// (three) and once more to find the next slot empty, and each
+		// follower twice: learn, then find the next slot empty — eight
+		// row reads of three registers. Two polls per micro-step, a
+		// trailing burst per replica and a second step per notified wake
+		// made it about seventeen. The bound sits between the two, leaving
+		// room for lease refreshes on a slow host.
+		const puts, maxPerPut = 20, 36
+		for attempt := 0; ; attempt++ {
+			leader, _ := c.AgreedLeader()
+			before := decReads()
+			for i := uint16(0); i < puts; i++ {
+				if err := kv.Put(ctx, 100+i, uint16(attempt)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			perPut := float64(decReads()-before) / puts
+			if l, ok := c.AgreedLeader(); !ok || l != leader {
+				if attempt == 3 {
+					t.Fatal("leadership moved in four windows of serial Puts")
+				}
+				continue
+			}
+			t.Logf("%.1f DEC register reads per serial Put", perPut)
+			if perPut > maxPerPut {
+				t.Errorf("%.1f DEC register reads per serial Put, want at most %d", perPut, maxPerPut)
+			}
+			break
+		}
+	})
+
+	t.Run("follower-backlog", func(t *testing.T) {
+		// A hand-stepped follower with the SAN's two-step burst: every
+		// activation that leaves a backlog must ask for the CPU back at
+		// once rather than wait for the fallback cadence or a notification.
+		env := trackerBench(t, 64, 0)
+		env.burst = 2
+		kv := &KV{interval: time.Hour, kvEnv: *env}
+		var now vclock.Time
+		const backlog = 9
+		for k := uint16(0); k < backlog; k++ {
+			if err := env.stores[0].Set(k, k); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for env.stores[0].Applied() < backlog {
+			now++
+			env.stores[0].StepBurst(now, 8)
+		}
+		follower := &kvMachine{kv, replicaDriver{env: &kv.kvEnv, idx: 1}}
+		for steps := 1; ; steps++ {
+			now++
+			hint := follower.Step(now)
+			if kv.stores[1].Applied() == backlog {
+				if hint != engine.Park() {
+					t.Errorf("caught-up follower hinted %+v, want to park", hint)
+				}
+				if want := backlog/env.burst + 1; steps > want {
+					t.Errorf("follower took %d activations to learn %d slots, want at most %d", steps, backlog, want)
+				}
+				break
+			}
+			if hint != engine.Now() {
+				t.Fatalf("activation %d left %d of %d slots unlearned and hinted %+v, want to run again at once",
+					steps, backlog-kv.stores[1].Applied(), backlog, hint)
+			}
+		}
+	})
 }
 
 // TestDefaultLeaseFollowsTimerUnit pins the rule defaultLeaseDur states:
