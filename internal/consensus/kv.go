@@ -33,9 +33,13 @@ const statePresent = uint32(1) << 16
 //
 // The store is built for multi-core traffic: the applied state is a flat
 // array of atomic words, so Get, Applied and Len never take the step
-// lock (readers cannot stall the replication driver, and vice versa),
-// and writes are staged under a separate short lock that the step path
-// drains, so a submitting writer never waits out a full step burst.
+// lock (readers cannot stall the replication driver, and vice versa);
+// the committed tail has a short lock of its own that the stepper takes
+// only to mutate it, so VisitTail and CommittedLen never wait out a
+// burst's register I/O; and writes are staged under a separate short
+// lock that the step path drains, so a submitting writer never waits out
+// a full step burst. Lock order: mu (the step lock), then the replica's
+// tail lock, then submitMu.
 //
 // On a checkpointing (recycling) log the KV is also the log's
 // Snapshotter: the leader seals the applied map into published snapshots,
@@ -69,9 +73,8 @@ type KV struct {
 	applyObs func(pos int, cmd uint32)
 
 	// submitMu guards the staging buffer writers append to; StepBurst
-	// drains it into the replica's queue under mu. Lock order: mu before
-	// submitMu when both are held. Two buffers swap roles at each drain,
-	// so the steady-state submit path never allocates.
+	// drains it into the replica's queue under mu. Two buffers swap roles
+	// at each drain, so the steady-state submit path never allocates.
 	submitMu    sync.Mutex
 	staged      []uint32
 	stagedSpare []uint32
@@ -310,7 +313,9 @@ func (kv *KV) StepN(now vclock.Time, n int) { kv.StepBurst(now, n) }
 // skipped prefix — how many submitted commands remain unproposed, and
 // whether the burst ended idle. A burst is at most n micro-steps and ends
 // at its first idle one: the slot was undecided and the replica had
-// nothing to propose, so another step would only poll the same row.
+// nothing to propose, or it just committed a slot its own ballot won and
+// has nothing more to propose (see Replica.step) — either way another
+// step would only poll a row no one else is arming.
 // A driver decides between stepping again immediately (work is
 // draining), polling later (idle), or signalling waiters (progress
 // landed: committed writes, or a barrier some fence waiter needs).
@@ -331,42 +336,55 @@ func (kv *KV) StepBurst(now vclock.Time, n int) (progress, pending int, idle boo
 
 // Committed returns a copy of the replica's retained committed tail, in
 // log order: the full history on a non-recycling log, the commands since
-// the last fully-applied checkpoint on a recycling one.
+// the last fully-applied checkpoint on a recycling one. Like VisitTail it
+// takes only the tail lock.
 func (kv *KV) Committed() []uint32 {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.replica.Committed()
+	r := kv.replica
+	r.tail.Lock()
+	defer r.tail.Unlock()
+	return r.Committed()
 }
 
 // CommittedLen returns the length of the whole committed command stream,
-// including any checkpoint-summarized prefix.
+// including any checkpoint-summarized prefix and entries a burst in
+// flight has committed but not yet applied. It takes only the tail lock,
+// so it returns while the replica is inside a step's register I/O.
 func (kv *KV) CommittedLen() int {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	return kv.replica.CommittedLen()
+	r := kv.replica
+	r.tail.Lock()
+	defer r.tail.Unlock()
+	return r.CommittedLen()
 }
 
-// VisitTail calls visit, in log order, for every retained committed
-// command from global index from on, and returns the global index just
-// past the last one — the caller's next watermark — plus how many
-// commands between from and the retained tail were skipped because a
-// checkpoint summarized them away first. A writer that watches many
-// commands at once scans each appended region exactly once by resuming
-// from the returned watermark, and the scan copies nothing; a skipped
-// command cannot confirm anything, so the writer must treat whatever it
-// had queued here as possibly committed unseen (and resubmit: Set is
-// idempotent). visit runs under the step lock: it must be brief and must
-// not call back into the KV.
+// VisitTail calls visit, in log order, for every retained and applied
+// command from global index from on, and returns the caller's next
+// watermark — never below from — plus how many commands between from
+// and the retained tail were skipped because a checkpoint summarized them
+// away first. Only applied entries are visited, so a caller that finds
+// its command here finds its write in this replica's state; a watermark
+// that leads the applied prefix (a CommittedLen reading taken mid-burst)
+// comes back unchanged, so the entries before it are never visited.
+// A writer that watches many commands at once scans each appended
+// region exactly once by resuming from the returned watermark, and the
+// scan copies nothing; a skipped command cannot confirm anything, so the
+// writer must treat whatever it had queued here as possibly committed
+// unseen (and resubmit: Set is idempotent). VisitTail takes only the
+// tail lock, never the step lock, so it returns while the replica is
+// inside a step's register I/O; visit runs under the tail lock, so it
+// must be brief and must not call back into the KV.
 func (kv *KV) VisitTail(from int, visit func(cmd uint32)) (next, skipped int) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	base := kv.replica.committedBase
-	next = base + len(kv.replica.committed)
+	r := kv.replica
+	r.tail.Lock()
+	defer r.tail.Unlock()
+	base := r.committedBase
+	// applied can only lead the tail inside a snapshot install, which
+	// jumps it before resetting the tail.
+	end := min(int(kv.applied.Load()), base+len(r.committed))
 	skipped = max(base-from, 0)
-	for _, c := range kv.replica.committed[min(from+skipped, next)-base:] {
+	for _, c := range r.committed[min(from+skipped, end)-base : end-base] {
 		visit(c)
 	}
-	return next, skipped
+	return max(end, from), skipped
 }
 
 // Capacity returns the slot capacity of the log window: the total log
@@ -464,33 +482,6 @@ func (kv *KV) DropGeneration() uint64 {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	return kv.replica.dropGen
-}
-
-// CommittedContainsAfter reports whether cmd appears in the committed
-// stream at global index from or later — how a synchronous writer
-// observes that its own submission (not some identical historical
-// command) survived replication: it records the committed length before
-// submitting and scans only the entries appended after that watermark,
-// which also keeps the scan O(new entries) instead of O(log). Entries
-// summarized into a checkpoint cannot match (the writer resubmits;
-// duplicates apply idempotently).
-func (kv *KV) CommittedContainsAfter(from int, cmd uint32) bool {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	base := kv.replica.committedBase
-	if from < base {
-		from = base
-	}
-	committed := kv.replica.committed
-	if from > base+len(committed) {
-		from = base + len(committed)
-	}
-	for _, c := range committed[from-base:] {
-		if c == cmd {
-			return true
-		}
-	}
-	return false
 }
 
 // DropPending discards the replica's queued-but-unproposed commands —

@@ -572,6 +572,14 @@ type Replica struct {
 	// have been summarized away by checkpoints (always 0 on a
 	// non-recycling log, where the full history is retained); global
 	// command-stream indices are committedBase + tail offset.
+	//
+	// Only the stepping goroutine mutates the two, and it does so under
+	// tail, which it never holds across register I/O: the append in
+	// commitSlot, the trim in applySeal, the reset in
+	// installLatestSnapshot. The stepper reads them without tail; any
+	// other reader (KV.VisitTail, KV.CommittedLen) takes tail alone, so it
+	// never waits out a step's quorum round trips.
+	tail          sync.Mutex
 	committed     []uint32
 	committedBase int
 	slotsDecided  int
@@ -807,8 +815,10 @@ func (r *Replica) checkpointDue() bool {
 func (r *Replica) Step(now vclock.Time) { r.step(now) }
 
 // step is Step reporting whether the micro-step was idle: its learn poll
-// found the slot undecided and it had nothing to propose. The next step
-// would only poll the same row again, so a burst ends there.
+// found the slot undecided and it had nothing to propose, or it committed
+// a proposal that won its own ballot and has nothing left to propose. The
+// next step would only poll a row again — the same one, or the next slot,
+// which no one else is authorised to arm — so a burst ends there.
 func (r *Replica) step(now vclock.Time) (idle bool) {
 	slot := r.slotsDecided
 	inst := r.cachedInst
@@ -877,10 +887,12 @@ func (r *Replica) step(now vclock.Time) (idle bool) {
 	// The learn poll above found the row empty: act without re-polling.
 	r.prop.advance()
 	if v, ok := r.prop.Decided(); ok {
-		if r.prop.WonBallot() {
+		won := r.prop.WonBallot()
+		if won {
 			r.lastWinArmGen = r.curArmGen
 		}
 		r.commitSlot(v)
+		return won && r.pendingLen() == 0 && !r.checkpointDue()
 	}
 	return false
 }
@@ -1149,8 +1161,10 @@ func (r *Replica) commitSlot(v uint32) {
 		r.applySeal(slot, sealPid, sealSeq)
 		return
 	}
+	r.tail.Lock()
+	r.committed = append(r.committed, cmds...)
+	r.tail.Unlock()
 	for _, c := range cmds {
-		r.committed = append(r.committed, c)
 		if r.pendingLen() > 0 && r.pendingAt(0) == c {
 			r.popPending()
 		}
@@ -1180,9 +1194,11 @@ func (r *Replica) applySeal(slot, pid, seq int) {
 		if drop := keep - r.committedBase; drop > 0 {
 			// Trim in place: the tail slides down over the sealed prefix,
 			// keeping the array's capacity for the next window of commits.
+			r.tail.Lock()
 			n := copy(r.committed, r.committed[drop:])
 			r.committed = r.committed[:n]
 			r.committedBase = keep
+			r.tail.Unlock()
 		}
 	}
 	r.maybeAdvanceWindow()
@@ -1237,8 +1253,10 @@ func (r *Replica) installLatestSnapshot() {
 	}
 	r.snap.InstallSnapshot(entries, committedLen)
 	r.slotsDecided = sealSlot + 1
+	r.tail.Lock()
 	r.committed = r.committed[:0]
 	r.committedBase = committedLen
+	r.tail.Unlock()
 	r.lastSealSlot = sealSlot
 	r.ckptSeen++
 	r.installs++

@@ -200,3 +200,46 @@ func TestReplicaPollsDecisionOncePerMicroStep(t *testing.T) {
 		t.Errorf("standalone proposer read the DEC row %d times in one step, want 1", got)
 	}
 }
+
+// TestWonSlotEndsBurst: the micro-step that commits a slot the replica's
+// own ballot won reports idle once nothing is left to propose — the next
+// step would only poll a slot no one else is authorised to arm — but not
+// while commands stay queued or a checkpoint is due, and a follower's
+// learn never ends its burst (it may be behind by a backlog).
+func TestWonSlotEndsBurst(t *testing.T) {
+	// commitStep steps r until it passes one more slot and returns whether
+	// that micro-step reported idle.
+	commitStep := func(r *Replica) bool {
+		t.Helper()
+		for steps, slot := 0, r.SlotsDecided(); steps < 64; steps++ {
+			if idle := r.step(0); r.SlotsDecided() > slot {
+				return idle
+			}
+		}
+		t.Fatal("no slot passed in 64 micro-steps")
+		return false
+	}
+	reps := newLogReplicas(t, 3, 8, func(int) func() int { return func() int { return 0 } })
+	reps[0].Submit(7)
+	reps[0].Submit(8)
+	if commitStep(reps[0]) {
+		t.Error("won slot with a command still queued ended the burst")
+	}
+	if !commitStep(reps[0]) {
+		t.Error("won slot with nothing left to propose did not end the burst")
+	}
+	for s := 0; s < 2; s++ {
+		if commitStep(reps[1]) {
+			t.Errorf("follower learning slot %d ended its burst", s)
+		}
+	}
+
+	kv := newCkptKVs(t, 3, 8, 1, 1, func(int) func() int { return func() int { return 0 } })[0]
+	kv.replica.Submit(7)
+	if commitStep(kv.replica) {
+		t.Error("won slot with a checkpoint due ended the burst")
+	}
+	if !commitStep(kv.replica) {
+		t.Error("won checkpoint slot with nothing left to propose did not end the burst")
+	}
+}

@@ -348,8 +348,10 @@ type kvMachine struct {
 // write or a commit notification arrives. Progress counts as draining
 // only when the burst did not end idle: a follower learning a backlog and
 // a successor catching up keep the CPU, while a replica that committed
-// and then found the next slot undecided with nothing to propose falls
-// to the rules after it, so the next write does not queue behind a poll.
+// and then found the next slot undecided with nothing to propose — or a
+// leader whose own ballot just won the slot, with nothing left queued —
+// falls to the rules after it, so the next write does not queue behind a
+// poll.
 func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	kv := m.kv
 	if !kv.alive(m.idx) {
@@ -494,13 +496,20 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		},
 		alive: func(p int) bool { return !c.Crashed(p) },
 		wake:  func(i int) { kv.at[i].eng.Notify(kv.at[i].id) },
-		// Wake the other replicas to learn the new decisions — but only from
-		// the commit's origin. A follower that merely learned entries would
+		// Only the commit's origin wakes the other replicas to learn the new
+		// decisions and then any call waiting for its command (or its
+		// fence) to land. A follower that merely learned entries would
 		// otherwise re-notify all peers per wave, turning one commit into
-		// ~n² notifications of already-informed machines. Then wake any
-		// call waiting for its command (or its fence) to land.
+		// ~n² notifications of already-informed machines. Its signal would
+		// be spurious too: the caller is confirmed from the origin's tail,
+		// so by the time a follower's learn lands a serial writer already
+		// waits for its next Put, and the signal would only wake it and
+		// cost a fresh broadcast channel.
 		progressed: func(from int, origin bool) {
-			for i := 0; origin && i < n; i++ {
+			if !origin {
+				return
+			}
+			for i := 0; i < n; i++ {
 				if i != from {
 					kv.wake(i)
 				}
@@ -567,8 +576,11 @@ func (kv *KV) readStore() *consensus.KV {
 // semantics.
 //
 // Put is wake-driven end to end: the submit wakes the leader's parked
-// replica machine immediately, and the call sleeps on the engine's commit
-// broadcast rather than a poll loop, so the latency of an uncontended
+// replica machine immediately, the leader's burst ends at the commit its
+// ballot won, and the call sleeps on the commit broadcast the leader
+// signals rather than a poll loop. Confirmation reads each replica's
+// applied tail under a lock no register access is made under, so it
+// never waits out a follower's disk I/O: the latency of an uncontended
 // write is the consensus round itself, not the driver cadence. The
 // fallback ticker only paces the retry path (leadership moved, log
 // pressure).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -127,8 +126,9 @@ func TestSANDefaultLeaseIsReadableAndIdleCommitsNothing(t *testing.T) {
 // TestSANCommitRunsNoEmptyBurst pins the decision polls a serial Put on
 // the SAN no longer pays, each a quorum round trip: the proposer's second
 // poll of the DEC row in the micro-step whose learn poll already found it
-// empty, and the burst of polls of the next, undecided slot that a
-// replica used to run right after committing. A follower behind by a
+// empty, the burst of polls of the next, undecided slot that a replica
+// used to run right after committing, and the leader's poll of the next
+// slot in the burst that committed its won slot. A follower behind by a
 // backlog must still learn all of it at CPU speed.
 func TestSANCommitRunsNoEmptyBurst(t *testing.T) {
 	t.Run("serial-puts", func(t *testing.T) {
@@ -151,13 +151,15 @@ func TestSANCommitRunsNoEmptyBurst(t *testing.T) {
 		defer kv.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 		defer cancel()
-		decReads := func() (n uint64) {
-			for _, r := range c.Stats().Registers {
-				if strings.HasPrefix(r.Name, consensus.ClassDec+"[") {
-					n += r.Reads
+		// decReads counts DEC register reads, by everyone and by leader.
+		decReads := func(leader int) (all, byLeader uint64) {
+			for _, r := range c.mem.Census().Snapshot().Regs {
+				if r.Class == consensus.ClassDec {
+					all += r.TotalReads()
+					byLeader += r.ReadsBy[leader]
 				}
 			}
-			return n
+			return all, byLeader
 		}
 		for i := uint16(0); i < 5; i++ { // warm up: lease, fence, followers
 			if err := kv.Put(ctx, i, i); err != nil {
@@ -165,31 +167,38 @@ func TestSANCommitRunsNoEmptyBurst(t *testing.T) {
 			}
 		}
 		// Per Put, the leader polls DEC once per micro-step of its slot
-		// (three) and once more to find the next slot empty, and each
-		// follower twice: learn, then find the next slot empty — eight
-		// row reads of three registers. Two polls per micro-step, a
-		// trailing burst per replica and a second step per notified wake
-		// made it about seventeen. The bound sits between the two, leaving
-		// room for lease refreshes on a slow host.
-		const puts, maxPerPut = 20, 36
+		// (three; its burst ends at the commit its ballot won), and each
+		// follower twice: learn, then find the next slot empty — seven row
+		// reads of three registers, 21. The leader's trailing poll of the
+		// next slot made it eight row reads (24 register reads), and
+		// before that two polls per micro-step, a trailing burst per
+		// replica and a second step per notified wake made it about
+		// seventeen (52). The bounds sit between the counts, leaving room
+		// for a lease refresh every few Puts on a slow host.
+		const puts, maxPerPut, maxLeaderPolls = 20, 22.5, 3.5
 		for attempt := 0; ; attempt++ {
 			leader, _ := c.AgreedLeader()
-			before := decReads()
+			all0, led0 := decReads(leader)
 			for i := uint16(0); i < puts; i++ {
 				if err := kv.Put(ctx, 100+i, uint16(attempt)); err != nil {
 					t.Fatal(err)
 				}
 			}
-			perPut := float64(decReads()-before) / puts
+			all1, led1 := decReads(leader)
 			if l, ok := c.AgreedLeader(); !ok || l != leader {
 				if attempt == 3 {
 					t.Fatal("leadership moved in four windows of serial Puts")
 				}
 				continue
 			}
-			t.Logf("%.1f DEC register reads per serial Put", perPut)
+			perPut := float64(all1-all0) / puts
+			leaderPolls := float64(led1-led0) / float64(c.N()) / puts
+			t.Logf("%.1f DEC register reads per serial Put, %.2f DEC row polls by the leader", perPut, leaderPolls)
 			if perPut > maxPerPut {
-				t.Errorf("%.1f DEC register reads per serial Put, want at most %d", perPut, maxPerPut)
+				t.Errorf("%.1f DEC register reads per serial Put, want at most %.1f", perPut, maxPerPut)
+			}
+			if leaderPolls > maxLeaderPolls {
+				t.Errorf("the leader polled the DEC row %.2f times per serial Put, want at most %.1f", leaderPolls, maxLeaderPolls)
 			}
 			break
 		}

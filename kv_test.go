@@ -3,8 +3,11 @@ package omegasm
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
+
+	"omegasm/internal/vclock"
 )
 
 func TestKVPutGet(t *testing.T) {
@@ -386,6 +389,121 @@ func TestKVPutWakesParkedReplicas(t *testing.T) {
 			t.Errorf("Get(%d) = %d, %v", k, v, ok)
 		}
 	}
+}
+
+// TestOnlyOriginSignalsCallers pins who closes the commit broadcast that
+// blocked calls sleep on: the replica a commit came from — the agreed
+// leader, or any replica that commits during anarchy — and not a
+// follower that merely learned it, whose signal would only wake a caller
+// the origin's tail had already confirmed.
+func TestOnlyOriginSignalsCallers(t *testing.T) {
+	t.Run("broadcast", func(t *testing.T) {
+		c := startCluster(t, fastOpts(3)...)
+		kv, err := NewKV(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kv.Close() // nothing steps from here on: the calls below are the only signals
+		signalled := kv.commits.wait()
+		kv.progressed(1, false)
+		select {
+		case <-signalled:
+			t.Fatal("a follower's learn woke the waiting callers")
+		default:
+		}
+		kv.progressed(1, true)
+		select {
+		case <-signalled:
+		default:
+			t.Fatal("the origin's commit left the waiting callers asleep")
+		}
+	})
+
+	t.Run("anarchy-is-origin", func(t *testing.T) {
+		env := trackerBench(t, 16, 0)
+		agreed := false
+		env.leader = func() (int, bool) { return 0, agreed }
+		type report struct {
+			from   int
+			origin bool
+		}
+		var got []report
+		env.progressed = func(from int, origin bool) { got = append(got, report{from, origin}) }
+		drivers := []*replicaDriver{{env: env, idx: 0}, {env: env, idx: 1}}
+		var now vclock.Time
+		advance := func(i int) {
+			t.Helper()
+			for steps := 0; ; steps++ {
+				if steps == 64 {
+					t.Fatalf("replica %d made no progress in 64 activations", i)
+				}
+				now++
+				if drivers[i].step(now).progress > 0 {
+					return
+				}
+			}
+		}
+		for _, reign := range []bool{false, true} {
+			agreed = reign
+			if err := env.stores[0].Set(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			advance(0) // commits
+			advance(1) // learns
+		}
+		want := []report{{0, true}, {1, true}, {0, true}, {1, false}}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("progress reports (anarchy, then a reign of 0) = %v, want %v", got, want)
+		}
+	})
+
+	t.Run("leader-crash", func(t *testing.T) {
+		// With a one-second fallback ticker, a Put confirmed in well under
+		// it was woken by the survivors' own signal.
+		c := startCluster(t, fastOpts(4)...)
+		leader, ok := c.WaitForAgreement(10 * time.Second)
+		if !ok {
+			t.Fatal("no agreement")
+		}
+		const interval = time.Second
+		kv, err := NewKV(c, kvStepInterval(interval))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer kv.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		for k := uint16(0); k < 3; k++ {
+			if err := kv.Put(ctx, k, k); err != nil {
+				t.Fatalf("pre-crash put %d: %v", k, err)
+			}
+		}
+		if err := c.Crash(leader); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
+			t.Fatal("survivors did not re-agree")
+		}
+		// A leadership flap can legitimately push one Put onto the retry
+		// path, so demand the majority be fast rather than all.
+		const puts = 5
+		fast := 0
+		for k := uint16(100); k < 100+puts; k++ {
+			start := time.Now()
+			if err := kv.Put(ctx, k, k); err != nil {
+				t.Fatalf("post-crash put %d: %v", k, err)
+			}
+			if time.Since(start) < interval/4 {
+				fast++
+			}
+			if v, ok := kv.Get(k); !ok || v != k {
+				t.Errorf("Get(%d) = %d, %v after its Put returned", k, v, ok)
+			}
+		}
+		if fast < puts-1 {
+			t.Fatalf("only %d/%d post-crash Puts beat the %v fallback ticker: the survivors' commits are not waking callers", fast, puts, interval)
+		}
+	})
 }
 
 // TestKVCloseIdempotent checks Close twice and freezes the state.
