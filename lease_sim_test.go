@@ -185,8 +185,8 @@ func TestSimLeaseHidesInsideReagreement(t *testing.T) {
 		cfg := point.Config
 		cfg.Seed, cfg.Lease, cfg.Mutation, cfg.Record = seed, lease, mut, true
 		cfg.Writes = nil
-		for i := 0; i < 320; i++ {
-			cfg.Writes = append(cfg.Writes, SimWrite{At: int64(100 + 50*i), Key: uint16(1 + i%10), Val: uint16(100 + i)})
+		for i := 0; i < 640; i++ {
+			cfg.Writes = append(cfg.Writes, SimWrite{At: int64(100 + 25*i), Key: uint16(1 + i%10), Val: uint16(100 + i)})
 		}
 		res, err := SimKV(cfg)
 		if err != nil {
@@ -213,8 +213,8 @@ func TestSimLeaseHidesInsideReagreement(t *testing.T) {
 			if v := res.Verify(check.Options{}); !v.OK() {
 				t.Errorf("seed %d lease %d: %v", seed, lease, v.Violations)
 			}
-			if res.Delivered != 320 {
-				t.Errorf("seed %d lease %d: %d of 320 writes delivered", seed, lease, res.Delivered)
+			if res.Delivered != 640 {
+				t.Errorf("seed %d lease %d: %d of 640 writes delivered", seed, lease, res.Delivered)
 			}
 			stall[i] = res.CommitStallMax
 		}

@@ -127,7 +127,7 @@ func TestSimShardedKVDeterministicReplay(t *testing.T) {
 // with the shard count, and batching must multiply them again.
 func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 	run := func(cfg SimShardedKVConfig) *SimShardedKVResult {
-		cfg.N, cfg.Horizon, cfg.SaturateWindow = 3, 30_000, 256
+		cfg.N, cfg.Horizon, cfg.saturateWindow = 3, 30_000, 256
 		res, err := SimShardedKV(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -161,7 +161,7 @@ func TestSimShardedKVSaturationScalesWithShards(t *testing.T) {
 	// The corners of the scaling grid, on fixed-capacity logs
 	// (CheckpointEvery -1) so that only sharding and batching vary; each
 	// log is sized so that no shard can fill it within the horizon.
-	// Measured: 7.94x at 8 shards, 32.0x from a batch of 32.
+	// Measured: 7.90x at 8 shards, 32.0x from a batch of 32.
 	corner := func(batch, shards int) *SimShardedKVResult {
 		slots := 4096
 		if batch == 1 {

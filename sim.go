@@ -1,7 +1,9 @@
 package omegasm
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"omegasm/internal/consensus"
@@ -20,8 +22,7 @@ type simRun struct {
 	// deterministic leader view, and the lease of a leased run.
 	kvEnv
 	ids     []int // replica machine ids, for wake notifications
-	writer  *simWriter
-	open    *simOpenLoad
+	client  simClient
 	watcher leaderWatcher
 	monitor *simLeaseMonitor // the lease-read client of a leased run
 
@@ -115,51 +116,15 @@ func (m *simLeaseMonitor) Step(now vclock.Time) engine.Hint {
 	return engine.At(now + 4)
 }
 
-// submit hands t's unconfirmed writes to the agreed leader and wakes it
-// when anything was queued (validated configs hold no reserved pair, so
-// the submission cannot fail).
-func (r *simRun) submit(t *writeTracker, now vclock.Time) {
-	if l, queued, _ := t.submit(now); queued {
-		r.wake(l)
-	}
-}
-
-// simWriter is the deterministic Put loop: it activates writes at their
-// times and lets the shared write tracker submit, confirm and resubmit
-// them.
-type simWriter struct {
-	r *simRun
-	// writes is sorted by At; writes[i] is the tracker's write i once
-	// activated.
-	writes []SimWrite
-	t      writeTracker
-}
-
-func (w *simWriter) Step(now vclock.Time) engine.Hint {
-	// Confirm commits first, so a write activated this tick cannot match
-	// a historical entry.
-	w.t.confirm(now)
-	next := len(w.t.writes)
-	for ; next < len(w.writes) && w.writes[next].At <= now; next++ {
-		w.t.add(consensus.EncodeSet(w.writes[next].Key, w.writes[next].Val))
-	}
-	outstanding := w.t.outstanding > 0
-	w.r.submit(&w.t, now)
-	if !outstanding && next == len(w.writes) {
-		return engine.Park() // all delivered; nothing will reactivate us
-	}
-	wake := now + 8
-	if !outstanding && w.writes[next].At > wake {
-		wake = w.writes[next].At
-	}
-	return engine.At(wake)
-}
-
-// simOpenRequest is one open-loop request, before, in or after flight.
-type simOpenRequest struct {
-	req   SimRequest
+// simArrival is one entry of the client's arrival list — a configured
+// request, or a scheduled write as a write-only request — before, in or
+// after flight.
+type simArrival struct {
+	req SimRequest
+	// index is the request's position in the caller's Requests slice; -1
+	// for a scheduled write, which has no per-request result.
 	index int
-	// write is an arrived write's entry in the load's tracker; -1 for
+	// write is an arrived write's entry in the client's tracker; -1 for
 	// reads and for writes still to arrive.
 	write int
 	// answeredAt (-1 until then) and gotVal/gotOK are a read's completion
@@ -169,93 +134,72 @@ type simOpenRequest struct {
 	gotOK      bool
 }
 
-// simOpenLoad is the open-loop arrival machine of the load harness:
-// requests activate at their scheduled virtual times — never gated on
+// simClient is the one simulated client of a shard. Requests and
+// scheduled writes activate at their virtual times — never gated on
 // earlier completions, exactly the open-loop client model — and each
 // one's completion time is recorded. Reads are answered at activation
 // from the freshest live replica's applied state; writes go through the
-// shared write tracker. While work is outstanding the machine runs
-// adversary-paced (WakeNow), so activation and confirmation granularity
-// is the same pacing noise every other machine of the model experiences.
-type simOpenLoad struct {
-	r    *simRun
-	reqs []*simOpenRequest // sorted by (At, submission index)
-	next int
-	t    writeTracker
+// shared write tracker, as a live Put's do. With a saturation window the
+// client also refills closed-loop: whenever fewer than window tracked
+// writes are outstanding it adds writes, so the shard's consensus
+// pipeline is never starved and the committed count measures its
+// capacity. While work is outstanding the machine runs adversary-paced
+// (WakeNow), so activation and confirmation granularity is the same
+// pacing noise every other machine of the model experiences.
+type simClient struct {
+	r        *simRun
+	arrivals []simArrival // sorted by (At, configuration order)
+	next     int
+	t        writeTracker
+	// window is the saturation window (0: none); refills counts the
+	// writes it added, whose keys cycle over the low key space, far below
+	// the reserved 0xFFFF row.
+	window  int
+	refills uint32
 }
 
-// doneAt returns when ar completed, -1 while it is outstanding.
-func (w *simOpenLoad) doneAt(ar *simOpenRequest) vclock.Time {
-	if ar.write >= 0 {
-		return w.t.writes[ar.write].doneAt
+// doneAt returns when a completed, -1 while it is outstanding.
+func (c *simClient) doneAt(a *simArrival) vclock.Time {
+	if a.write >= 0 {
+		return c.t.writes[a.write].doneAt
 	}
-	return ar.answeredAt
+	return a.answeredAt
 }
 
-//omegalint:allow wakehint sim-only machine: WakeNow only while requests are outstanding, and the seeded adversary paces every poll
-func (w *simOpenLoad) Step(now vclock.Time) engine.Hint {
-	// Confirm outstanding writes first, so a request activated this tick
+//omegalint:allow wakehint sim-only machine: WakeNow only while writes are outstanding, and the seeded adversary paces every poll
+func (c *simClient) Step(now vclock.Time) engine.Hint {
+	// Confirm outstanding writes first, so a write activated this tick
 	// cannot match a historical commit.
-	w.t.confirm(now)
-	for ; w.next < len(w.reqs) && w.reqs[w.next].req.At <= now; w.next++ {
-		ar := w.reqs[w.next]
-		if !ar.req.Read {
-			ar.write = w.t.add(consensus.EncodeSet(ar.req.Key, ar.req.Val))
+	c.t.confirm(now)
+	for ; c.next < len(c.arrivals) && c.arrivals[c.next].req.At <= now; c.next++ {
+		a := &c.arrivals[c.next]
+		if !a.req.Read {
+			a.write = c.t.add(consensus.EncodeSet(a.req.Key, a.req.Val))
 			continue
 		}
 		// A read is local: answered by the freshest live replica's applied
 		// state the moment the client's request is scheduled. Its open-loop
 		// latency is the arrival queueing alone.
-		if f := w.r.freshest(); f >= 0 {
-			ar.gotVal, ar.gotOK = w.r.stores[f].Get(ar.req.Key)
+		if f := c.r.freshest(); f >= 0 {
+			a.gotVal, a.gotOK = c.r.stores[f].Get(a.req.Key)
 		}
-		ar.answeredAt = now
+		a.answeredAt = now
 	}
-	outstanding := w.t.outstanding > 0
-	w.r.submit(&w.t, now)
+	for ; c.t.outstanding < c.window; c.refills++ {
+		c.t.add(consensus.EncodeSet(uint16(c.refills%1024), uint16(c.refills)))
+	}
+	outstanding := c.t.outstanding > 0
+	// Validated configs hold no reserved pair, so the hand-over cannot fail.
+	if l, queued, _ := c.t.submit(now); queued {
+		c.r.wake(l)
+	}
 	if outstanding {
 		return engine.Now()
 	}
-	if w.next < len(w.reqs) {
-		return engine.At(max(w.reqs[w.next].req.At, now+1))
+	if c.next < len(c.arrivals) {
+		return engine.At(max(c.arrivals[c.next].req.At, now+1))
 	}
 	return engine.Park() // every request completed; nothing will reactivate us
-}
-
-// simLoadWriter is the closed-loop saturation workload of the scaling
-// benchmark: it keeps window commands queued on the shard's agreed
-// leader, refilling as batches commit, so the shard's consensus pipeline
-// is never starved and the committed count measures its capacity. Keys
-// cycle over the low key space; delivery is not tracked (the committed
-// history is the measurement).
-type simLoadWriter struct {
-	r      *simRun
-	window int
-	nextK  uint32
-}
-
-func (w *simLoadWriter) Step(now vclock.Time) engine.Hint {
-	l, ok := w.r.leader()
-	if !ok {
-		return engine.At(now + 16)
-	}
-	kv := w.r.stores[l]
-	if kv.LogFull() {
-		return engine.Park()
-	}
-	refilled := false
-	for kv.PendingLen() < w.window {
-		// Keys stay far below the reserved 0xFFFF row.
-		if err := kv.Set(uint16(w.nextK%1024), uint16(w.nextK)); err != nil {
-			break
-		}
-		w.nextK++
-		refilled = true
-	}
-	if refilled {
-		w.r.wake(l)
-	}
-	return engine.At(now + 4)
 }
 
 // simElectionClasses names the register classes eligible for fault
@@ -287,9 +231,10 @@ func simBrownout(f *SimFaults, p engine.Pacing) engine.Pacing {
 }
 
 // addSimShard builds one shard's full stack — election processes,
-// replicas over a (possibly batched) log, leadership watcher, workload
-// writers — and registers every machine on sim. Machines are added in a
-// fixed order, so the run stays a pure function of (seed, config).
+// replicas over a (possibly batched) log, leadership watcher, lease
+// monitor, client — and registers every machine on sim. Machines are
+// added in a fixed order, so the run stays a pure function of (seed,
+// config).
 func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	n := cfg.n
 	mem := shmem.NewSimMem(n)
@@ -414,23 +359,17 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		sim.Add(run.monitor, engine.WithFirstWakeAt(16))
 	}
 
-	if len(cfg.writes) > 0 {
-		writes := append([]SimWrite(nil), cfg.writes...)
-		sort.SliceStable(writes, func(i, j int) bool { return writes[i].At < writes[j].At })
-		run.writer = &simWriter{r: run, writes: writes, t: newWriteTracker(&run.kvEnv, len(writes))}
-		sim.Add(run.writer, engine.WithFirstWakeAt(max(writes[0].At, 1)))
-	}
-	if len(cfg.requests) > 0 {
-		reqs := make([]*simOpenRequest, 0, len(cfg.requests))
-		for _, ir := range cfg.requests {
-			reqs = append(reqs, &simOpenRequest{req: ir.req, index: ir.index, write: -1, answeredAt: -1})
+	arrivals := cfg.arrivals
+	slices.SortStableFunc(arrivals, func(a, b simArrival) int { return cmp.Compare(a.req.At, b.req.At) })
+	run.client = simClient{r: run, arrivals: arrivals, window: cfg.window,
+		t: newWriteTracker(&run.kvEnv, len(arrivals)+cfg.window)}
+	if len(arrivals) > 0 || cfg.window > 0 {
+		// A saturating client starts at once, any other at its first arrival.
+		first := vclock.Time(1)
+		if cfg.window == 0 {
+			first = max(arrivals[0].req.At, 1)
 		}
-		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].req.At < reqs[j].req.At })
-		run.open = &simOpenLoad{r: run, reqs: reqs, t: newWriteTracker(&run.kvEnv, len(reqs))}
-		sim.Add(run.open, engine.WithFirstWakeAt(max(reqs[0].req.At, 1)))
-	}
-	if cfg.window > 0 {
-		sim.Add(&simLoadWriter{r: run, window: cfg.window}, engine.WithFirstWakeAt(16))
+		sim.Add(&run.client, engine.WithFirstWakeAt(first))
 	}
 	return run, nil
 }
@@ -460,10 +399,10 @@ func SimKV(cfg SimKVConfig) (*SimKVResult, error) {
 // SimShardedKV executes one deterministic run of a whole sharded store
 // under the virtual-time engine: same config (and seed), same per-shard
 // committed histories, byte for byte. Use it to script cross-shard
-// failover scenarios (crash one shard's leader mid-workload and replay),
-// and — with SaturateWindow — to measure how aggregate commit capacity
-// scales with the shard count when every machine has its own virtual
-// processor.
+// failover scenarios (crash one shard's leader mid-workload and replay).
+// Because every machine has its own virtual processor, the aggregate
+// commit count of saturated shards measures the architecture's parallel
+// capacity exactly.
 func SimShardedKV(cfg SimShardedKVConfig) (*SimShardedKVResult, error) {
 	shardCfgs, err := cfg.normalize()
 	if err != nil {

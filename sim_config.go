@@ -21,13 +21,13 @@ type SimWrite struct {
 // SimRequest is one open-loop workload request of a simulated run: it
 // arrives at virtual time At on the clock, never gated on earlier
 // requests' completions — the open-loop client model of the load
-// harness, as opposed to the closed-loop SimWrite/SaturateWindow
-// workloads. A write is submitted to whichever process the oracle then
-// names leader and resubmitted across leadership changes until it
-// commits; a read is answered by the freshest live replica's applied
-// state at activation. Per-request completion times come back in
-// SimRequestResult, so virtual-time latency percentiles can be compared
-// against live-measured ones.
+// harness (a SimWrite runs as a write-only request of the same client).
+// A write is submitted to whichever process the oracle then names leader
+// and resubmitted across leadership changes until it commits; a read is
+// answered by the freshest live replica's applied state at activation.
+// Per-request completion times come back in SimRequestResult, so
+// virtual-time latency percentiles can be compared against
+// live-measured ones.
 type SimRequest struct {
 	// At is the arrival time in virtual ticks.
 	At int64
@@ -115,7 +115,7 @@ func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
 		n:        cfg.N,
 		batch:    1,
 		crashes:  cfg.Crashes,
-		writes:   cfg.Writes,
+		arrivals: simArrivals(cfg.Writes, cfg.Requests),
 		lease:    cfg.Lease,
 		record:   cfg.Record,
 		faults:   cfg.Faults,
@@ -124,10 +124,22 @@ func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
 	if err := shard.fillDefaults(&cfg.Horizon, &cfg.Algorithm, &cfg.Slots, cfg.CheckpointEvery); err != nil {
 		return shard, err
 	}
-	for i, r := range cfg.Requests {
-		shard.requests = append(shard.requests, simIndexedRequest{req: r, index: i})
-	}
 	return shard, shard.validate()
+}
+
+// simArrivals merges a configuration's workload into the client's arrival
+// list: every scheduled write becomes a write-only request without a
+// per-request result (index -1), followed by the requests, each carrying
+// its position in the caller's Requests slice.
+func simArrivals(writes []SimWrite, reqs []SimRequest) []simArrival {
+	out := make([]simArrival, 0, len(writes)+len(reqs))
+	for _, w := range writes {
+		out = append(out, simArrival{req: SimRequest{At: w.At, Key: w.Key, Val: w.Val}, index: -1, write: -1, answeredAt: -1})
+	}
+	for i, r := range reqs {
+		out = append(out, simArrival{req: r, index: i, write: -1, answeredAt: -1})
+	}
+	return out
 }
 
 // fillDefaults resolves the knobs SimKVConfig and SimShardedKVConfig
@@ -164,13 +176,11 @@ type simShardConfig struct {
 	batch     int
 	ckptEvery int // resolved: 0 means off
 	crashes   map[int]int64
-	writes    []SimWrite
-	// requests is the shard's slice of the open-loop workload, each entry
-	// carrying its index in the caller's Requests slice.
-	requests []simIndexedRequest
-	// window, when positive, adds a closed-loop load generator that keeps
-	// that many commands queued on the shard's leader (the saturation
-	// workload of the scaling benchmark).
+	// arrivals is the shard's slice of the workload, scheduled writes and
+	// requests alike (see simArrivals); the run's client takes it over.
+	arrivals []simArrival
+	// window, when positive, has the client keep that many tracked writes
+	// outstanding (the saturation workload).
 	window int
 	// lease, when positive, is the leader-lease duration in ticks
 	// (authority-gated proposing plus the lease-read monitor).
@@ -181,14 +191,6 @@ type simShardConfig struct {
 	faults *SimFaults
 	// mutation seeds a deliberate correctness bug (MutNone: none).
 	mutation SimMutation
-}
-
-// simIndexedRequest pairs an open-loop request with its position in the
-// caller's Requests slice, so sharded runs can reassemble results in
-// submission order.
-type simIndexedRequest struct {
-	req   SimRequest
-	index int
 }
 
 func (c *simShardConfig) validate() error {
@@ -225,21 +227,13 @@ func (c *simShardConfig) validate() error {
 	if len(c.crashes) >= c.n {
 		return fmt.Errorf("omegasm: crash schedule kills all %d processes; at least one must survive", c.n)
 	}
-	for _, wr := range c.writes {
-		if consensus.IsReserved(consensus.EncodeSet(wr.Key, wr.Val), c.batch > 1 || c.ckptEvery > 0) {
-			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", wr.Key, wr.Val)
-		}
-		if wr.At < 0 {
-			return fmt.Errorf("omegasm: write time %d is negative", wr.At)
-		}
-	}
-	for _, ir := range c.requests {
-		r := ir.req
+	for _, a := range c.arrivals {
+		r := a.req
 		if !r.Read && consensus.IsReserved(consensus.EncodeSet(r.Key, r.Val), c.batch > 1 || c.ckptEvery > 0) {
-			return fmt.Errorf("omegasm: request key/value pair (0x%04x, 0x%04x) is reserved", r.Key, r.Val)
+			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", r.Key, r.Val)
 		}
 		if r.At < 0 {
-			return fmt.Errorf("omegasm: request time %d is negative", r.At)
+			return fmt.Errorf("omegasm: workload time %d is negative", r.At)
 		}
 	}
 	if c.window < 0 {
@@ -276,8 +270,7 @@ type SimShardCrash struct {
 // shards fail independently, and identical configurations produce
 // byte-identical per-shard commit histories. Because virtual time models
 // every machine as its own processor, a sharded sim also measures the
-// architecture's parallel capacity exactly — the scaling benchmark runs
-// this with SaturateWindow set.
+// architecture's parallel capacity exactly.
 type SimShardedKVConfig struct {
 	// Shards is the number of hash partitions (>= 1).
 	Shards int
@@ -311,11 +304,11 @@ type SimShardedKVConfig struct {
 	// completions; per-request completion times come back in the result's
 	// Requests, in submission order.
 	Requests []SimRequest
-	// SaturateWindow, when positive, adds one closed-loop load generator
-	// per shard that keeps that many commands queued on the shard's
-	// leader — the saturation workload whose committed count measures
-	// shard capacity. Zero: no generated load.
-	SaturateWindow int
+	// saturateWindow, when positive, has every shard's client keep that
+	// many tracked writes outstanding, refilling closed-loop — the
+	// saturation workload whose committed count measures shard capacity.
+	// Zero: no generated load.
+	saturateWindow int
 	// Record turns on the scenario recorder per shard (each shard's
 	// result carries its own History); see SimKVConfig.Record.
 	Record bool
@@ -334,7 +327,7 @@ func (cfg *SimShardedKVConfig) normalize() ([]simShardConfig, error) {
 	base := simShardConfig{
 		n:      cfg.N,
 		batch:  cfg.BatchSize,
-		window: cfg.SaturateWindow,
+		window: cfg.saturateWindow,
 		record: cfg.Record,
 		faults: cfg.Faults,
 	}
@@ -352,13 +345,9 @@ func (cfg *SimShardedKVConfig) normalize() ([]simShardConfig, error) {
 		}
 		shards[cr.Shard].crashes[cr.Proc] = cr.At
 	}
-	for _, wr := range cfg.Writes {
-		sh := &shards[shardIndex(wr.Key, cfg.Shards)]
-		sh.writes = append(sh.writes, wr)
-	}
-	for i, r := range cfg.Requests {
-		sh := &shards[shardIndex(r.Key, cfg.Shards)]
-		sh.requests = append(sh.requests, simIndexedRequest{req: r, index: i})
+	for _, a := range simArrivals(cfg.Writes, cfg.Requests) {
+		sh := &shards[shardIndex(a.req.Key, cfg.Shards)]
+		sh.arrivals = append(sh.arrivals, a)
 	}
 	for s := range shards {
 		if err := shards[s].validate(); err != nil {

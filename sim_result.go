@@ -58,8 +58,9 @@ type SimKVResult struct {
 	// last write per key of the committed stream, checkpointed prefix
 	// included).
 	State map[uint16]uint16
-	// Delivered counts workload writes whose commit was confirmed before
-	// the horizon.
+	// Delivered counts the client's tracked writes — scheduled writes,
+	// write requests and saturation refills alike — whose commit was
+	// confirmed before the horizon.
 	Delivered int
 	// Crashed[p] reports whether process p crashed during the run.
 	Crashed []bool
@@ -96,8 +97,8 @@ type SimKVResult struct {
 	LeaderChanges int
 	// CommitStallMax is the longest gap in virtual ticks between
 	// consecutive newly learned commit positions on a Record run (plus
-	// the tail gap to the horizon if writes were still undelivered);
-	// 0 when not recording or nothing committed.
+	// the tail gap to the horizon if any tracked write was still
+	// outstanding there); 0 when not recording or nothing committed.
 	CommitStallMax int64
 	// End is the virtual time at which the run ended.
 	End int64
@@ -172,9 +173,7 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 		Leaders: make([]int, n),
 		End:     end,
 	}
-	if r.writer != nil {
-		res.Delivered = len(r.writer.t.writes) - r.writer.t.outstanding
-	}
+	res.Delivered = len(r.client.t.writes) - r.client.t.outstanding
 	res.LeaderChanges = r.watcher.changes
 	if r.lease != nil {
 		res.LeaseReads = r.monitor.reads
@@ -189,19 +188,18 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 		res.LeaseViolations = append(res.LeaseViolations,
 			check.Leases(simCheckGrants(res.LeaseGrants), 0)...)
 	}
-	if r.open != nil {
-		for _, ar := range r.open.reqs {
-			rr := SimRequestResult{
-				Index: ar.index,
-				At:    ar.req.At,
-				Done:  r.open.doneAt(ar),
-				Read:  ar.req.Read,
-				Class: ar.req.Class,
-			}
-			res.Requests = append(res.Requests, rr)
+	for i := range r.client.arrivals {
+		if a := &r.client.arrivals[i]; a.index >= 0 {
+			res.Requests = append(res.Requests, SimRequestResult{
+				Index: a.index,
+				At:    a.req.At,
+				Done:  r.client.doneAt(a),
+				Read:  a.req.Read,
+				Class: a.req.Class,
+			})
 		}
-		sort.Slice(res.Requests, func(i, j int) bool { return res.Requests[i].Index < res.Requests[j].Index })
 	}
+	sort.Slice(res.Requests, func(i, j int) bool { return res.Requests[i].Index < res.Requests[j].Index })
 	for p := 0; p < n; p++ {
 		res.Crashed[p], res.Leaders[p] = true, -1
 		if r.alive(p) {
@@ -224,8 +222,8 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 	if r.rec != nil {
 		res.CommitStallMax = r.rec.maxStall
 		// The tail counts as a stall only when work was actually starved:
-		// a run whose writes all delivered is simply done.
-		if r.writer != nil && res.Delivered < len(r.writer.writes) {
+		// a run whose tracked writes all delivered is simply done.
+		if r.client.t.outstanding > 0 {
 			if tail := int64(end - r.rec.lastCommitAt); tail > res.CommitStallMax {
 				res.CommitStallMax = tail
 			}
@@ -242,20 +240,13 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 // there, Verify re-derives it from Grants).
 func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History {
 	h := &check.History{}
-	if r.writer != nil {
-		for i, tw := range r.writer.t.writes {
-			wr := r.writer.writes[i]
-			h.Ops = append(h.Ops, check.Op{Kind: check.Put, Key: wr.Key, Val: wr.Val, Invoke: wr.At, Return: tw.doneAt})
+	for i := range r.client.arrivals {
+		a := &r.client.arrivals[i]
+		op := check.Op{Kind: check.Put, Client: a.req.Client, Key: a.req.Key, Val: a.req.Val, Invoke: a.req.At, Return: r.client.doneAt(a)}
+		if a.req.Read {
+			op.Kind, op.Mode, op.Val, op.Found = check.Get, check.Freshest, a.gotVal, a.gotOK
 		}
-	}
-	if r.open != nil {
-		for _, ar := range r.open.reqs {
-			op := check.Op{Kind: check.Put, Client: ar.req.Client, Key: ar.req.Key, Val: ar.req.Val, Invoke: ar.req.At, Return: r.open.doneAt(ar)}
-			if ar.req.Read {
-				op.Kind, op.Mode, op.Val, op.Found = check.Get, check.Freshest, ar.gotVal, ar.gotOK
-			}
-			h.Ops = append(h.Ops, op)
-		}
+		h.Ops = append(h.Ops, op)
 	}
 	poss := make([]int, 0, len(r.rec.order))
 	for p := range r.rec.order {
@@ -302,8 +293,9 @@ type SimShardedKVResult struct {
 	// TotalSlots is the total number of consensus slots those commands
 	// used; TotalCommitted/TotalSlots is the measured average batch size.
 	TotalSlots int
-	// Delivered counts tracked workload writes whose commit was confirmed
-	// before the horizon, across all shards.
+	// Delivered counts the clients' tracked writes whose commit was
+	// confirmed before the horizon, across all shards (see
+	// SimKVResult.Delivered).
 	Delivered int
 	// Requests holds one result per configured open-loop SimRequest,
 	// merged across shards and ordered by Index (the submitted slice's

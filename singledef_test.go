@@ -16,14 +16,18 @@ import (
 // drifted; now both engines run driver.go and tracker.go. The calls that
 // ARE the protocol — claiming, extending and publishing the lease,
 // shedding a demoted replica's queue, reading its drop generation to
-// decide a resubmit — may therefore appear in one non-test file of the
-// root package each. (SubmitBarrier is exempt: the driver fences a fresh
-// lease with it and readQuorum legitimately fences a read with it too.)
+// decide a resubmit, handing the client's writes to the leader — may
+// therefore appear in one non-test file of the root package each.
+// (SubmitBarrier is exempt: the driver fences a fresh lease with it and
+// readQuorum legitimately fences a read with it too.) The single-write
+// submit Set bypasses the tracker, so no root non-test file may call it:
+// every client, simulated or live, hands writes over through SetAll.
 func TestProtocolHasOneDefinition(t *testing.T) {
 	guarded := map[string]map[string]bool{
 		"Acquire": {}, "Extend": {}, "MarkReadable": {}, // lease.Register
-		"DropPending": {}, "DropGeneration": {}, // consensus.KV
+		"DropPending": {}, "DropGeneration": {}, "SetAll": {}, "Set": {}, // consensus.KV
 	}
+	banned := map[string]bool{"Set": true}
 	fset := token.NewFileSet()
 	pkgs, err := parser.ParseDir(fset, ".", func(fi os.FileInfo) bool {
 		return !strings.HasSuffix(fi.Name(), "_test.go")
@@ -50,6 +54,10 @@ func TestProtocolHasOneDefinition(t *testing.T) {
 		}
 		sort.Strings(names)
 		switch {
+		case banned[method]:
+			if len(names) > 0 {
+				t.Errorf("%s is called from %s: writes go through the tracker's SetAll hand-over", method, strings.Join(names, ", "))
+			}
 		case len(names) == 0:
 			t.Errorf("%s is called nowhere in the root package: the guard is watching the wrong name", method)
 		case len(names) > 1:
