@@ -61,14 +61,12 @@ func runT6(cfg Config) (*Outcome, error) {
 				submitted[cmd] = true
 			}
 			replicas = append(replicas, r)
-			// The crashed oracle process's replica also stops stepping at
-			// the crash time: model it as a phase switch to an effectively
-			// infinite pacing.
-			var pacing engine.Pacing = engine.Uniform{Min: 1, Max: 8}
+			// The crashed oracle process's replica crashes with it.
+			var opts []engine.SimOpt
 			if ct, ok := p.Crash[i]; ok {
-				pacing = engine.Phase{At: ct, Before: pacing, After: engine.Fixed{D: horizon * 2}}
+				opts = append(opts, engine.WithCrashAt(ct))
 			}
-			sim.Add(engine.AlwaysReady(r), engine.WithPacing(pacing))
+			sim.Add(engine.AlwaysReady(r), opts...)
 		}
 		return nil
 	}
