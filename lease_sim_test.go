@@ -173,7 +173,10 @@ func TestSimDemotedHolderReleasesAuthority(t *testing.T) {
 // processes need to settle on the next leader is free and every tick
 // beyond it is a tick of stall. The grid point leased-crash-p0 is swept
 // over SimKVConfig.Lease under a write stream dense enough that the
-// longest commit stall is a hand-over and not the workload's own gap. (Its
+// longest commit stall is a hand-over and not the workload's own gap — a
+// write every 25 ticks: a stall also carries the time between the
+// demoted holder's last commit and its demotion, up to one write
+// interval, which the tick-for-tick check below has to absorb. (Its
 // costly hand-overs are the start-up ones — the first estimates name p0,
 // the election moves on, and the demoted holder's grant has to run out;
 // by the crash at 9000 p0 holds nothing.) The simulator runs eps 0, so
