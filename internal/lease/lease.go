@@ -33,6 +33,20 @@
 // regardless); only read linearizability does. Under the deterministic
 // simulator a machine's clock read and its effects are one atomic
 // activation, so eps 0 is exact and the property is machine-checkable.
+//
+// The switch from ungated authority. A store takes no grant until it is
+// first read under the lease; until then its replicas arm proposals on
+// another authority (being the store's write target), which no word
+// here records. The store switches lease authority on once, at a clock
+// reading s, and from then on every proposer is gated on holding a
+// grant. A replica that passed the old gate may still be between that
+// check and its effect, exactly as a holder between its validity check
+// and its extension. So the switch is treated as the expiry of a grant
+// nobody can extend: the first Acquire succeeds only after s + eps, the
+// same margin an expired grant's successor waits. Any arming authorized
+// before the switch has then taken effect, and the first holder's
+// catch-up barrier covers whatever it committed. The register's words
+// are not touched by the switch; the store's driver enforces the wait.
 package lease
 
 import (

@@ -63,6 +63,9 @@ func (c *Config) normalize() {
 type Runtime struct {
 	cfg   Config
 	nodes []*node
+	// changed is the hook OnChange installed (nil: none), shared by every
+	// node.
+	changed atomic.Pointer[func()]
 }
 
 // node adapts one core.Proc to the engine's machine contract. Step and OnTimer
@@ -79,11 +82,29 @@ type node struct {
 	// contend with the algorithm's own tasks.
 	leaderEst atomic.Int64
 	crashed   atomic.Bool
+	// changed is the runtime's OnChange hook.
+	changed *atomic.Pointer[func()]
 }
 
 // publish refreshes the node's lock-free leader estimate, right after the
-// proc took a step.
-func (n *node) publish() { n.leaderEst.Store(int64(n.proc.Leader())) }
+// proc took a step, and reports a change to the OnChange hook. Only this
+// node's scheduler stores the word, so comparing before storing is exact,
+// and an unchanged estimate costs readers no cache-line invalidation.
+func (n *node) publish() {
+	l := int64(n.proc.Leader())
+	if n.leaderEst.Load() == l {
+		return
+	}
+	n.leaderEst.Store(l)
+	n.report()
+}
+
+// report calls the OnChange hook, if one is installed.
+func (n *node) report() {
+	if f := n.changed.Load(); f != nil {
+		(*f)()
+	}
+}
 
 // Step implements engine.Machine (task T2).
 func (n *node) Step(now vclock.Time) engine.Hint {
@@ -111,6 +132,7 @@ func New(cfg Config, procs []core.Proc) (*Runtime, error) {
 			proc:     p,
 			eng:      engine.NewLive(engine.LiveConfig{TimerUnit: cfg.TimerUnit}),
 			interval: int64(cfg.StepInterval),
+			changed:  &r.changed,
 		}
 		n.leaderEst.Store(int64(p.Leader()))
 		// The first step lands one interval after Start, as the old
@@ -153,7 +175,24 @@ func (r *Runtime) Crash(i int) error {
 	}
 	r.nodes[i].crashed.Store(true)
 	r.nodes[i].eng.Crash(0)
+	r.nodes[i].report()
 	return nil
+}
+
+// OnChange installs f as the runtime's change report: it is called after
+// every change of a node's published leader estimate (on that node's
+// scheduler goroutine, right after the store) and after every Crash (on
+// the caller's). Agreement, as AgreedLeader reads it, is a function of
+// the estimates and the crash flags, so every agreement transition —
+// ok to !ok to ok on the same leader included — follows a report. f must
+// not block: it runs inside an election step. nil removes the hook; safe
+// to call while the runtime runs.
+func (r *Runtime) OnChange(f func()) {
+	if f == nil {
+		r.changed.Store(nil)
+		return
+	}
+	r.changed.Store(&f)
 }
 
 // Crashed reports whether process i has been crashed.
@@ -194,7 +233,9 @@ func (r *Runtime) AgreedLeader() (int, bool) {
 }
 
 // WaitForAgreement polls until all live processes agree on a live leader
-// or the timeout elapses.
+// or the timeout elapses. It returns at the first agreement it observes,
+// which on a fresh cluster is rarely the last: Omega is only eventually
+// stable, and the estimates may move again right after.
 func (r *Runtime) WaitForAgreement(timeout time.Duration) (int, bool) {
 	ctx, cancel := context.WithTimeout(context.Background(), timeout)
 	defer cancel()
@@ -202,7 +243,8 @@ func (r *Runtime) WaitForAgreement(timeout time.Duration) (int, bool) {
 }
 
 // WaitForAgreementContext polls until all live processes agree on a live
-// leader or ctx is done.
+// leader or ctx is done. Like WaitForAgreement, it returns at the first
+// agreement it observes, not at a settled one.
 func (r *Runtime) WaitForAgreementContext(ctx context.Context) (int, bool) {
 	ticker := time.NewTicker(r.cfg.StepInterval)
 	defer ticker.Stop()

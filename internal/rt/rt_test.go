@@ -226,3 +226,61 @@ func TestRTTimerFreeVariantLive(t *testing.T) {
 		t.Fatal("timer-free variant did not agree live")
 	}
 }
+
+// TestRTOnChangeReportsEveryMove: the change report fires on each crash
+// and on each change of a published estimate — so a crashed leader's
+// survivors, who all move off it, report at least once each beyond the
+// crash — and never after the hook is removed.
+func TestRTOnChangeReportsEveryMove(t *testing.T) {
+	r, _ := liveCluster(t, 3, "algo1")
+	var mu sync.Mutex
+	reports := 0
+	r.OnChange(func() {
+		mu.Lock()
+		reports++
+		mu.Unlock()
+	})
+	count := func() int {
+		mu.Lock()
+		defer mu.Unlock()
+		return reports
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer r.Stop()
+	leader, ok := r.WaitForAgreement(10 * time.Second)
+	if !ok {
+		t.Fatal("no initial agreement")
+	}
+	before := count()
+	if err := r.Crash(leader); err != nil {
+		t.Fatal(err)
+	}
+	if got := count(); got < before+1 {
+		t.Errorf("%d reports across the Crash call, want at least 1", got-before)
+	}
+	if _, ok := r.WaitForAgreement(10 * time.Second); !ok {
+		t.Fatal("no re-election")
+	}
+	// Each survivor's estimate named the crashed leader and no longer does.
+	if got := count() - before; got < 3 {
+		t.Errorf("%d reports from the crash to re-election, want at least 3 (the crash, and each survivor moving off the dead leader)", got)
+	}
+	r.OnChange(nil)
+	removed := count()
+	var next int
+	for p := 0; p < 3; p++ {
+		if !r.Crashed(p) {
+			next = p
+			break
+		}
+	}
+	if err := r.Crash(next); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond)
+	if got := count(); got != removed {
+		t.Errorf("%d reports after the hook was removed", got-removed)
+	}
+}

@@ -44,9 +44,13 @@ const (
 	ReadFreshest ReadMode = iota
 	// ReadLease answers linearizably from the lease holder's applied
 	// state when a valid, barrier-complete lease exists — one clock check
-	// and one atomic load, no consensus round. During anarchy, after
-	// lease expiry, or with leases disabled it falls back to a ReadQuorum
-	// round rather than give up linearizability.
+	// and one atomic load, no consensus round. No grant exists before a
+	// store's first ReadLease: that call switches lease authority on for
+	// good (from then on every write waits for a lease, and a failover
+	// for the dead holder's grant to run out) and itself falls back, as
+	// every ReadLease does during anarchy, after lease expiry, or with
+	// leases disabled, to a ReadQuorum round rather than give up
+	// linearizability.
 	ReadLease
 	// ReadQuorum answers linearizably by fencing through the log: it
 	// waits for the leader to win a consensus slot armed after the read
@@ -70,7 +74,11 @@ const leaseAuto = time.Duration(-1)
 // defaultLeaseDur derives the auto-enabled lease duration from the
 // cluster's own pacing — the timer unit is the one value a cluster scales
 // with its medium — between two bounds, and the substrate decides which
-// one binds.
+// one binds. Auto-enabled means the register exists: no grant is taken
+// before the store's first ReadLease, and everything below about what a
+// successor waits for applies only to a store that reads under the lease.
+// One that never does resumes writes from the first survivor that names
+// itself (see kvEnv.target).
 //
 // From below: a lease must outlive the longest gap between two
 // activations of its holder, or the grant lapses under a leader that
@@ -85,8 +93,8 @@ const leaseAuto = time.Duration(-1)
 // leader's grant plus acquireEps, but it cannot commit before the
 // survivors have detected the crash and re-agreed either — about four
 // timer units on both substrates (8ms on atomic defaults, 103ms on the
-// SAN at 200us disks). A lease that has run out by then costs a client
-// nothing; a longer one is the outage.
+// SAN at 200us disks). A lease that has run out by then costs a
+// lease-reading store's client nothing; a longer one is its outage.
 //
 // On atomic registers the upper bound binds and three timer units (6ms)
 // is what BenchmarkFailoverLeaseSweep picked: with the 2.5ms eps the
@@ -95,7 +103,8 @@ const leaseAuto = time.Duration(-1)
 // TestLeaseDoesNotLapseUnderHealthyLeader holds the lower
 // bound at that length. On the SAN the lower bound binds: at five units a
 // grant lapsed in every episode of the sweep, so it keeps ten (250ms) and
-// there the lease is still what a client waits for (297ms against 103ms).
+// there the lease is still what a lease-reading store's client waits for
+// (297ms against 103ms).
 func defaultLeaseDur(c *Cluster) time.Duration {
 	if c.DiskCount() > 0 {
 		return 10 * c.set.timerUnit
@@ -106,10 +115,13 @@ func defaultLeaseDur(c *Cluster) time.Duration {
 // acquireEps is how long past a grant's observed expiry a successor waits
 // before it claims: the bounded delay between a holder's clock read and
 // the effect of its extension, the one assumption lease-read safety rests
-// on (see internal/lease). It guards against a stalled goroutine, whose
-// length follows the host and the medium, not the grant — so it is a
-// share of the timer unit, five quarters: 2.5ms on atomic registers and
-// 31.25ms on the SAN, and a shorter kvLease does not shrink it.
+// on (see internal/lease). The first grant waits the same eps past the
+// first ReadLease, which switched lease authority on; before that no
+// grant exists and nobody waits for one. It guards against a stalled
+// goroutine, whose length follows the host and the medium, not the grant
+// — so it is a share of the timer unit, five quarters: 2.5ms on atomic
+// registers and 31.25ms on the SAN, and a shorter kvLease does not
+// shrink it.
 func acquireEps(c *Cluster) time.Duration {
 	return c.set.timerUnit + c.set.timerUnit/4
 }
@@ -203,17 +215,19 @@ func KVBatch(n int) KVOption {
 // linearizable reads (default: three timer units, 6ms, on atomic
 // registers and ten, 250ms, on the SAN — see defaultLeaseDur — whenever
 // the log reserves the descriptor row — batching or checkpointing on —
-// which default options do). The tests and the lease sweep set it. The agreed leader claims the lease, commits one
-// no-op barrier slot to prove its state covers every prior authority's
-// commits, and then serves linearizable reads from its own applied state
-// until the lease expires; it extends the lease while it leads. Every
-// replica's proposer is gated on holding the lease, so commits never
-// straddle two leases — the price is that after a leader crash the
-// successor waits out the remainder of the dead leader's lease, plus a
-// margin of five quarters of a timer unit for the dead leader's last
-// extension to land, before it can commit. kvLease(0) disables leases:
-// ReadLease then degrades to quorum rounds, and proposers are gated only
-// by the Omega oracle, the pre-lease behavior.
+// which default options do). The tests and the lease sweep set it. No
+// grant exists before the store's first ReadLease. From then on the
+// agreed leader claims the lease, commits one no-op barrier slot to prove
+// its state covers every prior authority's commits, and then serves
+// linearizable reads from its own applied state until the lease expires;
+// it extends the lease while it leads. Every replica's proposer is gated
+// on holding the lease, so commits never straddle two leases — the price
+// is that after a leader crash the successor waits out the remainder of
+// the dead leader's lease, plus a margin of five quarters of a timer unit
+// for the dead leader's last extension to land, before it can commit.
+// Until that first ReadLease, and always under kvLease(0), proposers are
+// gated only on being the write target (see kvEnv.target); kvLease(0)
+// also makes ReadLease degrade to quorum rounds.
 //
 // Choose d between two bounds. It must outlive the longest gap between
 // two activations of the holder: the holder extends its grant once per
@@ -221,12 +235,12 @@ func KVBatch(n int) KVOption {
 // then re-acquires under a new epoch and pays the barrier slot again. On
 // atomic registers the gap is the idle refresh cadence (d/4); on the SAN,
 // where a step blocks in quorum I/O, it is one consensus round (tens of
-// milliseconds at commodity disk latencies). And a successor cannot
-// commit before the survivors re-agree anyway, about four timer units
-// after the crash: a lease that has run out by then is free, a longer one
-// is what clients wait for. The atomic default sits under that bound; the
-// SAN default cannot (five timer units already lapse there), and
-// kvLease(d) means exactly d on either.
+// milliseconds at commodity disk latencies). And on a lease-reading
+// store a successor cannot commit before the survivors re-agree anyway,
+// about four timer units after the crash: a lease that has run out by
+// then is free, a longer one is what its clients wait for. The atomic
+// default sits under that bound; the SAN default cannot (five timer units
+// already lapse there), and kvLease(d) means exactly d on either.
 func kvLease(d time.Duration) KVOption {
 	return func(s *kvSettings) error {
 		if d < 0 {
@@ -257,8 +271,11 @@ type Entry struct {
 // the substrate before the slots it seals can be reused, so every
 // committed write is always reconstructible from either a live slot or
 // the newest snapshot. After a leader crash the store resumes as soon as
-// the survivors re-elect. Reads are served from the local applied state —
-// sequential consistency, not linearizability.
+// the first survivor names itself leader, before the survivors agree —
+// unless it has been read under the lease (see ReadLease), in which case
+// it resumes once they agree and the dead leader's grant has run out.
+// Reads are served from the local applied state — sequential
+// consistency, not linearizability.
 //
 // The log checkpoints: the leader periodically seals the committed
 // prefix into a published snapshot, a quorum acknowledges it, and the
@@ -341,34 +358,35 @@ type kvMachine struct {
 
 // Step implements engine.Machine. The hint encodes the replica's state:
 // draining work wants the CPU back immediately, a replica with a queued
-// command but no leadership polls at the fallback cadence (leadership may
-// move to it, or the watcher may drop its queue), an idle leader sets one
-// timer — to its grant's next refresh, or to the end of the predecessor's
-// grant it is waiting out — and an idle caught-up replica parks until a
-// write or a commit notification arrives. Progress counts as draining
-// only when the burst did not end idle: a follower learning a backlog and
-// a successor catching up keep the CPU, while a replica that committed
-// and then found the next slot undecided with nothing to propose — or a
-// leader whose own ballot just won the slot, with nothing left queued —
-// falls to the rules after it, so the next write does not queue behind a
-// poll.
+// command that may not arm it polls at the fallback cadence (it may
+// become the target, or the watcher may drop its queue), an idle leader
+// sets one timer — to its grant's next refresh, or to the first instant
+// it may claim one — and an idle caught-up replica parks until a write, a
+// commit notification or an election report arrives. Progress counts as
+// draining only when the burst did not end idle: a follower learning a
+// backlog and a successor catching up keep the CPU, while a replica that
+// committed and then found the next slot undecided with nothing to
+// propose — or a leader whose own ballot just won the slot, with nothing
+// left queued — falls to the rules after it, so the next write does not
+// queue behind a poll.
 func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 	kv := m.kv
 	if !kv.alive(m.idx) {
 		return engine.Park()
 	}
 	rep := m.step(now)
+	leaseOn := kv.leaseOn.Load()
 	switch {
 	case rep.barrier || (rep.progress > 0 && !rep.idle):
 		return engine.Now()
 	case rep.pending > 0:
-		// A leader with queued work drains at CPU speed — unless the log
-		// can make no progress: permanently full (checkpointing off), or
-		// the recycling window is exhausted until a checkpoint gathers its
-		// ack quorum, in which case stepping would only spin. The fallback
+		// The target drains queued work at CPU speed, unless the log can
+		// make no progress: permanently full (checkpointing off), or the
+		// recycling window is exhausted until a checkpoint gathers its ack
+		// quorum, in which case stepping would only spin. The fallback
 		// cadence re-checks the acks (the stepped replica reads them and
 		// slides the window itself).
-		if store := kv.stores[m.idx]; rep.leading && !store.LogFull() && !store.WindowFull() {
+		if store := kv.stores[m.idx]; rep.target && !store.LogFull() && !store.WindowFull() {
 			return engine.Now()
 		}
 		return engine.At(now + int64(kv.interval))
@@ -377,23 +395,22 @@ func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 		// well before expiry or lease reads go dark between writes. A
 		// quarter of the grant leaves three refreshes to miss.
 		return engine.At(now + kv.leaseDur/4)
-	case kv.lease != nil:
+	case leaseOn != 0:
 		g, _ := kv.lease.Peek()
-		// An agreed leader still waiting out a predecessor's grant sleeps
-		// to the first instant Acquire can succeed: strictly past the
-		// observed expiry plus eps. Each wake re-reads the expiry, so a
-		// late extension by the predecessor only moves the timer. When
-		// that instant has already passed (a claim lost a race), the
-		// fallback cadence retries.
-		if at := g.Expiry + kv.acquireEps + 1; rep.leading && at > now {
+		// An agreed leader still waiting out a predecessor's grant — or,
+		// for the first grant, the switch — sleeps to the first instant
+		// Acquire can succeed: strictly past the observed expiry plus eps.
+		// Each wake re-reads the expiry, so a late extension by the
+		// predecessor only moves the timer. When that instant has already
+		// passed (a claim lost a race), the fallback cadence retries.
+		if at := max(g.Expiry, leaseOn) + kv.acquireEps + 1; rep.leading && at > now {
 			return engine.At(at)
 		}
-		// The register's holder must not park either while the processes
-		// do not, at this instant, agree on it: nothing wakes a parked
-		// replica when agreement returns to the same leader, and its
-		// grant would run out under it. A demotion ends the polling when
-		// the successor claims the register.
-		if rep.leading || (g.Epoch > 0 && g.Holder == m.idx) {
+		// A replica whose own oracle names it polls too while the processes
+		// do not agree on it: under lease authority it may neither arm nor
+		// claim before they do, and it is the likeliest next leader — or
+		// the holder whose refresh a moment of disagreement interrupted.
+		if rep.leading || kv.estimate(m.idx) == m.idx {
 			return engine.At(now + int64(kv.interval))
 		}
 	}
@@ -488,11 +505,16 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		return eng
 	}
 	shared := newEngine()
+	var watcherID int
 	kv.kvEnv = kvEnv{
 		stores: make([]*consensus.KV, n),
 		leader: func() (int, bool) {
 			l, ok := c.AgreedLeader()
 			return l, ok && l >= 0 && !c.Crashed(l)
+		},
+		estimate: func(p int) int {
+			l, _ := c.Leader(p)
+			return l
 		},
 		alive: func(p int) bool { return !c.Crashed(p) },
 		wake:  func(i int) { kv.at[i].eng.Notify(kv.at[i].id) },
@@ -516,6 +538,17 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			}
 			kv.commits.signal()
 		},
+		// Every move of the estimates may move the target: the watcher
+		// drops the stranded queues, each replica re-steps (a parked holder
+		// refreshes once agreement returns to it, a new target arms), and
+		// blocked callers resubmit to the new target at once.
+		elected: func() {
+			shared.Notify(watcherID)
+			for i := 0; i < n; i++ {
+				kv.wake(i)
+			}
+			kv.commits.signal()
+		},
 		burst: burst,
 	}
 	if leaseDur > 0 {
@@ -524,7 +557,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		kv.acquireEps = int64(acquireEps(c))
 	}
 	for i := range kv.stores {
-		if kv.stores[i], err = newStore(log, i, c.oracle(i), kv.lease); err != nil {
+		if kv.stores[i], err = newStore(log, i, c.oracle(i), &kv.kvEnv); err != nil {
 			return nil, fmt.Errorf("omegasm: kv replica %d: %w", i, err)
 		}
 		eng := shared
@@ -533,9 +566,10 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		}
 		kv.at = append(kv.at, machineRef{eng, eng.Add(&kvMachine{kv, replicaDriver{env: &kv.kvEnv, idx: i}})})
 	}
-	// The leadership watcher polls at the fallback cadence.
-	watcher := leaderWatcher{env: &kv.kvEnv, last: -1}
-	shared.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
+	// The leadership watcher polls at the fallback cadence, and runs at
+	// once on every election report.
+	watcher := newLeaderWatcher(&kv.kvEnv)
+	watcherID = shared.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
 		watcher.observe()
 		return engine.At(now + int64(kv.interval))
 	}))
@@ -545,6 +579,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			return nil, err
 		}
 	}
+	c.rt.OnChange(kv.elected)
 	return kv, nil
 }
 
@@ -553,6 +588,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 // blocking calls (Put, PutAll, linearizable Read) — in flight or issued
 // later — return ErrClosed. Idempotent.
 func (kv *KV) Close() {
+	kv.c.rt.OnChange(nil)
 	for _, eng := range kv.engs {
 		eng.Stop()
 	}
@@ -693,7 +729,9 @@ func (kv *KV) Read(ctx context.Context, key uint16, mode ReadMode) (uint16, bool
 		return v, ok, nil
 	case ReadLease:
 		if kv.lease != nil {
-			if h, _, ok := kv.lease.ReadableHolder(kv.now()); ok {
+			now := kv.now()
+			kv.enableLease(now)
+			if h, _, ok := kv.lease.ReadableHolder(now); ok {
 				// The linearization point is the validity check itself: at
 				// that instant the holder's applied state contains every
 				// committed write (barrier + exclusive authority), and the
@@ -752,8 +790,9 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (val uint16, found boo
 
 // LeaseHolder returns the replica currently entitled to serve lease
 // reads — the holder of a valid, barrier-complete grant — or ok=false
-// when there is none (anarchy, expiry, barrier still in flight, or
-// leases disabled). ReadLease serves locally exactly when ok.
+// when there is none (anarchy, expiry, barrier still in flight, leases
+// disabled, or no ReadLease yet: a store takes its first grant only
+// after its first lease read). ReadLease serves locally exactly when ok.
 func (kv *KV) LeaseHolder() (holder int, ok bool) {
 	if kv.lease == nil {
 		return -1, false

@@ -65,6 +65,7 @@ func TestSANDefaultLeaseIsReadableAndIdleCommitsNothing(t *testing.T) {
 			c, kv := startSANStore(t, tc.latency)
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 			defer cancel()
+			readUnderLease(t, kv)
 			put := func(k, v uint16) {
 				t.Helper()
 				if err := kv.Put(ctx, k, v); err != nil {
@@ -208,9 +209,10 @@ func TestSANCommitRunsNoEmptyBurst(t *testing.T) {
 		// A hand-stepped follower with the SAN's two-step burst: every
 		// activation that leaves a backlog must ask for the CPU back at
 		// once rather than wait for the fallback cadence or a notification.
-		env := trackerBench(t, 64, 0)
+		kv := &KV{interval: time.Hour}
+		env := &kv.kvEnv
+		fillBench(t, env, 64, 0)
 		env.burst = 2
-		kv := &KV{interval: time.Hour, kvEnv: *env}
 		var now vclock.Time
 		const backlog = 9
 		for k := uint16(0); k < backlog; k++ {

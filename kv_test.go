@@ -128,6 +128,7 @@ func TestKVReadModes(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	readUnderLease(t, kv)
 	if err := kv.Put(ctx, 7, 42); err != nil {
 		t.Fatal(err)
 	}
@@ -171,6 +172,7 @@ func TestLeaseReadZeroAllocs(t *testing.T) {
 	defer kv.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	readUnderLease(t, kv)
 	if err := kv.Put(ctx, 7, 42); err != nil {
 		t.Fatal(err)
 	}

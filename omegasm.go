@@ -172,7 +172,9 @@ func (c *Cluster) Leader(i int) (int, error) { return c.rt.Leader(i) }
 func (c *Cluster) AgreedLeader() (int, bool) { return c.rt.AgreedLeader() }
 
 // WaitForAgreement blocks until every live process agrees on a live
-// leader, or the timeout elapses.
+// leader, or the timeout elapses. It returns at the first agreement:
+// Omega is only eventually stable, so on a fresh cluster the processes
+// may disagree, or agree on another leader, right after it returns.
 func (c *Cluster) WaitForAgreement(timeout time.Duration) (int, bool) {
 	return c.rt.WaitForAgreement(timeout)
 }

@@ -48,7 +48,7 @@ func TestOpenLoopSimIsPinned(t *testing.T) {
 		res.Shards[s].History, res.Shards[s].Delivered = nil, 0
 	}
 	fmt.Fprintf(h, "%+v", *res)
-	if got, want := hex.EncodeToString(h.Sum(nil)), "67641e07f60ed7e077abf42e0c42f3ad1dfb8bd2984b4f37e223d9f8ae353ec7"; got != want {
+	if got, want := hex.EncodeToString(h.Sum(nil)), "3df9249a73fa08c55e7e06d8a93bf8cb4272b2109c5a41bae6a4503e98e83e96"; got != want {
 		t.Errorf("sharded open-loop run digest %s, want %s", got, want)
 	}
 
@@ -68,7 +68,7 @@ func TestOpenLoopSimIsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	sum := sha256.Sum256([]byte(fmt.Sprintf("%+v", rep)))
-	if got, want := hex.EncodeToString(sum[:]), "cbc12c829abe4b3cc631b1d8fc86eaefdf66e278e4d5214b2a64eee5a56ee4b0"; got != want {
+	if got, want := hex.EncodeToString(sum[:]), "2aa5b3855f5acabc616e7b899e210a14aa386ba36b6751626c1be9f257f296d8"; got != want {
 		t.Errorf("load.RunSim report digest %s, want %s", got, want)
 	}
 }

@@ -39,6 +39,11 @@ func TestReadLadderUnderLeaderCrash(t *testing.T) {
 			defer kv.Close()
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
+			// The store's first ReadLease switches lease authority on: from
+			// here on the lease lifecycle runs.
+			if _, _, err := kv.Read(ctx, 7, ReadLease); err != nil {
+				t.Fatal(err)
+			}
 			if err := kv.Put(ctx, 7, 41); err != nil {
 				t.Fatal(err)
 			}

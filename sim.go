@@ -92,6 +92,9 @@ type simLeaseMonitor struct {
 }
 
 func (m *simLeaseMonitor) Step(now vclock.Time) engine.Hint {
+	// The first lease read switches lease authority on, as a live store's
+	// first ReadLease does.
+	m.r.enableLease(now)
 	holder, epoch, ok := m.r.lease.ReadableHolder(now)
 	if !ok {
 		m.fallbacks++
@@ -240,10 +243,12 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	mem := shmem.NewSimMem(n)
 	run := &simRun{}
 	// The simulator's side of the seam (see kvEnv): the deterministic
-	// leader view, one micro-step per wake, eps 0, and no progress hook —
-	// plus the seeded mutations, injected here and nowhere else.
+	// leader view, one micro-step per wake, eps 0, and no progress or
+	// election hook — plus the seeded mutations, injected here and nowhere
+	// else.
 	run.kvEnv = kvEnv{
-		leader: run.agreedLeader,
+		leader:   run.agreedLeader,
+		estimate: func(p int) int { return run.procs[p].Leader() },
 		// The crash schedule, not engine state, decides liveness: a process
 		// whose crash time has passed is dead even if no event has collected
 		// it yet — matching how the sampler always treated crashes.
@@ -328,7 +333,7 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 	}
 	run.stores = make([]*consensus.KV, n)
 	for i := range run.stores {
-		kv, err := newStore(log, i, run.procs[i].Leader, run.lease)
+		kv, err := newStore(log, i, run.procs[i].Leader, &run.kvEnv)
 		if err != nil {
 			return nil, fmt.Errorf("omegasm: sim replica %d: %w", i, err)
 		}
@@ -349,14 +354,18 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		run.ids = append(run.ids, sim.Add(&simReplicaMachine{replicaDriver{env: &run.kvEnv, idx: i}}, opts...))
 	}
 
-	run.watcher = leaderWatcher{env: &run.kvEnv, last: -1}
+	run.watcher = newLeaderWatcher(&run.kvEnv)
 	sim.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
 		run.watcher.observe()
 		return engine.At(now + 16)
 	}), engine.WithFirstWakeAt(16))
 	if run.lease != nil {
+		// A leased run reads under the lease from its first tick: the
+		// monitor's first read switches lease authority on before any
+		// process can have named a leader, so no write of a leased run
+		// is ever gated on the target instead of the lease.
 		run.monitor = &simLeaseMonitor{r: run}
-		sim.Add(run.monitor, engine.WithFirstWakeAt(16))
+		sim.Add(run.monitor, engine.WithFirstWakeAt(1))
 	}
 
 	arrivals := cfg.arrivals

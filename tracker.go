@@ -25,9 +25,10 @@ func (w *trackedWrite) done() bool { return w.doneAt >= 0 }
 
 // writeTracker is the client write protocol, shared by KV.PutAll and the
 // simulator's workload machines: submit every tracked command once per
-// reign of the agreed leader, resubmit when leadership moves or a flap
-// sweeps the leader's queue, and confirm a command only by a log entry
-// appended after the tracker started watching it.
+// reign of the write target (kvEnv.target: the agreed leader, or during
+// anarchy the first survivor that names itself), resubmit when the
+// target moves or a flap sweeps its queue, and confirm a command only by
+// a log entry appended after the tracker started watching it.
 //
 // Confirmation keeps one advancing watermark per replica: each appended
 // region of a replica's committed stream is scanned exactly once, against
@@ -145,17 +146,17 @@ func (t *writeTracker) finish(j int) {
 	}
 }
 
-// submit hands the agreed leader every unconfirmed write it does not
-// already hold under its current reign, in submission order and under one
-// lock acquisition, so a batched log packs the group into as few slots as
-// the batch size allows. A write is resubmitted on a leader change, and
-// also when the leader's queue was swept since the submit (its drop
-// generation moved): a leadership flap nobody polled through takes the
-// queued remainder with it. It returns the agreed leader (-1: none) and
-// whether anything was queued, so the caller can wake that replica.
-func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err error) {
-	l, ok := t.env.leader()
-	if !ok {
+// submit hands the target every unconfirmed write it does not already
+// hold under its current reign, in submission order and under one lock
+// acquisition, so a batched log packs the group into as few slots as the
+// batch size allows. A write is resubmitted when the target moves, and
+// also when the target's queue was swept since the submit (its drop
+// generation moved): a flap nobody polled through takes the queued
+// remainder with it. It returns the target (-1: none) and whether
+// anything was queued, so the caller can wake that replica.
+func (t *writeTracker) submit(now vclock.Time) (target int, queued bool, err error) {
+	l, _ := t.env.target()
+	if l < 0 {
 		return -1, false, nil
 	}
 	t.now = now
@@ -172,7 +173,7 @@ func (t *writeTracker) submit(now vclock.Time) (leader int, queued bool, err err
 			continue
 		}
 		if !scanned {
-			// Re-scan the leader's commits right before resubmitting: an
+			// Re-scan the target's commits right before resubmitting: an
 			// entry may have committed since the last confirm, and a
 			// needless duplicate burns log capacity forever.
 			scanned = true

@@ -12,24 +12,31 @@ import (
 // hand: the smallest environment the shared write tracker runs in.
 func trackerBench(t *testing.T, slots, ckptEvery int) *kvEnv {
 	t.Helper()
+	env := &kvEnv{}
+	fillBench(t, env, slots, ckptEvery)
+	return env
+}
+
+// fillBench builds trackerBench's environment in place, for a caller
+// that embeds it (a KV around a hand-stepped kvMachine).
+func fillBench(t *testing.T, env *kvEnv, slots, ckptEvery int) {
+	t.Helper()
 	const n = 3
 	log, err := consensus.NewCheckpointLog(shmem.NewSimMem(n), n, slots, 1, ckptEvery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := &kvEnv{
-		stores: make([]*consensus.KV, n),
-		leader: func() (int, bool) { return 0, true },
-		alive:  func(int) bool { return true },
-		wake:   func(int) {},
-		burst:  8,
-	}
+	env.stores = make([]*consensus.KV, n)
+	env.leader = func() (int, bool) { return 0, true }
+	env.estimate = func(int) int { return 0 }
+	env.alive = func(int) bool { return true }
+	env.wake = func(int) {}
+	env.burst = 8
 	for i := range env.stores {
-		if env.stores[i], err = newStore(log, i, func() int { return 0 }, nil); err != nil {
+		if env.stores[i], err = newStore(log, i, func() int { return 0 }, env); err != nil {
 			t.Fatal(err)
 		}
 	}
-	return env
 }
 
 // stepAll runs rounds of one burst per replica until done reports true.
