@@ -433,6 +433,7 @@ func TestDarkLeaderSleepsToTheExpiry(t *testing.T) {
 	defer stop()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
+	readUnderLease(t, kv)
 	if err := kv.Put(ctx, 1, 1); err != nil {
 		t.Fatal(err)
 	}

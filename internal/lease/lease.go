@@ -14,17 +14,24 @@
 // commit authority.
 //
 // The register is two padded atomic words, not shared-memory registers:
-// all replicas of one store live in one address space, so the claim is a
-// compare-and-swap, and the paper's register model stays confined to the
-// consensus substrate underneath.
+// all replicas of one store live in one address space, so reads and
+// refreshes are plain atomics, and the paper's register model stays
+// confined to the consensus substrate underneath.
 //
-//   - word A holds (epoch, holder) and changes only at acquisition, by
-//     CAS — epoch is monotone, so a reader can detect any change.
+//   - word A holds (epoch, holder) and changes only at acquisition —
+//     epoch is monotone, so a reader can detect any change.
 //   - word B holds the expiry (engine nanoseconds) and is extended by CAS
 //     only while the lease is still valid.
 //
+// Acquisitions are serialized by a mutex, the one lock in the register:
+// a claim writes A and then B, and a rival claimant that read A between
+// the two would judge the new epoch by its predecessor's expired B and
+// take it over at once. Under the lock every claimant sees a claim whole.
+// Reads, Held and Extend never take it, and a claimant whose observed
+// grant is still valid fails before it does.
+//
 // Safety argument. Acquire requires the observed expiry to have passed by
-// more than eps before the CAS on A; Extend requires validity at its
+// more than eps before it writes A; Extend requires validity at its
 // clock read and verifies A unchanged after its CAS on B. All parties
 // read one clock (the engine's), so the only way two holders can overlap
 // is a refresh or acquire whose clock read and CAS are separated by more
@@ -103,7 +110,7 @@ type Grant struct {
 // and sharing a line would make each refresh invalidate the readers'
 // copy of A as well.
 type Register struct {
-	a word // (epoch, holder), CAS'd at acquisition only
+	a word // (epoch, holder), written at acquisition only, under acqMu
 	b word // expiry in engine nanoseconds, CAS-extended
 	// readable holds the full A word of the newest lease whose holder has
 	// completed its catch-up barrier; a reader serves only when it matches
@@ -111,8 +118,9 @@ type Register struct {
 	// stale barrier mark can never match a newer epoch.
 	readable word
 
+	// acqMu serializes acquisitions and guards the history.
+	acqMu sync.Mutex
 	// History instrumentation (sim campaigns); off unless EnableHistory.
-	histMu  sync.Mutex
 	history []Grant
 	record  bool
 }
@@ -125,8 +133,8 @@ func (r *Register) EnableHistory() { r.record = true }
 
 // History returns a copy of the recorded acquisitions in order.
 func (r *Register) History() []Grant {
-	r.histMu.Lock()
-	defer r.histMu.Unlock()
+	r.acqMu.Lock()
+	defer r.acqMu.Unlock()
 	return append([]Grant(nil), r.history...)
 }
 
@@ -142,15 +150,20 @@ func (r *Register) Acquire(me int, now vclock.Time, dur, eps int64) (epoch uint6
 	if me < 0 || me >= maxHolders {
 		return 0, false
 	}
-	a := r.a.Load()
-	e, _ := unpackA(a)
-	b := r.b.Load()
-	if b != 0 && now <= vclock.Time(b)+vclock.Time(eps) {
+	valid := func(b uint64) bool { return b != 0 && now <= vclock.Time(b)+vclock.Time(eps) }
+	if valid(r.b.Load()) {
 		return 0, false // current grant still (possibly) valid
 	}
-	if !r.a.CompareAndSwap(a, packA(e+1, me)) {
+	r.acqMu.Lock()
+	defer r.acqMu.Unlock()
+	// Under the lock B is the expiry of the grant A names: a rival's
+	// claim has pushed its own before releasing.
+	e, _ := unpackA(r.a.Load())
+	b := r.b.Load()
+	if valid(b) {
 		return 0, false // another claimant won; re-evaluate next step
 	}
+	r.a.Store(packA(e+1, me))
 	// B still carries the expired expiry, so readers and Held see the new
 	// epoch as invalid until this lands. A late extend by the previous
 	// holder can race the store; CAS-loop to the maximum so the previous
@@ -158,12 +171,10 @@ func (r *Register) Acquire(me int, now vclock.Time, dur, eps int64) (epoch uint6
 	// cannot shorten or lengthen our grant unnoticed.
 	r.push(packA(e+1, me), now+vclock.Time(dur))
 	if r.record {
-		r.histMu.Lock()
 		r.history = append(r.history, Grant{
 			Epoch: e + 1, Holder: me, AcquiredAt: now,
 			Expiry: now + vclock.Time(dur), PrevExpiry: vclock.Time(b),
 		})
-		r.histMu.Unlock()
 	}
 	return e + 1, true
 }
@@ -181,13 +192,16 @@ func (r *Register) Extend(me int, now vclock.Time, dur int64) bool {
 
 // holds is the validity check Held and Extend share: it reports whether
 // word A names me and the expiry has not passed at now, and returns the A
-// word it judged.
+// word it judged. A is loaded again after B: a claim landing between the
+// two loads would pair my old A with the successor's expiry, and my
+// lapsed grant would read as valid.
 func (r *Register) holds(me int, now vclock.Time) (a uint64, ok bool) {
 	a = r.a.Load()
 	if _, h := unpackA(a); h != me {
 		return a, false
 	}
-	return a, now < vclock.Time(r.b.Load()) // lapsed: only Acquire may revalidate
+	// lapsed: only Acquire may revalidate
+	return a, now < vclock.Time(r.b.Load()) && r.a.Load() == a
 }
 
 // push is Extend's effect, separated from its check so the window between
@@ -226,13 +240,13 @@ func (r *Register) MarkReadable(epoch uint64, me int) {
 
 // ReadableHolder returns the holder to serve a lease read from: the
 // current grant's holder, provided the grant is valid at now and its
-// barrier is complete. The A-B-readable loads need no retry loop: a
-// mismatched pairing (a concurrent acquisition between loads) can only
-// fail the readable==A comparison, never serve the wrong holder, and the
-// reader then takes the fallback path.
+// barrier is complete. The loads need no retry loop: A is loaded again
+// after B, as in holds, so a concurrent acquisition between the loads
+// fails the check instead of lending the successor's expiry to the
+// lapsed grant, and the reader then takes the fallback path.
 func (r *Register) ReadableHolder(now vclock.Time) (holder int, epoch uint64, ok bool) {
 	a := r.a.Load()
-	if now >= vclock.Time(r.b.Load()) {
+	if now >= vclock.Time(r.b.Load()) || r.a.Load() != a {
 		return -1, 0, false
 	}
 	if r.readable.Load() != a {
