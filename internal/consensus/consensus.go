@@ -23,13 +23,27 @@
 // The state machines take micro-steps (one phase action per Step call) so
 // they run under the deterministic simulator and on live goroutines alike.
 //
-// A phase action reads whole rows (every DEC; every MBAL and BALINP)
-// through shmem.ReadRow, which a memory with expensive accesses may serve
-// as one batched round trip per action. Nothing above relies on more
-// than the batch gives: the argument is per register — each one is read
-// from the memory (on the SAN: from a majority of disks) after the
-// phase's own write returned — and asks for no atomicity across
-// registers, which the register-by-register loop never provided either.
+// Every micro-step begins with one read access. A process that is not
+// about to run a phase action — a follower, or a leader with nothing to
+// propose — reads only the DEC row. A process that is about to (Omega
+// names it, and it has something to propose) reads the slot's three rows,
+// MBAL, BALINP and DEC, in one shmem.ReadRow, which a memory with
+// expensive accesses serves as one batched round trip: the DEC part
+// settles the slot if anyone decided it, and the MBAL and BALINP part is
+// the scan the phase action begins with (the pre-ballot scan for the
+// highest ballot seen, phase 1 or phase 2), so the action itself reads
+// nothing and ends in at most one write. An uncontended slot is three
+// read accesses and three writes. This needs nothing a separate scan did
+// not already need:
+//   - Each scan still starts after the phase's own write returned: that
+//     write is the previous micro-step's, and micro-steps of one process
+//     are sequential. The argument above is per register — each one is
+//     read from the memory (on the SAN: from a majority of disks) after
+//     the write — and asks for no atomicity across registers, which the
+//     register-by-register loop never provided either.
+//   - Safety never reads DEC. The poll only lets a follower or a demoted
+//     proposer stop early, so reading DEC in the same access as the scan
+//     observes nothing a poll followed by a separate scan could not.
 package consensus
 
 import (
@@ -59,8 +73,9 @@ type Instance struct {
 	// N is the number of participating processes.
 	N int
 	// mem is where the rows live (for shmem.ReadRow) and regs holds them
-	// end to end — MBAL, BALINP, DEC — so a scan (the first two rows) and
-	// a decision poll (the third) are one ReadRow each.
+	// end to end — MBAL, BALINP, DEC — so a decision poll (the third row)
+	// and a poll that is also a phase's scan (all three) are one ReadRow
+	// each.
 	mem  shmem.Mem
 	regs []shmem.Reg
 }
@@ -108,13 +123,20 @@ func unpackDec(w uint64) (v uint32, ok bool) {
 	return uint32(w), w>>32 != 0
 }
 
-// readDecision polls the instance's decision row on behalf of pid and
-// returns the first published decision in register order. row is the
-// caller's reusable buffer of N words: the poll runs every micro-step, so
-// it must not allocate.
-func (inst *Instance) readDecision(pid int, row []uint64) (v uint32, ok bool) {
-	shmem.ReadRow(inst.mem, pid, inst.regs[2*inst.N:], row)
-	for _, w := range row[:inst.N] {
+// poll reads the instance's rows on behalf of pid into row, a buffer of
+// 3N words laid out like regs, and returns the first published decision
+// in register order. With scan set, the MBAL and BALINP rows ride the same
+// shmem.ReadRow as the DEC row and are left in row[:2N] for the phase
+// action (advance) to consume; otherwise only the DEC row is read. The
+// poll runs every micro-step, so it must not allocate.
+func (inst *Instance) poll(pid int, row []uint64, scan bool) (v uint32, ok bool) {
+	n := inst.N
+	lo := 2 * n
+	if scan {
+		lo = 0
+	}
+	shmem.ReadRow(inst.mem, pid, inst.regs[lo:], row[lo:3*n])
+	for _, w := range row[2*n : 3*n] {
 		if v, ok := unpackDec(w); ok {
 			return v, true
 		}
@@ -156,9 +178,10 @@ type Proposer struct {
 	// proves nothing about the adopter.
 	wonBallot bool
 
-	// row is the buffer every whole-row read lands in — N words for the
-	// decision poll, 2N for a scan — kept across slots (reset) so the
-	// steady-state commit path allocates nothing.
+	// row is the buffer Step's poll lands in (see Instance.poll), kept
+	// across slots (reset) so the steady-state commit path allocates
+	// nothing. A Replica polls into its own buffer and hands it to
+	// advance.
 	row []uint64
 }
 
@@ -177,7 +200,7 @@ func NewProposer(inst *Instance, id int, input uint32, omega func() int) (*Propo
 		omega: omega,
 		input: input,
 		phase: phaseFollow,
-		row:   make([]uint64, 2*inst.N),
+		row:   make([]uint64, 3*inst.N),
 	}, nil
 }
 
@@ -221,34 +244,32 @@ func (p *Proposer) Step(vclock.Time) {
 		return
 	}
 	// Adopt any published decision first: followers terminate this way,
-	// and a demoted proposer abandons its ballot. A Replica has already
-	// polled the row in the same micro-step, so it calls advance directly.
-	if v, ok := p.inst.readDecision(p.id, p.row); ok {
+	// and a demoted proposer abandons its ballot. Omega is asked once, so
+	// a proposer that will act reads its scan in the poll's access.
+	lead := p.omega() == p.id
+	if v, ok := p.inst.poll(p.id, p.row, lead); ok {
 		p.decide(v)
 		return
 	}
-	p.advance()
+	if !lead {
+		p.phase = phaseFollow
+		return
+	}
+	p.advance(p.row)
 }
 
-// advance is Step's phase action without the adoption poll, for a caller
-// whose own poll found the decision row empty in the same micro-step. The
-// proposer must be undecided: a Replica commits a decided proposer's slot
-// and re-arms it for the next one.
-// Safety never reads DEC: the poll only lets a follower or a demoted
-// proposer stop early.
-func (p *Proposer) advance() {
+// advance is the phase action of a micro-step whose poll, taken while
+// Omega named p, found the slot undecided and left the slot's MBAL and
+// BALINP rows in row[:2N] (Instance.poll with scan set). Every phase
+// begins with that scan, so the action reads nothing more and ends in at
+// most one write. The proposer must be undecided: a Replica commits a
+// decided proposer's slot and re-arms it for the next one.
+func (p *Proposer) advance(row []uint64) {
+	maxM, maxBal, maxVal := p.scan(row)
 	switch p.phase {
 	case phaseFollow:
-		if p.omega() != p.id {
-			return
-		}
-		p.startBallot(p.maxSeenBallot())
+		p.startBallot(maxM)
 	case phase1:
-		if p.omega() != p.id {
-			p.phase = phaseFollow
-			return
-		}
-		maxM, maxBal, maxVal := p.scan()
 		if maxM > p.ballot {
 			p.startBallot(maxM)
 			return
@@ -260,11 +281,6 @@ func (p *Proposer) advance() {
 		p.inst.balInp(p.id).Write(p.id, packBalInp(p.ballot, p.chosen))
 		p.phase = phase2
 	case phase2:
-		if p.omega() != p.id {
-			p.phase = phaseFollow
-			return
-		}
-		maxM, _, _ := p.scan()
 		if maxM > p.ballot {
 			p.startBallot(maxM)
 			return
@@ -294,26 +310,19 @@ func (p *Proposer) startBallot(floor uint32) {
 	p.phase = phase1
 }
 
-// scan reads every process's block — the MBAL row, then the BALINP row —
-// and returns the highest promise ballot, plus the (bal, value) of the
-// highest accepted ballot.
-func (p *Proposer) scan() (maxMBal uint32, maxBal uint32, maxVal uint32) {
+// scan returns, from the MBAL and BALINP rows in row[:2N], the highest
+// promise ballot, plus the (bal, value) of the highest accepted ballot.
+func (p *Proposer) scan(row []uint64) (maxMBal uint32, maxBal uint32, maxVal uint32) {
 	n := p.inst.N
-	shmem.ReadRow(p.inst.mem, p.id, p.inst.regs[:2*n], p.row)
-	for _, w := range p.row[:n] {
+	for _, w := range row[:n] {
 		if m := uint32(w); m > maxMBal {
 			maxMBal = m
 		}
 	}
-	for _, w := range p.row[n : 2*n] {
+	for _, w := range row[n : 2*n] {
 		if bal, val := unpackBalInp(w); bal > maxBal {
 			maxBal, maxVal = bal, val
 		}
 	}
 	return maxMBal, maxBal, maxVal
-}
-
-func (p *Proposer) maxSeenBallot() uint32 {
-	m, _, _ := p.scan()
-	return m
 }

@@ -1,7 +1,9 @@
 package consensus
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"omegasm/internal/shmem"
@@ -12,18 +14,21 @@ import (
 func stepAll(t *testing.T, rng *rand.Rand, props []*Proposer, budget int) {
 	t.Helper()
 	for s := 0; s < budget; s++ {
-		allDone := true
-		for _, p := range props {
-			if _, ok := p.Decided(); !ok {
-				allDone = false
-			}
-		}
-		if allDone {
+		if allDecided(props) {
 			return
 		}
 		props[rng.Intn(len(props))].Step(0)
 	}
 	t.Fatal("step budget exhausted before all proposers decided")
+}
+
+func allDecided(props []*Proposer) bool {
+	for _, p := range props {
+		if _, ok := p.Decided(); !ok {
+			return false
+		}
+	}
+	return true
 }
 
 func newInstanceProposers(t *testing.T, n int, omega func(i int) func() int) (*Instance, []*Proposer) {
@@ -43,22 +48,32 @@ func newInstanceProposers(t *testing.T, n int, omega func(i int) func() int) (*I
 
 func checkAgreementValidity(t *testing.T, props []*Proposer) uint32 {
 	t.Helper()
+	v, err := agreement(props)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v
+}
+
+// agreement returns the value every proposer decided, or an error naming
+// the undecided proposer or the violated property.
+func agreement(props []*Proposer) (uint32, error) {
 	decided := uint32(NoValue)
 	for i, p := range props {
 		v, ok := p.Decided()
 		if !ok {
-			t.Fatalf("proposer %d undecided", i)
+			return 0, fmt.Errorf("proposer %d undecided", i)
 		}
 		if decided == NoValue {
 			decided = v
 		} else if v != decided {
-			t.Fatalf("agreement violated: %d vs %d", v, decided)
+			return 0, fmt.Errorf("agreement violated: %d vs %d", v, decided)
 		}
 	}
 	if decided < 100 || decided >= uint32(100+len(props)) {
-		t.Fatalf("validity violated: decided %d not among inputs", decided)
+		return 0, fmt.Errorf("validity violated: decided %d not among inputs", decided)
 	}
-	return decided
+	return decided, nil
 }
 
 // TestConsensusStableLeader: with a constant oracle only the leader
@@ -227,4 +242,143 @@ func TestPackUnpack(t *testing.T) {
 	if _, ok := unpackDec(0); ok {
 		t.Fatal("zero register decoded as a decision")
 	}
+}
+
+// interleaveMem calls between, when set, right after each read access
+// returns and before the reading micro-step goes on to its write: other
+// processes' steps then fall between a micro-step's read and its write,
+// as they may on a live memory, where stepAll (one whole micro-step at a
+// time) never puts them. Reads made inside between do not call it again.
+type interleaveMem struct {
+	shmem.Mem
+	between func(pid int)
+	inside  bool
+}
+
+func (m *interleaveMem) ReadRow(pid int, regs []shmem.Reg, out []uint64) {
+	for i, r := range regs {
+		out[i] = r.Read(pid)
+	}
+	if m.between != nil && !m.inside {
+		m.inside = true
+		m.between(pid)
+		m.inside = false
+	}
+}
+
+// staleStep is Step with the fold done wrong: phase 2 acts on the rows
+// the phase-1 micro-step read, before the proposer's own BALINP write,
+// instead of on a scan read after it. Its own access polls only DEC.
+func staleStep(p *Proposer) {
+	if p.decided || p.phase != phase2 || p.omega() != p.id {
+		p.Step(0)
+		return
+	}
+	if v, ok := p.inst.poll(p.id, p.row, false); ok {
+		p.decide(v)
+		return
+	}
+	p.advance(p.row) // row[:2N] still holds the phase-1 scan
+}
+
+// TestPhaseTwoScansAfterItsWrite: the interleaving that separates a
+// phase-2 scan read after the proposer's BALINP write from one read
+// before it. A (ballot 4) reads its phase-1 scan; before it writes
+// BALINP, B starts ballot 8 and accepts its own value, since A's is not
+// yet there. Then both run phase 2 with their DEC polls empty. A phase 2
+// that re-reads MBAL sees ballot 8 and retreats; one served from the
+// phase-1 scan decides A's value while B decides its own. The randomized
+// tests cannot produce this: they run whole micro-steps, and a write that
+// follows its scan in one indivisible step is as good as a scan after the
+// write.
+func TestPhaseTwoScansAfterItsWrite(t *testing.T) {
+	run := func(step func(*Proposer)) error {
+		const n = 3
+		mem := &interleaveMem{Mem: shmem.NewSimMem(n)}
+		inst := NewInstance(mem, n, 0)
+		props := make([]*Proposer, n)
+		for i := range props {
+			p, err := NewProposer(inst, i, uint32(100+i), func() int { return i })
+			if err != nil {
+				t.Fatal(err)
+			}
+			props[i] = p
+		}
+		a, b := props[0], props[1]
+		step(a) // MBAL[0] = 4
+		mem.between = func(int) {
+			mem.between = nil
+			step(b) // MBAL[1] = 8
+			step(b) // B's scan misses A's value: BALINP[1] = (8, 101)
+		}
+		step(a) // A's scan, B's two steps, BALINP[0] = (4, 100)
+		mem.between = func(int) {
+			mem.between = nil
+			step(b) // B decides 101
+		}
+		step(a) // A's DEC poll, B's step, A's phase 2
+		for s := 0; s < 100 && !allDecided(props); s++ {
+			step(props[s%n])
+		}
+		_, err := agreement(props)
+		return err
+	}
+	if err := run(func(p *Proposer) { p.Step(0) }); err != nil {
+		t.Errorf("Step: %v", err)
+	}
+	if err := run(staleStep); err == nil || !strings.Contains(err.Error(), "violated") {
+		t.Errorf("a phase 2 served from the scan before its own BALINP write: %v, want an agreement violation", err)
+	} else {
+		t.Logf("stale phase-2 scan caught: %v", err)
+	}
+}
+
+// TestConsensusSafetyUnderPreemption is TestConsensusSafetyUnderLeaderChurn
+// at access granularity: after half of all read accesses, one to four
+// micro-steps of another proposer run before the reader goes on to its
+// write. Step must keep agreement on every seed; staleStep, on the same
+// schedules, must be caught on at least one, or the schedules do not
+// reach what the folded read has to get right.
+func TestConsensusSafetyUnderPreemption(t *testing.T) {
+	const n, seeds = 3, 1000
+	violations := func(step func(*Proposer)) (bad int) {
+		for seed := int64(1); seed <= seeds; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			mem := &interleaveMem{Mem: shmem.NewSimMem(n)}
+			inst := NewInstance(mem, n, 0)
+			props := make([]*Proposer, n)
+			for i := range props {
+				p, err := NewProposer(inst, i, uint32(100+i), func() int { return i })
+				if err != nil {
+					t.Fatal(err)
+				}
+				props[i] = p
+			}
+			mem.between = func(pid int) {
+				if q := rng.Intn(2 * n); q < n && q != pid {
+					for k := rng.Intn(4); k >= 0; k-- {
+						step(props[q])
+					}
+				}
+			}
+			for s := 0; s < 500_000 && !allDecided(props); s++ {
+				step(props[rng.Intn(n)])
+			}
+			if _, err := agreement(props); err != nil {
+				if !strings.Contains(err.Error(), "violated") {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				bad++
+			}
+		}
+		return bad
+	}
+	if bad := violations(func(p *Proposer) { p.Step(0) }); bad != 0 {
+		t.Errorf("Step violated agreement on %d of %d seeds", bad, seeds)
+	}
+	bad := violations(staleStep)
+	if bad == 0 {
+		t.Errorf("staleStep kept agreement on all %d seeds: the schedules miss a stale phase-2 scan", seeds)
+	}
+	t.Logf("staleStep violated agreement on %d of %d seeds", bad, seeds)
 }

@@ -604,8 +604,10 @@ type Replica struct {
 	// means it is not armed for the current slot.
 	prop     *Proposer
 	propSlot int
-	// decRow is the learn poll's row buffer (see Instance.readDecision).
-	decRow []uint64
+	// row is the buffer each step's poll lands in (see Instance.poll): the
+	// DEC row, plus the MBAL and BALINP rows the proposer's phase action
+	// consumes when the replica is about to act.
+	row []uint64
 
 	// cachedInst/cachedSlot memoize the window lookup of the slot the
 	// replica is working on: a slot takes several micro-steps to settle,
@@ -658,7 +660,7 @@ func NewReplica(log *Log, id int, omega func() int) (*Replica, error) {
 		// recycling log's tail is trimmed in place at each seal, keeping
 		// this capacity; growth past it is amortized as usual).
 		committed: make([]uint32, 0, log.Cap()*log.MaxBatch()),
-		decRow:    make([]uint64, log.N),
+		row:       make([]uint64, 3*log.N),
 		propSlot:  -1, lastSealSlot: -1, selfLatestSeq: -1, cachedSlot: -1,
 	}, nil
 }
@@ -843,12 +845,15 @@ func (r *Replica) step(now vclock.Time) (idle bool) {
 		}
 		r.cachedInst, r.cachedSlot = inst, slot
 	}
-	// Learn: any replica's decision register settles the slot.
-	if v, ok := inst.readDecision(r.id, r.decRow); ok {
+	// Learn: any replica's decision register settles the slot. A leader
+	// with work is about to act, so the same access reads the slot's MBAL
+	// and BALINP rows: they are the scan its phase action begins with.
+	act := r.omega() == r.id && (r.pendingLen() > 0 || r.checkpointDue())
+	if v, ok := inst.poll(r.id, r.row, act); ok {
 		r.commitSlot(v)
 		return false
 	}
-	if r.omega() != r.id || (r.pendingLen() == 0 && !r.checkpointDue()) {
+	if !act {
 		return true
 	}
 	if r.prop == nil || r.propSlot != slot {
@@ -884,8 +889,8 @@ func (r *Replica) step(now vclock.Time) (idle bool) {
 		r.armGen++
 		r.curArmGen = r.armGen
 	}
-	// The learn poll above found the row empty: act without re-polling.
-	r.prop.advance()
+	// The learn poll above found the slot undecided and read the scan.
+	r.prop.advance(r.row)
 	if v, ok := r.prop.Decided(); ok {
 		won := r.prop.WonBallot()
 		if won {

@@ -3,6 +3,7 @@ package consensus
 import (
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"omegasm/internal/shmem"
@@ -241,5 +242,123 @@ func TestWonSlotEndsBurst(t *testing.T) {
 	}
 	if !commitStep(kv.replica) {
 		t.Error("won checkpoint slot with nothing left to propose did not end the burst")
+	}
+}
+
+// accessMem counts the accesses a memory whose every access is a round
+// trip (the SAN) would carry: each ReadRow call is one read access,
+// whatever it reads, and each register write is one write access. It
+// records the register names of every ReadRow so a test can tell a
+// decision poll from a scan.
+type accessMem struct {
+	shmem.Mem
+	rows   [][]string // per ReadRow call: the names of the registers read
+	byPid  []int      // per ReadRow call: the reader
+	writes []int      // per process
+}
+
+type accessReg struct {
+	shmem.Reg
+	m *accessMem
+}
+
+func (r accessReg) Write(pid int, v uint64) {
+	r.m.writes[pid]++
+	r.Reg.Write(pid, v)
+}
+
+func (m *accessMem) Word(owner int, class string, idx ...int) shmem.Reg {
+	return accessReg{m.Mem.Word(owner, class, idx...), m}
+}
+
+func (m *accessMem) ReadRow(pid int, regs []shmem.Reg, out []uint64) {
+	names := make([]string, len(regs))
+	for i, r := range regs {
+		names[i] = r.Name()
+		out[i] = r.Read(pid)
+	}
+	m.rows = append(m.rows, names)
+	m.byPid = append(m.byPid, pid)
+}
+
+var _ shmem.RowReader = (*accessMem)(nil)
+
+// TestWonSlotIsThreeReadAccesses pins the round trips a slot costs on a
+// memory that batches row reads: a lone leader's won slot is three read
+// accesses — each of its micro-steps polls DEC in the same access as the
+// scan its phase action begins with — and three writes (MBAL, BALINP,
+// DEC). A poll followed by a separate scan made it six reads. A follower,
+// and a leader with nothing to propose, poll only the DEC row.
+func TestWonSlotIsThreeReadAccesses(t *testing.T) {
+	const n, puts = 3, 5
+	mem := &accessMem{Mem: shmem.NewSimMem(n), writes: make([]int, n)}
+	log := plainLog(t, mem, n, 16)
+	reps := make([]*Replica, n)
+	for i := range reps {
+		r, err := NewReplica(log, i, func() int { return 0 })
+		if err != nil {
+			t.Fatal(err)
+		}
+		reps[i] = r
+	}
+	decRow := func(names []string) bool {
+		if len(names) != n {
+			return false
+		}
+		for _, name := range names {
+			if !strings.HasPrefix(name, ClassDec+"[") {
+				return false
+			}
+		}
+		return true
+	}
+	lead := reps[0]
+	for k := 1; k <= puts; k++ {
+		lead.Submit(uint32(k))
+		rows0, writes0 := len(mem.rows), mem.writes[0]
+		for steps := 0; lead.SlotsDecided() < k; steps++ {
+			if steps == 16 {
+				t.Fatalf("put %d undecided after 16 micro-steps", k)
+			}
+			lead.Step(0)
+		}
+		if got := len(mem.rows) - rows0; got != 3 {
+			t.Errorf("put %d: the leader's won slot took %d read accesses, want 3", k, got)
+		}
+		for _, names := range mem.rows[rows0:] {
+			if len(names) != 3*n {
+				t.Errorf("put %d: a leader read access carried %d registers, want the slot's %d", k, len(names), 3*n)
+			}
+		}
+		if got := mem.writes[0] - writes0; got != 3 {
+			t.Errorf("put %d: the leader's won slot took %d writes, want 3", k, got)
+		}
+	}
+
+	// Nothing left to propose: the leader's step is one DEC row poll.
+	rows0 := len(mem.rows)
+	lead.Step(0)
+	if got := mem.rows[rows0:]; len(got) != 1 || !decRow(got[0]) {
+		t.Errorf("idle leader step read %v, want one DEC row", got)
+	}
+
+	// A follower learns each decided slot with one DEC row poll, and polls
+	// the next, undecided one the same way.
+	f := reps[1]
+	rows0 = len(mem.rows)
+	for f.SlotsDecided() < puts {
+		f.Step(0)
+	}
+	f.Step(0)
+	if got := len(mem.rows) - rows0; got != puts+1 {
+		t.Errorf("follower took %d read accesses to learn %d slots and poll the next, want %d", got, puts, puts+1)
+	}
+	for i, names := range mem.rows[rows0:] {
+		if mem.byPid[rows0+i] != 1 || !decRow(names) {
+			t.Errorf("follower read access %d by %d read %v, want one DEC row", i, mem.byPid[rows0+i], names)
+		}
+	}
+	if mem.writes[1] != 0 {
+		t.Errorf("follower wrote %d registers", mem.writes[1])
 	}
 }

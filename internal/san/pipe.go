@@ -6,12 +6,13 @@ import (
 	"time"
 )
 
-// This file is the pipelined disk I/O path shared by the register layer
-// (san.go) and Disk Paxos (diskpaxos.go). Before it, every quorum
-// operation spawned one goroutine per disk and waited for the whole
-// fan-out to wind down before the caller could issue its next operation:
-// slot N fully completed before slot N+1 started, and each goroutine +
-// response channel was a fresh allocation on the commit hot path.
+// This file is the pipelined disk I/O path of the register layer
+// (san.go): single-register quorum reads and writes, and the batched row
+// reads of DiskMem.ReadRow. Before it, every quorum operation spawned one
+// goroutine per disk and waited for the whole fan-out to wind down before
+// the caller could issue its next operation: slot N fully completed
+// before slot N+1 started, and each goroutine + response channel was a
+// fresh allocation on the commit hot path.
 //
 // Now each disk owns one long-lived pump goroutine fed by a bounded
 // request queue (the in-flight window). Submitting a quorum operation
@@ -37,10 +38,10 @@ import (
 //     hot path recycles instead of allocating, without a use-after-free
 //     when a slow disk acks an operation the caller finished long ago.
 //
-// Scatter-gather: a multi-block read (Disk Paxos reading every process's
-// block, a register memory reading whole rows) is one request and one
-// latency draw per disk, not one per block — the command-queuing model
-// again: one round trip carries the whole batch of read commands.
+// Scatter-gather: a multi-block read (a register memory reading whole
+// rows, such as a consensus slot's three) is one request and one latency
+// draw per disk, not one per block — the command-queuing model again: one
+// round trip carries the whole batch of read commands.
 
 // pipeWindow bounds the in-flight requests per disk. Submission blocks
 // when a disk's window is full, which backpressures a fast proposer

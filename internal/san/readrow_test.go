@@ -1,6 +1,7 @@
 package san
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -223,7 +224,8 @@ func TestReadRowFallsBackOffTheRowShape(t *testing.T) {
 
 // TestReadRowSteadyStateZeroAllocs: the gather runs once per consensus
 // micro-step per replica, so it must recycle its call object, result
-// buffers and sequence scratch instead of allocating.
+// buffers and sequence scratch instead of allocating. The rows read are a
+// consensus slot's three (MBAL, BALINP, DEC), a leader's micro-step.
 func TestReadRowSteadyStateZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool sheds items at random under the race detector")
@@ -234,7 +236,10 @@ func TestReadRowSteadyStateZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		row := append(m.WordRowBlock("MBAL", 0, 1, 3)[0], m.WordRowBlock("BALINP", 0, 1, 3)[0]...)
+		var row []shmem.Reg
+		for _, class := range []string{"MBAL", "BALINP", "DEC"} {
+			row = append(row, m.WordRowBlock(class, 0, 1, 3)[0]...)
+		}
 		row[1].Write(1, 9)
 		out := make([]uint64, len(row))
 		// A call object returns to its pool only when its straggler disks
@@ -255,4 +260,21 @@ func TestReadRowSteadyStateZeroAllocs(t *testing.T) {
 			t.Errorf("counting=%v: out = %v", count, out)
 		}
 	}
+}
+
+// TestReadRowMajorityLossPanicsNoQuorum: a batched read that cannot reach
+// a majority of disks fails as a single register's read does.
+func TestReadRowMajorityLossPanicsNoQuorum(t *testing.T) {
+	m, ds := newMem(t, 3, 3)
+	row := m.WordRowBlock("DEC", 0, 1, 3)[0]
+	row[0].Write(0, 1)
+	ds[0].Crash()
+	ds[2].Crash()
+	defer func() {
+		err, ok := recover().(error)
+		if !ok || !errors.Is(err, ErrNoQuorum) {
+			t.Fatalf("panic value %v, want ErrNoQuorum", err)
+		}
+	}()
+	m.ReadRow(1, row, make([]uint64, len(row)))
 }

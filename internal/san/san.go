@@ -267,8 +267,7 @@ func (m *DiskMem) WordRowBlock(class string, tag0, k, n int) [][]shmem.Reg {
 var _ shmem.RowAllocator = (*DiskMem)(nil)
 
 // ReadRow implements shmem.RowReader: one scatter-gather request per disk
-// (pipe.go's gatherQuorum, as Disk Paxos reads its blocks) instead of one
-// quorum round trip per register. Every per-register property of
+// (pipe.go's gatherQuorum) instead of one quorum round trip per register. Every per-register property of
 // sanReg.Read holds: each register is read from a majority and folded
 // into its own monotone cache, the census notes one read per register, a
 // reclaimed register reads 0 (reads never create blocks, so a dead name

@@ -125,12 +125,16 @@ func TestSANDefaultLeaseIsReadableAndIdleCommitsNothing(t *testing.T) {
 }
 
 // TestSANCommitRunsNoEmptyBurst pins the decision polls a serial Put on
-// the SAN no longer pays, each a quorum round trip: the proposer's second
-// poll of the DEC row in the micro-step whose learn poll already found it
-// empty, the burst of polls of the next, undecided slot that a replica
-// used to run right after committing, and the leader's poll of the next
-// slot in the burst that committed its won slot. A follower behind by a
-// backlog must still learn all of it at CPU speed.
+// the SAN no longer pays: the proposer's second poll of the DEC row in the
+// micro-step whose learn poll already found it empty, the burst of polls
+// of the next, undecided slot that a replica used to run right after
+// committing, and the leader's poll of the next slot in the burst that
+// committed its won slot. A follower's poll is a quorum round trip of its
+// own; the leader's three polls per Put share the access of the scan its
+// phase action begins with (the round trips themselves are pinned by
+// internal/consensus's TestWonSlotIsThreeReadAccesses, which the census
+// cannot see). A follower behind by a backlog must still learn all of it
+// at CPU speed.
 func TestSANCommitRunsNoEmptyBurst(t *testing.T) {
 	t.Run("serial-puts", func(t *testing.T) {
 		c, err := New(WithN(3), WithInstrumentation(),
