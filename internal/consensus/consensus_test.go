@@ -33,7 +33,14 @@ func allDecided(props []*Proposer) bool {
 
 func newInstanceProposers(t *testing.T, n int, omega func(i int) func() int) (*Instance, []*Proposer) {
 	t.Helper()
-	mem := shmem.NewSimMem(n)
+	props := proposersOn(t, shmem.NewSimMem(n), n, omega)
+	return props[0].inst, props
+}
+
+// proposersOn builds the n proposers of one instance on mem: proposer i
+// proposes 100+i under the oracle omega(i).
+func proposersOn(t *testing.T, mem shmem.Mem, n int, omega func(i int) func() int) []*Proposer {
+	t.Helper()
 	inst := NewInstance(mem, n, 0)
 	props := make([]*Proposer, n)
 	for i := 0; i < n; i++ {
@@ -43,7 +50,7 @@ func newInstanceProposers(t *testing.T, n int, omega func(i int) func() int) (*I
 		}
 		props[i] = p
 	}
-	return inst, props
+	return props
 }
 
 func checkAgreementValidity(t *testing.T, props []*Proposer) uint32 {
@@ -281,79 +288,28 @@ func staleStep(p *Proposer) {
 	p.advance(p.row) // row[:2N] still holds the phase-1 scan
 }
 
-// TestPhaseTwoScansAfterItsWrite: the interleaving that separates a
-// phase-2 scan read after the proposer's BALINP write from one read
-// before it. A (ballot 4) reads its phase-1 scan; before it writes
-// BALINP, B starts ballot 8 and accepts its own value, since A's is not
-// yet there. Then both run phase 2 with their DEC polls empty. A phase 2
-// that re-reads MBAL sees ballot 8 and retreats; one served from the
-// phase-1 scan decides A's value while B decides its own. The randomized
-// tests cannot produce this: they run whole micro-steps, and a write that
-// follows its scan in one indivisible step is as good as a scan after the
-// write.
-func TestPhaseTwoScansAfterItsWrite(t *testing.T) {
-	run := func(step func(*Proposer)) error {
-		const n = 3
-		mem := &interleaveMem{Mem: shmem.NewSimMem(n)}
-		inst := NewInstance(mem, n, 0)
-		props := make([]*Proposer, n)
-		for i := range props {
-			p, err := NewProposer(inst, i, uint32(100+i), func() int { return i })
-			if err != nil {
-				t.Fatal(err)
-			}
-			props[i] = p
-		}
-		a, b := props[0], props[1]
-		step(a) // MBAL[0] = 4
-		mem.between = func(int) {
-			mem.between = nil
-			step(b) // MBAL[1] = 8
-			step(b) // B's scan misses A's value: BALINP[1] = (8, 101)
-		}
-		step(a) // A's scan, B's two steps, BALINP[0] = (4, 100)
-		mem.between = func(int) {
-			mem.between = nil
-			step(b) // B decides 101
-		}
-		step(a) // A's DEC poll, B's step, A's phase 2
-		for s := 0; s < 100 && !allDecided(props); s++ {
-			step(props[s%n])
-		}
-		_, err := agreement(props)
-		return err
-	}
-	if err := run(func(p *Proposer) { p.Step(0) }); err != nil {
-		t.Errorf("Step: %v", err)
-	}
-	if err := run(staleStep); err == nil || !strings.Contains(err.Error(), "violated") {
-		t.Errorf("a phase 2 served from the scan before its own BALINP write: %v, want an agreement violation", err)
-	} else {
-		t.Logf("stale phase-2 scan caught: %v", err)
-	}
-}
-
 // TestConsensusSafetyUnderPreemption is TestConsensusSafetyUnderLeaderChurn
-// at access granularity: after half of all read accesses, one to four
-// micro-steps of another proposer run before the reader goes on to its
-// write. Step must keep agreement on every seed; staleStep, on the same
-// schedules, must be caught on at least one, or the schedules do not
-// reach what the folded read has to get right.
+// at access granularity: after each read access, one time in two a
+// proposer is drawn and, unless it is the reader, runs one to four
+// micro-steps before the reader goes on to its write. Step must keep
+// agreement on every seed. staleStep must be caught on at least one, or
+// the schedules miss what the folded read has to get right: A reads its
+// phase-1 scan; before A writes BALINP, B starts a higher ballot and
+// accepts its own value, since A's is not there yet; then both run phase
+// 2 with their DEC polls empty. A phase 2 that reads MBAL after A's
+// write sees B's ballot and retreats; one served from the phase-1 scan
+// decides A's value while B decides its own. Whole micro-steps
+// (TestConsensusSafetyUnderLeaderChurn) cannot produce this: a write that
+// follows its scan in one indivisible step is as good as a scan after it.
 func TestConsensusSafetyUnderPreemption(t *testing.T) {
 	const n, seeds = 3, 1000
 	violations := func(step func(*Proposer)) (bad int) {
 		for seed := int64(1); seed <= seeds; seed++ {
 			rng := rand.New(rand.NewSource(seed))
 			mem := &interleaveMem{Mem: shmem.NewSimMem(n)}
-			inst := NewInstance(mem, n, 0)
-			props := make([]*Proposer, n)
-			for i := range props {
-				p, err := NewProposer(inst, i, uint32(100+i), func() int { return i })
-				if err != nil {
-					t.Fatal(err)
-				}
-				props[i] = p
-			}
+			props := proposersOn(t, mem, n, func(i int) func() int {
+				return func() int { return i } // everyone self-proclaims
+			})
 			mem.between = func(pid int) {
 				if q := rng.Intn(2 * n); q < n && q != pid {
 					for k := rng.Intn(4); k >= 0; k-- {

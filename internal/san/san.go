@@ -267,13 +267,14 @@ func (m *DiskMem) WordRowBlock(class string, tag0, k, n int) [][]shmem.Reg {
 var _ shmem.RowAllocator = (*DiskMem)(nil)
 
 // ReadRow implements shmem.RowReader: one scatter-gather request per disk
-// (pipe.go's gatherQuorum) instead of one quorum round trip per register. Every per-register property of
-// sanReg.Read holds: each register is read from a majority and folded
-// into its own monotone cache, the census notes one read per register, a
-// reclaimed register reads 0 (reads never create blocks, so a dead name
-// in the request re-creates nothing), and a lost quorum panics. regs must
-// be whole WordRowBlock rows of this memory, one after the other;
-// anything else is read register by register.
+// (pipe.go's gatherQuorum) instead of one quorum round trip per register.
+// Every per-register property of sanReg.Read holds: each register is read
+// from a majority and folded into its own monotone cache, the census
+// notes one read per register, a reclaimed register reads 0 (reads never
+// create blocks, so a dead name in the request re-creates nothing), and a
+// lost quorum panics. regs must be whole WordRowBlock rows of this
+// memory, one after the other; anything else is read register by
+// register.
 func (m *DiskMem) ReadRow(pid int, regs []shmem.Reg, out []uint64) {
 	var few [4][]string // a consensus instance's rows; more spill to the heap
 	windows, live := m.rowWindows(regs, few[:0])
